@@ -16,20 +16,9 @@ import numpy as np
 
 from . import cech
 from .gerbe import EdgeSampleGraph, GerbeModuleData, TransitionData
-from .registry import (
-    ProjectivePlaneBenchmark,
-    SphereBenchmark,
-    TorusBenchmark,
-    benchmark_registry,
-)
+from .registry import _BENCHMARKS, SphereBenchmark, benchmark_registry
 
 MANIFEST_FORMAT = 1
-
-_BENCHMARKS = {
-    "S2": SphereBenchmark,
-    "T2": TorusBenchmark,
-    "CP2": ProjectivePlaneBenchmark,
-}
 
 
 # ----------------------------------------------------------- matrix encoding

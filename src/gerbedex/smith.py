@@ -31,10 +31,6 @@ def matvec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def transpose(a):
-    return [list(row) for row in zip(*a)] if a else []
-
-
 @dataclass
 class SmithResult:
     """U @ A @ V == D with U, V unimodular; A == Uinv @ D @ Vinv.

@@ -5,7 +5,11 @@ import pytest
 
 from gerbedex.registry import SphereBenchmark, TorusBenchmark
 from gerbedex.spectral import (
+    CHIRALITY_SIGN,
+    ZERO_MODE_EPS,
     LatticeGauge,
+    _hermitian_blocks,
+    _negative_count,
     build_flux_background,
     index_compare,
     monopole_kernel,
@@ -126,6 +130,63 @@ def test_overlap_index_charge_conjugation(m):
 def test_overlap_index_stability_corners(size, wilson_r):
     gauge = build_flux_background(size, 2)
     assert overlap_index(gauge, wilson_r=wilson_r) == 2
+
+
+def _gauge_transform(gauge, seed):
+    """Random local U(1) gauge transform; the index must not see it."""
+    n = gauge.size
+    rng = np.random.default_rng(seed)
+    phase = np.exp(1j * rng.uniform(0.0, TWO_PI, (n, n)))
+    links_x = phase * gauge.links_x * np.conj(np.roll(phase, -1, axis=0))
+    links_y = phase * gauge.links_y * np.conj(np.roll(phase, -1, axis=1))
+    return LatticeGauge(n, gauge.flux, links_x, links_y)
+
+
+def _dense_index(gauge, wilson_r):
+    eigenvalues = np.linalg.eigvalsh(
+        wilson_dirac(gauge, wilson_r=wilson_r).hermitian_form())
+    return round(-0.5 * float(np.sum(np.sign(eigenvalues))) * CHIRALITY_SIGN)
+
+
+@pytest.mark.parametrize("size", [8, 10, 12, 16])
+@pytest.mark.parametrize("wilson_r", [0.8, 1.0, 1.2])
+def test_block_inertia_count_matches_dense_oracle(size, wilson_r):
+    bound = min(3, (size + 2) // 4)
+    for m in range(-bound, bound + 1):
+        plain = build_flux_background(size, m)
+        for gauge in (plain, _gauge_transform(plain, seed=size * 10 + m)):
+            expected = _dense_index(gauge, wilson_r)
+            assert overlap_index(gauge, wilson_r=wilson_r) == expected == m
+
+
+def test_zero_mode_window_counts_eigenvalue_multiplicity():
+    gauge = build_flux_background(8, 0)
+    eigenvalues = np.linalg.eigvalsh(wilson_dirac(gauge).hermitian_form())
+    distinct = [eigenvalues[0]]
+    for value in eigenvalues[1:]:
+        if value - distinct[-1] > 1e-8:
+            distinct.append(value)
+    blocks = _hermitian_blocks(gauge, 1.0, 1.0)
+
+    def window(center):
+        return (_negative_count(blocks, center + ZERO_MODE_EPS)
+                - _negative_count(blocks, center - ZERO_MODE_EPS))
+
+    multiplicities = set()
+    for value in distinct:
+        mult = int(np.sum(np.abs(eigenvalues - value) < 1e-8))
+        multiplicities.add(mult)
+        assert window(value) == mult
+    assert {1, 4} <= multiplicities
+    for lower, upper in zip(distinct[:-1], distinct[1:]):
+        assert window(0.5 * (lower + upper)) == 0
+
+
+@pytest.mark.parametrize("size", [48, 64])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_overlap_index_on_large_lattices(size, sign):
+    m = sign * ((size + 2) // 4)
+    assert overlap_index(build_flux_background(size, m)) == m
 
 
 def test_overlap_index_mass_branch_guard():
