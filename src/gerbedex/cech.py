@@ -4,12 +4,14 @@ A `Nerve` is the combinatorial nerve of a cover: a face-closed simplicial
 complex truncated at degree 3 (the toolkit never needs cohomology above H^3).
 Cochains take values in Z or in Z_k written additively; all cohomology is
 computed exactly via integer Smith normal form, so torsion is exact, not a
-floating-point byproduct.
+floating-point byproduct.  Each coboundary matrix is factored once per nerve,
+and the factorization is cached on the nerve.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from . import smith
@@ -94,11 +96,20 @@ class Nerve:
         return table[key]
 
     def _index_tables(self):
-        tables = getattr(self, "_tables", None)
-        if tables is None:
-            tables = tuple({s: i for i, s in enumerate(level)} for level in self.simplices)
-            object.__setattr__(self, "_tables", tables)
-        return tables
+        return self._cached("index", lambda: tuple(
+            {s: i for i, s in enumerate(level)} for level in self.simplices))
+
+    def _cached(self, key, build):
+        """build() computed once per nerve.  The cache is set past the frozen
+        dataclass and is not a field, so it takes no part in equality or
+        hashing."""
+        cache = getattr(self, "_cache", None)
+        if cache is None:
+            cache = {}
+            object.__setattr__(self, "_cache", cache)
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
 
 
 @dataclass(frozen=True)
@@ -171,17 +182,17 @@ def solve_coboundary(c, nerve):
     """A cochain b with delta b = c, or None when [c] != 0.
 
     Exact in both rings: over Z this is an integer linear solve, over Z_k a
-    congruence solve, both through the Smith normal form of the coboundary
-    matrix.
+    congruence solve, both through the nerve's cached Smith normal form of
+    the coboundary matrix.
     """
     _check_match(c, nerve)
     if c.degree == 0:
         raise ValueError("degree-0 cochains are never coboundaries here")
     if not is_cocycle(c, nerve):
         raise ValueError("input is not a cocycle; it cannot be a coboundary")
-    mat = delta_matrix(nerve, c.degree - 1)
-    b = list(c.values)
-    sol = smith.solve_integer(mat, b) if c.ring == "Z" else smith.solve_mod(mat, b, c.ring)
+    snf = _factor(nerve, c.degree - 1)
+    b = list(c.values) or [0]  # no degree-q simplices: the factored zero row
+    sol = snf.solve(b) if c.ring == "Z" else snf.solve_mod(b, c.ring)
     if sol is None:
         return None
     return Cochain(c.degree - 1, c.ring, tuple(sol))
@@ -199,62 +210,117 @@ class CohomologyResult:
         return not self.orders
 
 
+def _factor(nerve, q):
+    """Smith normal form of delta_q, computed once per nerve.
+
+    With no (q+1)-simplices delta_q factors as the 1 x n zero matrix, so V is
+    still n x n and every q-cochain is a cocycle.
+    """
+    def build():
+        mat = delta_matrix(nerve, q) or [[0] * nerve.n_simplices(q)]
+        return smith.smith_normal_form(mat)
+
+    return nerve._cached(("delta", q), build)
+
+
+def _cocycle_quotient(nerve, q):
+    """Smith normal form of the degree-q coboundaries in cocycle coordinates.
+
+    With U delta_q V = D of rank r, the Z-cocycles are the columns r.. of V.
+    V^-1 delta_{q-1} vanishes in rows 0..r-1, since D V^-1 delta_{q-1} =
+    U delta_q delta_{q-1} = 0, so its rows r.. present H^q(nerve; Z) as
+    Z^(n-r) modulo their column span.  Needs n_simplices(q) > 0.
+    """
+    if q == MAX_DEGREE:
+        return _factor(nerve, q - 1)  # V = I and r = 0: the matrix is delta_2
+
+    def build():
+        up = _factor(nerve, q)
+        down = delta_matrix(nerve, q - 1) if q else [[] for _ in range(nerve.n_simplices(0))]
+        return smith.smith_normal_form(smith.matmul(up.vinv[up.rank:], down))
+
+    return nerve._cached(("cocycles", q), build)
+
+
 def cohomology(nerve, degree, ring="Z"):
-    """H^degree(nerve; ring) as a list of cyclic factors with representatives."""
+    """H^degree(nerve; ring) as a list of cyclic factors with representatives.
+
+    Orders are invariant factors with 1s dropped, each dividing the next, 0
+    meaning an infinite factor.  Both rings read the answer off the two Smith
+    forms that `_factor` and `_cocycle_quotient` cache on the nerve, and the
+    result is cached there too.  With U delta_q V = D of rank r, the
+    coboundaries in the cocycle coordinates V[:, r:] have Smith diagonal e_j,
+    and H^q(Z) = sum Z/e_j.  Over Z_k the cocycle quotient gives the pieces
+    Z/gcd(e_j, k) with the same generators, and each i < r gives a piece
+    Z/gcd(d_i, k) generated by (k/gcd) V[:, i]; one Smith form of the pieces'
+    diagonal relation matrix regroups them into invariant factors.
+    """
     _check_ring(ring)
     if not 0 <= degree <= MAX_DEGREE:
         raise ValueError("degree out of range 0..3")
+    return nerve._cached(("cohomology", degree, ring),
+                         lambda: _cohomology(nerve, degree, ring))
+
+
+def _cohomology(nerve, degree, ring):
     n = nerve.n_simplices(degree)
-    up = delta_matrix(nerve, degree) if degree < MAX_DEGREE else []
-    if not up:
-        up = [[0] * n]  # no higher simplices: everything is a cocycle
-    down = delta_matrix(nerve, degree - 1) if degree > 0 else [[0] * 0 for _ in range(n)]
-    if ring == "Z":
-        orders, gens = _cohomology_z(n, up, down)
+    if n == 0:
+        return CohomologyResult(degree=degree, ring=ring, orders=())
+    if degree < MAX_DEGREE:
+        up = _factor(nerve, degree)
+        v, rank, d = up.v, up.rank, up.diagonal()
     else:
-        orders, gens = _cohomology_mod(n, up, down, ring)
+        v, rank, d = smith.identity(n), 0, []
+    quotient = _cocycle_quotient(nerve, degree)
+    e = quotient.diagonal()
+    e += [0] * (n - rank - len(e))  # cocycle directions the coboundaries miss
+
+    def cocycle_generator(j):
+        # V[:, r:] @ column j of the quotient's U^-1
+        col = [row[j] for row in quotient.uinv]
+        return [sum(x * y for x, y in zip(vrow[rank:], col) if y) for vrow in v]
+
+    # one (order, generator) per cyclic piece; pieces of order 1 are dropped
+    if ring == "Z":
+        pieces = [(o, cocycle_generator(j)) for j, o in enumerate(e) if o != 1]
+    else:
+        k = ring
+        pieces = []
+        for i in range(rank):
+            g = math.gcd(d[i], k)
+            if g > 1:
+                pieces.append((g, [(k // g) * row[i] for row in v]))
+        for j, o in enumerate(e):
+            g = math.gcd(o, k)
+            if g > 1:
+                pieces.append((g, cocycle_generator(j)))
+        pieces = _invariant_factors(pieces, k)
     return CohomologyResult(
         degree=degree,
         ring=ring,
-        orders=tuple(orders),
-        generators=tuple(Cochain(degree, ring, tuple(g)) for g in gens),
+        orders=tuple(o for o, _ in pieces),
+        generators=tuple(Cochain(degree, ring, tuple(g)) for _, g in pieces),
     )
 
 
-def _cohomology_z(n, up, down):
-    kernel = smith.kernel_basis(up)  # n x z
-    if not kernel or not kernel[0]:
-        return [], []
-    # the columns of the lower coboundary matrix are exactly the image lattice
-    return smith.quotient_invariants(kernel, down)
-
-
-def _cohomology_mod(n, up, down, k):
-    # Work in the finite group (Z/k)^n: H = ker(up mod k) / im(down mod k).
-    # Both subgroups contain k*Z^n, so lift to lattices in Z^n and quotient.
-    if n == 0:
-        return [], []
-    snf = smith.smith_normal_form(up)
-    gens = []  # columns generating ker(up mod k), from D y = 0 (mod k)
-    ncols = n
-    diag = snf.diagonal()
-    for i in range(ncols):
-        di = diag[i] if i < len(diag) else 0
-        step = k // smith._gcd(di, k) if di else 1
-        if step == k:
-            continue  # only the k*Z^n part, added below
-        gens.append([snf.v[r][i] * step for r in range(ncols)])
-    for i in range(n):
-        gens.append([k if r == i else 0 for r in range(n)])
-    gen_mat = [[col[r] for col in gens] for r in range(n)]
-    num_basis = smith.column_lattice_basis(gen_mat)
-    # image generators: columns of the lower coboundary matrix, plus k*Z^n
-    den_mat = [list(down[r]) + [k if c == r else 0 for c in range(n)] for r in range(n)]
-    orders, reps = smith.quotient_invariants(num_basis, den_mat)
-    reps = [[v % k for v in g] for g in reps]
-    # orders divide k by construction; drop factors that became trivial mod k
-    keep = [(o, g) for o, g in zip(orders, reps) if o != 1]
-    return [o for o, _ in keep], [g for _, g in keep]
+def _invariant_factors(pieces, k):
+    """Regroup cyclic pieces (order, generator) of a Z_k-module into invariant
+    factors: the Smith form of their diagonal relation matrix, with generators
+    pulled back through its U^-1 and reduced mod k."""
+    if not pieces:
+        return []
+    s = len(pieces)
+    relations = smith.smith_normal_form(
+        [[pieces[i][0] if i == j else 0 for j in range(s)] for i in range(s)])
+    out = []
+    for j, order in enumerate(relations.diagonal()):
+        if order == 1:
+            continue
+        coeffs = [row[j] for row in relations.uinv]
+        gen = [sum(c * x for c, x in zip(coeffs, xs) if c) % k
+               for xs in zip(*(g for _, g in pieces))]
+        out.append((order, gen))
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,18 @@
 """Exact integer matrix normal forms and solvers.
 
 Everything here works on small dense matrices of Python ints (lists of rows),
-so all arithmetic is exact.  Sizes in this package are bounded by the shipped
-simplicial complexes (at most a few hundred rows/columns), which keeps the
-classical pivoting algorithm comfortably fast.
+so all arithmetic is exact.  `smith_normal_form` is the classical dense
+elimination with both transforms and their inverses; its cost grows with the
+cube of the matrix side, so callers factor each matrix once and keep the
+`SmithResult`, which then answers linear solves over Z and Z_k in its own
+coordinates (`SmithResult.solve`, `SmithResult.solve_mod`).  Coboundary
+matrices are +-1-sparse, so the pivot search stops at the first unit entry and
+`matmul` skips zero entries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -16,13 +21,22 @@ def identity(n):
 
 
 def matmul(a, b):
-    """Exact integer matrix product."""
+    """Exact integer matrix product; zero entries of both factors are skipped."""
     if not a or not b:
         return [[0] * (len(b[0]) if b else 0) for _ in a]
     if len(a[0]) != len(b):
         raise ValueError("matmul: inner dimensions differ")
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    width = len(b[0])
+    sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, brow in zip(row, sparse_b):
+            if x:
+                for j, y in brow:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def matvec(a, v):
@@ -49,6 +63,38 @@ class SmithResult:
     def diagonal(self):
         r = min(len(self.d), len(self.d[0]) if self.d else 0)
         return [self.d[i][i] for i in range(r)]
+
+    def solve(self, b):
+        """One integer solution x of A x = b, or None if none exists."""
+        y = [0] * len(self.v)
+        for i, c in enumerate(matvec(self.u, b)):
+            if i < self.rank:
+                q, rem = divmod(c, self.d[i][i])
+                if rem:
+                    return None
+                y[i] = q
+            elif c:
+                return None
+        return matvec(self.v, y)
+
+    def solve_mod(self, b, k):
+        """One solution x (entries in [0, k)) of A x = b (mod k), or None."""
+        if k < 2:
+            raise ValueError("modulus must be >= 2")
+        y = [0] * len(self.v)
+        for i, c in enumerate(matvec(self.u, b)):
+            c %= k
+            if i < self.rank:
+                di = self.d[i][i]
+                g = math.gcd(di, k)
+                if c % g:
+                    return None
+                # solve (di/g) * y = c/g  (mod k/g)
+                kk = k // g
+                y[i] = ((c // g) * pow((di // g) % kk, -1, kk)) % kk if kk > 1 else 0
+            elif c:
+                return None
+        return [x % k for x in matvec(self.v, y)]
 
 
 def smith_normal_form(a):
@@ -106,11 +152,16 @@ def smith_normal_form(a):
         pivot = None
         best = None
         for i in range(t, m):
+            row = d[i]
             for j in range(t, n):
-                val = abs(d[i][j])
+                val = abs(row[j])
                 if val and (best is None or val < best):
                     best = val
                     pivot = (i, j)
+                    if val == 1:
+                        break  # nothing is smaller, and ties keep the first
+            if best == 1:
+                break
         if pivot is None:
             break
         pi, pj = pivot
@@ -179,108 +230,9 @@ def kernel_basis(a):
 
 def solve_integer(a, b):
     """One integer solution x of A x = b, or None if none exists."""
-    snf = smith_normal_form(a)
-    m = len(a)
-    n = len(a[0]) if m else 0
-    ub = matvec(snf.u, b)
-    y = [0] * n
-    for i in range(m):
-        di = snf.d[i][i] if i < min(m, n) else 0
-        if i < snf.rank:
-            if ub[i] % di:
-                return None
-            y[i] = ub[i] // di
-        elif ub[i]:
-            return None
-    return matvec(snf.v, y)
+    return smith_normal_form(a).solve(b)
 
 
 def solve_mod(a, b, k):
     """One solution x (entries in [0, k)) of A x = b (mod k), or None."""
-    if k < 2:
-        raise ValueError("modulus must be >= 2")
-    snf = smith_normal_form(a)
-    m = len(a)
-    n = len(a[0]) if m else 0
-    ub = matvec(snf.u, b)
-    y = [0] * n
-    for i in range(m):
-        c = ub[i] % k
-        if i < snf.rank:
-            di = snf.d[i][i]
-            g = _gcd(di, k)
-            if c % g:
-                return None
-            # solve (di/g) * y = c/g  (mod k/g)
-            kk = k // g
-            y[i] = ((c // g) * pow((di // g) % kk, -1, kk)) % kk if kk > 1 else 0
-        elif c:
-            return None
-    return [x % k for x in matvec(snf.v, y)]
-
-
-def column_lattice_basis(g):
-    """Independent columns spanning the same column lattice as g."""
-    m = len(g)
-    snf = smith_normal_form(g)
-    cols = []
-    for i in range(snf.rank):
-        di = snf.d[i][i]
-        cols.append([snf.uinv[r][i] * di for r in range(m)])
-    return [[col[r] for col in cols] for r in range(m)] if cols else [[] for _ in range(m)]
-
-
-def quotient_invariants(num_basis, den_gens):
-    """Cyclic invariants of (lattice spanned by num_basis cols) / (sublattice by den_gens cols).
-
-    num_basis columns must be independent and every den_gens column must lie in
-    their span.  Returns (orders, generator_columns): orders are the invariant
-    factors with 1s dropped (0 = infinite cyclic factor), and generator_columns
-    are representatives in the ambient coordinates, one per listed order.
-    """
-    z = len(num_basis[0]) if num_basis and num_basis[0] else 0
-    if z == 0:
-        return [], []
-    p = len(den_gens[0]) if den_gens and den_gens[0] else 0
-    # express all denominator generators in the numerator basis with a single
-    # factorization: num_basis = Uinv D Vinv, so D (Vinv x) = U den
-    xmat = [[0] * p for _ in range(z)]
-    if p:
-        nb = smith_normal_form(num_basis)
-        c = matmul(nb.u, den_gens)
-        w = [[0] * p for _ in range(z)]
-        for i in range(len(c)):
-            di = nb.d[i][i] if i < min(len(nb.d), z) else 0
-            for j in range(p):
-                if di:
-                    if c[i][j] % di:
-                        raise ValueError("denominator lattice not contained in numerator lattice")
-                    w[i][j] = c[i][j] // di
-                elif c[i][j]:
-                    raise ValueError("denominator lattice not contained in numerator lattice")
-        xmat = matmul(nb.v, w)
-    snf = smith_normal_form(xmat) if p else None
-    orders = []
-    gens = []
-    diag = snf.diagonal() if snf else []
-    for i in range(z):
-        d = diag[i] if i < len(diag) else 0
-        if d == 1:
-            continue
-        orders.append(d)
-        # basis change y = U x diagonalizes the quotient; generator i pulls
-        # back to column i of Uinv (or the unit vector when p == 0)
-        if snf:
-            vec = [snf.uinv[r][i] for r in range(z)]
-        else:
-            vec = [1 if r == i else 0 for r in range(z)]
-        amb = matvec(num_basis, vec)
-        gens.append(amb)
-    return orders, gens
-
-
-def _gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
+    return smith_normal_form(a).solve_mod(b, k)

@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from gerbedex import cech, smith
+from gerbedex.manifest import read_nerve, write_nerve
 
 
 # ---------------------------------------------------------------------------
@@ -286,3 +288,161 @@ def test_cohomology_mod_composite_ring():
     gen = h2.generators[0]
     doubled = cech.Cochain(2, 4, tuple(2 * v for v in gen.values))
     assert cech.solve_coboundary(doubled, nerve) is None  # order really is 4
+
+
+@pytest.mark.parametrize("ring", ["Z", 3])
+@pytest.mark.parametrize("nerve, q", [
+    (cech.tetrahedron_sphere(), 3),  # no 3-simplices
+    (cech.Nerve.from_simplices([(0,), (1,)]), 1),  # no edges
+])
+def test_solve_coboundary_witness_spans_lower_degree(nerve, q, ring):
+    c = cech.zero_cochain(nerve, q, ring)
+    witness = cech.solve_coboundary(c, nerve)
+    assert len(witness.values) == nerve.n_simplices(q - 1)
+    assert cech.coboundary(witness, nerve) == c
+
+
+# ---------------------------------------------------------------------------
+# cohomology in every degree and ring against independent oracles
+
+def random_nerve(seed):
+    rng = np.random.default_rng(seed)
+    nv = int(rng.integers(4, 8))
+    pool = [s for r in (2, 3, 4) for s in itertools.combinations(range(nv), r)]
+    picks = rng.choice(len(pool), size=int(rng.integers(3, 10)), replace=False)
+    return cech.Nerve.from_simplices([pool[i] for i in picks], vertex_count=nv)
+
+
+def disjoint_union(*nerves):
+    simplices, offset = [], 0
+    for nerve in nerves:
+        simplices += [tuple(v + offset for v in s) for level in nerve.simplices for s in level]
+        offset += nerve.vertex_count
+    return cech.Nerve.from_simplices(simplices, vertex_count=offset)
+
+
+ORACLE_NERVES = {
+    "tetrahedron": cech.tetrahedron_sphere,
+    "projective_plane": cech.projective_plane,
+    # free and torsion pieces, and coprime torsion pieces, in one degree
+    "projective_plane+tetrahedron": lambda: disjoint_union(
+        cech.projective_plane(), cech.tetrahedron_sphere()),
+    "projective_plane+lens_3": lambda: disjoint_union(
+        cech.projective_plane(), cech.lens_complex(3)),
+    **{f"lens_{k}": (lambda k=k: cech.lens_complex(k)) for k in (2, 3, 4)},
+    **{f"random_{seed}": (lambda seed=seed: random_nerve(4000 + seed)) for seed in range(20)},
+}
+
+
+def prime_powers(n):
+    """{p: p^a} over the primes p dividing n > 0, by trial division."""
+    out, p = {}, 2
+    while n > 1:
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 1) * p
+        p += 1
+    return out
+
+
+def primary_parts(orders):
+    """Sorted prime-power (and 0) cyclic factors of the sum of Z/o, o in orders."""
+    return sorted(part for o in orders
+                  for part in ((0,) if o == 0 else prime_powers(o).values()))
+
+
+def is_exact(c, nerve):
+    if c.degree == 0:
+        return not any(c.values)  # there are no degree -1 cochains
+    return cech.solve_coboundary(c, nerve) is not None
+
+
+def scaled(c, t):
+    return cech.Cochain(c.degree, c.ring, tuple(t * v for v in c.values))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_NERVES))
+def test_cohomology_against_oracles(name):
+    nerve = ORACLE_NERVES[name]()
+    integral = {q: cech.cohomology(nerve, q, "Z") for q in range(4)}
+    for q in range(4):
+        for ring in ("Z", 2, 3, 4, 6):
+            result = integral[q] if ring == "Z" else cech.cohomology(nerve, q, ring)
+            orders = list(result.orders)
+            assert len(result.generators) == len(orders)
+            if ring != "Z":
+                # invariant factors: 1s dropped, each divides the next and k
+                assert all(1 < o and ring % o == 0 for o in orders)
+                assert all(b % a == 0 for a, b in zip(orders, orders[1:]))
+                # (a) GF(p) ranks
+                if ring in (2, 3):
+                    assert len(orders) == betti_gf(nerve, q, ring)
+                # (b) universal coefficients: H^q(Z) (x) Z_k + Tor(H^{q+1}(Z), Z_k)
+                above = integral[q + 1].orders if q < 3 else ()
+                expected = ([math.gcd(o, ring) for o in integral[q].orders]
+                            + [math.gcd(o, ring) for o in above if o])
+                assert primary_parts(orders) == primary_parts(expected)
+            # (c) generators are cocycles of exactly the stated order
+            for order, gen in zip(orders, result.generators):
+                assert cech.is_cocycle(gen, nerve)
+                if order == 0:
+                    assert not is_exact(gen, nerve)
+                    continue
+                assert is_exact(scaled(gen, order), nerve)
+                for p in prime_powers(order):
+                    assert not is_exact(scaled(gen, order // p), nerve)
+
+
+# ---------------------------------------------------------------------------
+# factorizations are cached per nerve
+
+@pytest.fixture
+def snf_calls(monkeypatch):
+    calls = []
+    real = smith.smith_normal_form
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(smith, "smith_normal_form", counting)
+    return calls
+
+
+def test_workload_sequence_factors_delta2_once(snf_calls):
+    k = 3
+    nerve = cech.lens_complex(k)
+    h2k = cech.cohomology(nerve, 2, k)
+    cech.cohomology(nerve, 2, "Z")
+    cech.cohomology(nerve, 3, "Z")
+    assert not cech.bockstein(h2k.generators[0], nerve).trivial
+    delta2 = cech.delta_matrix(nerve, 2)
+    assert sum(a == delta2 for a in snf_calls) == 1
+
+
+def test_repeated_queries_factor_nothing_new(snf_calls):
+    nerve = cech.lens_complex(3)
+
+    def queries():
+        for q in range(4):
+            for ring in ("Z", 2, 3, 6):
+                cech.cohomology(nerve, q, ring)
+        beta = cech.bockstein(cech.cohomology(nerve, 2, 3).generators[0], nerve).beta
+        assert cech.solve_coboundary(scaled(beta, 3), nerve) is not None
+        assert cech.solve_coboundary(beta, nerve) is None
+
+    queries()
+    first = len(snf_calls)
+    assert first > 0
+    queries()
+    assert len(snf_calls) == first
+
+
+def test_cache_keeps_nerve_equality_hash_and_file_roundtrip(tmp_path):
+    warm, cold = cech.lens_complex(3), cech.lens_complex(3)
+    cech.bockstein(cech.cohomology(warm, 2, 3).generators[0], warm)
+    assert warm == cold and hash(warm) == hash(cold)
+    assert {cold: 1}[warm] == 1
+    path = tmp_path / "nerve.txt"
+    write_nerve(path, warm)
+    assert read_nerve(path) == warm == cold
