@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cech
 from .characteristic import topological_index, twisted_chern_character
-from .clifford import CliffordElement, SpinElement, represent, spinor_rep
+from .clifford import CliffordElement, SpinElement, plane_rotation, represent, spinor_rep
 from .gerbe import lift_transitions, spin_module, verify_module
 from .geometry import integrate_top
 from .manifest import parse_manifest, read_nerve, sphere_frame_manifest
@@ -46,12 +46,11 @@ def _jsonable(value):
 
 
 def _random_spin_element(rng, n, factors=3):
-    g = SpinElement(CliffordElement.scalar(n, 1.0))
+    """Product of `factors` lifted rotations in random coordinate planes."""
+    g = SpinElement.identity(n)
     for _ in range(factors):
         i, j = sorted(int(k) for k in rng.choice(n, size=2, replace=False))
-        theta = float(rng.uniform(0.0, 2.0 * np.pi))
-        g = g * SpinElement(CliffordElement(
-            n, {(): np.cos(0.5 * theta), (i, j): np.sin(0.5 * theta)}))
+        g = g * plane_rotation(n, i, j, float(rng.uniform(0.0, 2.0 * np.pi)))
     return g
 
 

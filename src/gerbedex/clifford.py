@@ -9,10 +9,13 @@ Conventions fixed here and relied on everywhere else:
     with itself n/2 times
   * a spin element g acts on vectors by v -> g v reverse(g); the lift of a
     rotation by theta in the (i, j) plane is cos(theta/2) + sin(theta/2) e_i e_j
+  * a spin element is stored as its spinor matrix, so reverse(g) is the adjoint
 """
 
 import functools
+import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +25,16 @@ _SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 class LiftAmbiguityError(ValueError):
-    """Raised when neither sign of a lift is decisively closer to the reference."""
+    """Raised when neither sign of a lift is decisively closer to the reference.
+
+    Carries the two candidate distances and the gap their difference missed.
+    """
+
+    def __init__(self, message, d_plus, d_minus, ambiguity_gap):
+        super().__init__(message)
+        self.d_plus = d_plus
+        self.d_minus = d_minus
+        self.ambiguity_gap = ambiguity_gap
 
 
 def blade_product(b1, b2):
@@ -148,32 +160,9 @@ class CliffordElement:
     def scalar_part(self):
         return self.coefficients.get((), 0.0 + 0.0j)
 
-    def vector_part(self):
-        out = np.zeros(self.dimension, dtype=complex)
-        for blade, value in self.coefficients.items():
-            if len(blade) == 1:
-                out[blade[0]] = value
-        return out
-
     def norm(self):
         """Euclidean norm of the blade-coefficient vector."""
         return math.sqrt(sum(abs(v) ** 2 for v in self.coefficients.values()))
-
-    def distance(self, other):
-        return (self - other).norm()
-
-    def inner(self, other):
-        """Blade-coefficient inner product sum conj(a_b) b_b."""
-        other = self._coerce(other)
-        a, b = self.coefficients, other.coefficients
-        if len(b) < len(a):
-            return sum(a.get(k, 0.0 + 0.0j).conjugate() * v for k, v in b.items())
-        return sum(v.conjugate() * b.get(k, 0.0 + 0.0j) for k, v in a.items())
-
-    def chop(self, tol=1e-13):
-        return CliffordElement(
-            self.dimension, {b: v for b, v in self.coefficients.items() if abs(v) > tol}
-        )
 
     def is_real(self, tol=1e-10):
         return all(abs(v.imag) <= tol for v in self.coefficients.values())
@@ -239,16 +228,56 @@ def represent(element, rep=None):
     return out
 
 
-class SpinElement:
-    """Unit even real Clifford element whose adjoint action preserves vectors.
+class _SpinTables(NamedTuple):
+    """Fixed matrices of the representation that carries Spin(n)."""
 
-    The group law is plain Clifford multiplication and the inverse is the
-    reversal, so membership is cheap to verify and is enforced on construction.
+    rep: SpinorRep
+    eye: np.ndarray  # identity of the spinor space
+    gamma: np.ndarray  # (n, dim, dim): the first n generators
+    pairs: np.ndarray  # (n, n, dim, dim): gamma_i gamma_j
+    blades: tuple  # even blades of the first n generators
+    blade_matrices: np.ndarray  # (len(blades), dim, dim)
+
+
+def _frozen(array):
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=None)
+def _spin_tables(n):
+    """Spin(n) acts through spinor_rep(n), or spinor_rep(n + 1) for odd n."""
+    if not 1 <= n <= 8:
+        raise ValueError(f"spin elements are implemented for 1 <= n <= 8, got n = {n}")
+    rep = spinor_rep(n + n % 2)
+    eye = _frozen(np.eye(rep.dim, dtype=complex))
+    gamma = _frozen(np.stack(rep.gamma[:n]))
+    blades = tuple(blade for size in range(0, n + 1, 2)
+                   for blade in itertools.combinations(range(n), size))
+    blade_matrices = np.stack(
+        [functools.reduce(np.matmul, (gamma[i] for i in blade), eye) for blade in blades]
+    )
+    return _SpinTables(rep, eye, gamma, _frozen(gamma[:, None] @ gamma[None, :]),
+                       blades, _frozen(blade_matrices))
+
+
+class SpinElement:
+    """Element of Spin(n), stored as its unitary matrix on the spinors.
+
+    Spin(n) is the group of unit even real Clifford elements whose adjoint
+    action preserves vectors; odd n goes through Spin(n) inside Spin(n + 1),
+    so n <= 8. Membership is checked only at construction from outside input,
+    SpinElement(CliffordElement). Plane rotations are built as matrices, and
+    products, inverses and negation stay in the group by construction, so
+    none of them is checked again. `element` recovers the blade coefficients.
     """
+
+    __slots__ = ("dimension", "_unitary")
 
     def __init__(self, element, tol=1e-8):
         if not isinstance(element, CliffordElement):
             raise TypeError("SpinElement wraps a CliffordElement")
+        rep = _spin_tables(element.dimension).rep
         if any(g % 2 for g in element.grades()):
             raise ValueError("spin element must be even")
         if not element.is_real(tol):
@@ -262,41 +291,71 @@ class SpinElement:
             junk = (image - image.grade(1)).norm()
             if junk > tol:
                 raise ValueError(f"adjoint action does not preserve vectors (defect {junk:.3e})")
-        self.element = element.chop(0.0)
         self.dimension = element.dimension
+        self._unitary = _frozen(represent(CliffordElement(rep.n, element.coefficients), rep))
+
+    @classmethod
+    def _from_unitary(cls, n, unitary):
+        g = object.__new__(cls)
+        g.dimension = n
+        g._unitary = _frozen(unitary)
+        return g
+
+    @classmethod
+    def identity(cls, n):
+        """The unit of Spin(n)."""
+        return cls._from_unitary(n, _spin_tables(n).eye)
+
+    @property
+    def element(self):
+        """Blade coefficients, by Hilbert-Schmidt projection onto the even blades."""
+        tables = _spin_tables(self.dimension)
+        coeffs = np.einsum("bij,ij->b", tables.blade_matrices.conj(), self._unitary)
+        coeffs = coeffs.real / tables.rep.dim
+        return CliffordElement(self.dimension, dict(zip(tables.blades, coeffs)))
+
+    def _check_dimension(self, other):
+        if other.dimension != self.dimension:
+            raise ValueError("dimension mismatch")
 
     def reverse(self):
-        return SpinElement(self.element.reverse())
+        return SpinElement._from_unitary(self.dimension, self._unitary.conj().T)
 
     inverse = reverse
 
     def __mul__(self, other):
         if isinstance(other, SpinElement):
-            return SpinElement(self.element * other.element)
+            self._check_dimension(other)
+            return SpinElement._from_unitary(self.dimension, self._unitary @ other._unitary)
         return NotImplemented
 
     def __neg__(self):
-        return SpinElement(-self.element)
+        return SpinElement._from_unitary(self.dimension, -self._unitary)
 
     def normalized(self):
-        scale = (self.element * self.element.reverse()).scalar_part().real
-        return SpinElement(self.element * (1.0 / math.sqrt(scale)))
+        scale = np.vdot(self._unitary, self._unitary).real / self._unitary.shape[0]
+        return SpinElement._from_unitary(self.dimension, self._unitary / math.sqrt(scale))
 
     def matrix(self, rep=None):
-        return represent(self.element, rep)
+        """The stored unitary; `rep`, if given, must be the representation it lives in."""
+        own = _spin_tables(self.dimension).rep
+        if rep is not None and rep is not own:
+            raise ValueError(f"spin elements of dimension {self.dimension} are stored "
+                             f"in spinor_rep({own.n})")
+        return self._unitary
 
     def adjoint_matrix(self):
         """Rotation matrix R with g e_k reverse(g) = sum_l R[l, k] e_l."""
-        n = self.dimension
-        rev = self.element.reverse()
-        out = np.zeros((n, n))
-        for k in range(n):
-            image = self.element * CliffordElement.generator(n, k) * rev
-            out[:, k] = image.vector_part().real
-        return out
+        gamma = _spin_tables(self.dimension).gamma
+        u = self._unitary
+        images = u @ gamma @ u.conj().T
+        return np.einsum("lab,kab->lk", gamma.conj(), images).real / u.shape[0]
 
     def distance(self, other):
-        return self.element.distance(other.element)
+        """Blade-coefficient distance; blade matrices are orthogonal of norm^2 dim."""
+        self._check_dimension(other)
+        diff = self._unitary - other._unitary
+        return math.sqrt(np.vdot(diff, diff).real / diff.shape[0])
 
     def __repr__(self):
         return f"SpinElement({self.element!r})"
@@ -306,12 +365,13 @@ def plane_rotation(n, i, j, theta):
     """Lift of the rotation by theta in the oriented (i, j) coordinate plane."""
     if i == j:
         raise ValueError("plane needs two distinct axes")
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"plane ({i}, {j}) out of range for dimension {n}")
+    tables = _spin_tables(n)
     half = 0.5 * theta
-    if i < j:
-        el = CliffordElement(n, {(): math.cos(half), (i, j): math.sin(half)})
-    else:
-        el = CliffordElement(n, {(): math.cos(half), (j, i): -math.sin(half)})
-    return SpinElement(el)
+    return SpinElement._from_unitary(
+        n, math.cos(half) * tables.eye + math.sin(half) * tables.pairs[i, j]
+    )
 
 
 def _check_special_orthogonal(matrix, tol):
@@ -335,6 +395,7 @@ def canonical_lift(matrix, tol=1e-8):
     discontinuities, which nearest_lift exists to smooth over).
     """
     matrix, n = _check_special_orthogonal(matrix, tol)
+    lift = SpinElement.identity(n)
     work = matrix.copy()
     rotations = []
     for j in range(n - 1):
@@ -353,7 +414,6 @@ def canonical_lift(matrix, tol=1e-8):
     flips = [k for k in range(n) if diag[k] < 0]
     if len(flips) % 2:
         raise ValueError("odd number of sign flips; determinant is not +1")
-    lift = SpinElement(CliffordElement.scalar(n, 1.0))
     for j, i, phi in rotations:
         lift = lift * plane_rotation(n, j, i, -phi)
     for p, q in zip(flips[0::2], flips[1::2]):
@@ -380,7 +440,8 @@ def nearest_lift(matrix, reference, ambiguity_gap=0.5, tol=1e-8):
     d_minus = (-cand).distance(reference)
     if abs(d_plus - d_minus) < ambiguity_gap:
         raise LiftAmbiguityError(
-            f"sign transport is ambiguous: candidate distances {d_plus:.3f} / {d_minus:.3f}"
+            f"sign transport is ambiguous: candidate distances {d_plus:.3f} / {d_minus:.3f}",
+            d_plus, d_minus, ambiguity_gap,
         )
     return cand if d_plus < d_minus else -cand
 

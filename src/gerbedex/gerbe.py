@@ -9,12 +9,13 @@ direct sum, endomorphism descent, weight decomposition, and descent of the
 weight-zero ones to plain bundle data.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cech
-from .clifford import canonical_lift, nearest_lift, spinor_rep
+from .clifford import LiftAmbiguityError, canonical_lift, nearest_lift, spinor_rep
 
 
 class HolonomyError(ValueError):
@@ -112,10 +113,11 @@ class TransitionData:
         """Check SO(n) membership and the unlifted cocycle at triple points."""
         eye = np.eye(self.dimension)
         for edge, graph in self.edges.items():
-            for idx in range(graph.count):
-                m = graph.matrices[idx]
-                if np.abs(m.T @ m - eye).max() > 1e-9 or np.linalg.det(m) < 0:
-                    raise ValueError(f"sample {idx} on overlap {edge} is not in SO(n)")
+            mats = graph.matrices
+            defect = np.abs(mats.transpose(0, 2, 1) @ mats - eye).max(axis=(1, 2))
+            bad = np.flatnonzero((defect > 1e-9) | (np.linalg.det(mats) < 0))
+            if bad.size:
+                raise ValueError(f"sample {bad[0]} on overlap {edge} is not in SO(n)")
         for (a, b, c), entries in self.triples.items():
             gab = self.edges[(a, b)].matrices
             gbc = self.edges[(b, c)].matrices
@@ -176,6 +178,17 @@ def zero_gerbe_cocycle(nerve, band_order=2):
     return GerbeCocycle(nerve, cech.zero_cochain(nerve, 2, ring=band_order))
 
 
+def _transport(edge, graph, assigned, i, j, ambiguity_gap):
+    """Lift of sample j nearest to the lift assigned to sample i."""
+    try:
+        return nearest_lift(graph.matrices[j], assigned[i], ambiguity_gap)
+    except LiftAmbiguityError as exc:
+        raise LiftAmbiguityError(
+            f"overlap {edge}, samples {i}->{j}: {exc}; resample the overlap more densely",
+            exc.d_plus, exc.d_minus, exc.ambiguity_gap,
+        ) from exc
+
+
 def lift_transitions(data, seed=None, sign_flips=None, basepoints=None, ambiguity_gap=0.5):
     """Lift every sampled transition and read off the obstruction cocycle.
 
@@ -207,19 +220,11 @@ def lift_transitions(data, seed=None, sign_flips=None, basepoints=None, ambiguit
                 nb = neighbours[node][pos]
                 if nb in assigned:
                     continue
-                try:
-                    assigned[nb] = nearest_lift(
-                        graph.matrices[nb], assigned[node], ambiguity_gap
-                    )
-                except Exception as exc:
-                    raise type(exc)(
-                        f"overlap {edge}, samples {node}->{nb}: {exc}; "
-                        "resample the overlap more densely"
-                    ) from exc
+                assigned[nb] = _transport(edge, graph, assigned, node, nb, ambiguity_gap)
                 frontier.append(nb)
         # every off-tree adjacency must close up with the same sign
         for i, j in graph.adjacency:
-            transported = nearest_lift(graph.matrices[j], assigned[i], ambiguity_gap)
+            transported = _transport(edge, graph, assigned, i, j, ambiguity_gap)
             if transported.distance(assigned[j]) > 1.0:
                 raise HolonomyError(
                     f"sign holonomy around a loop in overlap {edge}: "
@@ -233,12 +238,12 @@ def lift_transitions(data, seed=None, sign_flips=None, basepoints=None, ambiguit
         signs = []
         for i, j, l in data.triples[simplex]:
             prod = (
-                lifted.lifts[(a, b)][i].element
-                * lifted.lifts[(b, c)][j].element
-                * lifted.lifts[(a, c)][l].element.reverse()
-            )
-            scalar = prod.scalar_part().real
-            defect = (prod - type(prod).scalar(data.dimension, round(scalar))).norm()
+                lifted.lifts[(a, b)][i] * lifted.lifts[(b, c)][j]
+                * lifted.lifts[(a, c)][l].reverse()
+            ).matrix()
+            dim = prod.shape[0]
+            scalar = np.trace(prod).real / dim
+            defect = np.linalg.norm(prod - round(scalar) * np.eye(dim)) / math.sqrt(dim)
             if abs(abs(scalar) - 1.0) > 1e-6 or defect > 1e-6:
                 raise ValueError(
                     f"lifted triple product on {simplex} is not a sign "

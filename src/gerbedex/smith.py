@@ -7,7 +7,9 @@ cube of the matrix side, so callers factor each matrix once and keep the
 `SmithResult`, which then answers linear solves over Z and Z_k in its own
 coordinates (`SmithResult.solve`, `SmithResult.solve_mod`).  Coboundary
 matrices are +-1-sparse, so the pivot search stops at the first unit entry and
-`matmul` skips zero entries.
+`matmul` skips zero entries.  An entry that the pivot does not divide is
+cleared by one unimodular 2x2 Bezout step, so dense inputs with non-unit
+pivots do not blow up their entries.
 """
 
 from __future__ import annotations
@@ -97,6 +99,17 @@ class SmithResult:
         return [x % k for x in matvec(self.v, y)]
 
 
+def _bezout(a, b):
+    """(g, x, y) with x * a + y * b == g == gcd(a, b) > 0, for a nonzero a."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
+
+
 def smith_normal_form(a):
     """Smith normal form over Z with transform matrices and their inverses."""
     m = len(a)
@@ -140,6 +153,32 @@ def smith_normal_form(a):
             v[r][i] += q * v[r][j]
         vinv[j][:] = [x - q * y for x, y in zip(vinv[j], vinv[i])]
 
+    def row_bezout(t, i):
+        # rows (t, i) <- [[x, y], [-b/g, a/g]] (t, i): pivot becomes g, d[i][t] 0
+        a, b = d[t][t], d[i][t]
+        g, x, y = _bezout(a, b)
+        p, q = -b // g, a // g
+        for mat in (d, u):
+            mat[t][:], mat[i][:] = ([x * s + y * w for s, w in zip(mat[t], mat[i])],
+                                    [p * s + q * w for s, w in zip(mat[t], mat[i])])
+        for r in range(m):
+            # inverse [[a/g, -y], [b/g, x]] acts on the columns of Uinv
+            s, w = uinv[r][t], uinv[r][i]
+            uinv[r][t], uinv[r][i] = q * s - p * w, x * w - y * s
+
+    def col_bezout(t, j):
+        # cols (t, j) <- (t, j) [[x, -b/g], [y, a/g]]: pivot becomes g, d[t][j] 0
+        a, b = d[t][t], d[t][j]
+        g, x, y = _bezout(a, b)
+        p, q = -b // g, a // g
+        for mat, rows in ((d, m), (v, n)):
+            for r in range(rows):
+                s, w = mat[r][t], mat[r][j]
+                mat[r][t], mat[r][j] = x * s + y * w, p * s + q * w
+        # inverse [[a/g, b/g], [-y, x]] acts on the rows of Vinv
+        vinv[t][:], vinv[j][:] = ([q * s - p * w for s, w in zip(vinv[t], vinv[j])],
+                                  [x * w - y * s for s, w in zip(vinv[t], vinv[j])])
+
     def row_negate(i):
         d[i][:] = [-x for x in d[i]]
         u[i][:] = [-x for x in u[i]]
@@ -169,23 +208,22 @@ def smith_normal_form(a):
             row_swap(t, pi)
         if pj != t:
             col_swap(t, pj)
-        # clear row and column t; the pivot shrinks each pass, so this stops
+        # clear row and column t: a multiple of the pivot is subtracted away,
+        # anything else meets a 2x2 Bezout step that replaces the pivot by the
+        # gcd; the pivot only shrinks, so this stops
         while True:
             done = True
             for i in range(t + 1, m):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    row_add(i, t, -q)
-                    if d[i][t]:
-                        row_swap(t, i)
-                        done = False
+                if d[i][t] % d[t][t]:
+                    row_bezout(t, i)
+                elif d[i][t]:
+                    row_add(i, t, -(d[i][t] // d[t][t]))
             for j in range(t + 1, n):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    col_add(j, t, -q)
-                    if d[t][j]:
-                        col_swap(t, j)
-                        done = False
+                if d[t][j] % d[t][t]:
+                    col_bezout(t, j)
+                    done = False
+                elif d[t][j]:
+                    col_add(j, t, -(d[t][j] // d[t][t]))
             if done:
                 break
         if d[t][t] < 0:

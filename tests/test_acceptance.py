@@ -21,6 +21,7 @@ from gerbedex.characteristic import (
     twisted_chern_character,
     twisting_curvature,
 )
+from gerbedex.cli import _random_spin_element as random_spin_element
 from gerbedex.clifford import (
     CliffordElement,
     CliffordModuleFiber,
@@ -71,16 +72,6 @@ def random_unitary(rng, size):
     z = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_spin_element(rng, n, factors=3):
-    g = SpinElement(CliffordElement.scalar(n, 1.0))
-    for _ in range(factors):
-        i, j = sorted(int(k) for k in rng.choice(n, size=2, replace=False))
-        theta = float(rng.uniform(0.0, 2.0 * np.pi))
-        g = g * SpinElement(CliffordElement(
-            n, {(): np.cos(0.5 * theta), (i, j): np.sin(0.5 * theta)}))
-    return g
 
 
 def conjugated_setup(flat4, seed):

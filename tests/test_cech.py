@@ -83,6 +83,23 @@ def test_snf_known_values():
     assert res.rank == 0
 
 
+def test_snf_dense_non_unit_pivots():
+    # Dense entries in [-4, 4] leave non-unit pivots that do not divide their
+    # row and column; clearing them by Euclid-by-swaps blew the entries up.
+    rng = np.random.default_rng(0)
+    a = random_int_matrix(rng, 8, 8, lo=-4, hi=4)
+    res = smith.smith_normal_form(a)
+    assert smith.matmul(smith.matmul(res.u, a), res.v) == res.d
+    assert smith.matmul(smith.matmul(res.uinv, res.d), res.vinv) == a
+    assert smith.matmul(res.u, res.uinv) == smith.identity(8)
+    assert smith.matmul(res.v, res.vinv) == smith.identity(8)
+    diag = res.diagonal()
+    assert all(res.d[i][j] == 0 for i in range(8) for j in range(8) if i != j)
+    assert all(y % x == 0 for x, y in zip(diag, diag[1:]) if x)
+    assert res.rank == np.linalg.matrix_rank(np.array(a, dtype=float))
+    assert math.prod(diag) == round(abs(np.linalg.det(np.array(a, dtype=float))))
+
+
 @pytest.mark.parametrize("trial", range(20))
 def test_integer_and_modular_solving(trial):
     rng = np.random.default_rng(2000 + trial)

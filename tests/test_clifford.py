@@ -242,6 +242,83 @@ def test_nearest_lift_ambiguity_raises():
     assert g.element.scalar_part().real > 0
 
 
+def test_ambiguity_error_carries_the_distances():
+    ref = SpinElement(CliffordElement.scalar(3, 1.0))
+    with pytest.raises(LiftAmbiguityError) as info:
+        nearest_lift(rotation_matrix(3, 0, 1, math.pi), ref, ambiguity_gap=0.25)
+    err = info.value
+    assert err.ambiguity_gap == 0.25
+    assert abs(err.d_plus - err.d_minus) < err.ambiguity_gap
+    assert abs(err.d_plus - math.sqrt(2.0)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# spin elements on spinor matrices
+
+def blade_rotation_product(rng, n, factors=3):
+    """Product of plane-rotation lifts, multiplied out in blade coefficients."""
+    el = CliffordElement.scalar(n, 1.0)
+    for _ in range(factors):
+        i, j = sorted(int(k) for k in rng.choice(n, size=2, replace=False))
+        half = 0.5 * float(rng.uniform(0.0, 2.0 * math.pi))
+        el = el * CliffordElement(n, {(): math.cos(half), (i, j): math.sin(half)})
+    return el
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_distance_is_blade_coefficient_norm(n):
+    rng = np.random.default_rng(8000 + n)
+    for _ in range(4):
+        a, b = blade_rotation_product(rng, n), blade_rotation_product(rng, n)
+        g, h = SpinElement(a), SpinElement(b)
+        assert abs(g.distance(h) - (a - b).norm()) < 1e-12
+        assert abs((-g).distance(h) - (a + b).norm()) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_element_round_trips_through_the_constructor(n):
+    rng = np.random.default_rng(8100 + n)
+    a = blade_rotation_product(rng, n)
+    g = SpinElement(a)
+    assert (g.element - a).norm() < 1e-12
+    assert SpinElement(g.element).distance(g) < 1e-12
+    h = plane_rotation(n, 0, n - 1, 0.3) * g.reverse()
+    assert (SpinElement(h.element).element - h.element).norm() < 1e-12
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_canonical_lift_in_high_dimension(n):
+    rng = np.random.default_rng(8200 + n)
+    for _ in range(3):
+        m = random_rotation(rng, n)
+        g = canonical_lift(m)
+        assert np.abs(g.adjoint_matrix() - m).max() < 1e-9
+        assert g.distance(g * g.inverse() * g) < 1e-12
+
+
+def test_dimension_nine_is_rejected():
+    with pytest.raises(ValueError, match="n <= 8"):
+        canonical_lift(np.eye(9))
+    with pytest.raises(ValueError, match="n <= 8"):
+        plane_rotation(9, 0, 1, 0.3)
+    with pytest.raises(ValueError, match="n <= 8"):
+        SpinElement(CliffordElement.scalar(9, 1.0))
+
+
+def test_matrix_lives_in_the_storing_rep():
+    g = plane_rotation(4, 0, 2, 0.9)
+    assert np.abs(g.matrix(spinor_rep(4)) - represent(g.element, spinor_rep(4))).max() < 1e-14
+    with pytest.raises(ValueError, match="spinor_rep"):
+        g.matrix(spinor_rep(6))
+    # odd n is carried by the representation of n + 1
+    h = plane_rotation(3, 0, 2, 0.9)
+    assert h.matrix(spinor_rep(4)).shape == (4, 4)
+    with pytest.raises(ValueError, match="spinor_rep"):
+        h.matrix(spinor_rep(2))
+    with pytest.raises(ValueError, match="out of range"):
+        plane_rotation(3, 0, 3, 0.9)
+
+
 # ---------------------------------------------------------------------------
 # curvature contraction
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gerbedex import cech, gerbe
-from gerbedex.clifford import LiftAmbiguityError, spinor_rep
+from gerbedex.clifford import CliffordElement, LiftAmbiguityError, spinor_rep
+from gerbedex.manifest import parse_manifest, sphere_frame_manifest
 
 
 def rot(theta):
@@ -194,6 +195,56 @@ def test_sparse_sampling_raises_ambiguity():
     )
     with pytest.raises(LiftAmbiguityError, match="resample"):
         gerbe.lift_transitions(data)
+
+
+def test_ambiguity_in_an_overlap_keeps_type_fields_and_names_the_overlap():
+    nerve = triangle_nerve()
+    edges = {
+        (0, 1): chain_graph([0.0, 0.4, 0.4 + 0.95 * math.pi]),
+        (0, 2): chain_graph([0.0]),
+        (1, 2): chain_graph([0.0]),
+    }
+    data = gerbe.TransitionData(
+        nerve=nerve, dimension=2, edges=edges, triples={(0, 1, 2): [(0, 0, 0)]}
+    )
+    with pytest.raises(LiftAmbiguityError) as info:
+        gerbe.lift_transitions(data)
+    err = info.value
+    assert abs(err.d_plus - err.d_minus) < err.ambiguity_gap == 0.5
+    assert "overlap (0, 1), samples 1->2" in str(err)
+    assert isinstance(err.__cause__, LiftAmbiguityError)
+
+
+@pytest.mark.parametrize("bad", [
+    {5: np.diag([1.0, -1.0])},  # orthogonal, determinant -1
+    {5: rot(0.5) * (1.0 + 1e-8), 6: np.diag([1.0, -1.0])},  # 5 is not orthogonal
+])
+def test_validate_names_the_first_bad_sample(bad):
+    mats = np.stack([rot(0.1 * k) for k in range(8)])
+    for idx, mat in bad.items():
+        mats[idx] = mat
+    edges = {(0, 1): gerbe.EdgeSampleGraph(mats), (0, 2): chain_graph([0.0]),
+             (1, 2): chain_graph([0.0])}
+    data = gerbe.TransitionData(
+        nerve=triangle_nerve(), dimension=2, edges=edges, triples={(0, 1, 2): [(0, 0, 0)]}
+    )
+    with pytest.raises(ValueError, match=r"sample 5 on overlap \(0, 1\) is not in SO"):
+        data.validate()
+
+
+def test_lifting_the_frame_manifest_builds_no_clifford_elements(monkeypatch):
+    data = parse_manifest(sphere_frame_manifest()).transitions.validate()
+    built = []
+    original = CliffordElement.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CliffordElement, "__init__", counting_init)
+    lifted, _ = gerbe.lift_transitions(data, seed=3)
+    assert sum(len(lifts) for lifts in lifted.lifts.values()) > 0
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
