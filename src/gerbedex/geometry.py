@@ -10,6 +10,9 @@ Conventions:
     over axes, then normalized pointwise across charts.
   - Grid differentiation is barycentric-Lagrange spectral differentiation per
     panel (exact on each panel's polynomial space, one-sided at panel edges).
+  - Each overlap (a, b) is sampled once per atlas, up to the cap
+    MAX_OVERLAP_SAMPLES, and every descent check (form pullback, connection
+    gluing, curvature and difference conjugation) shares that sample.
   - Form components are stored as true chart-coordinate coefficients on
     strictly increasing index tuples; orientation signs enter only in
     integrate_top.
@@ -35,6 +38,9 @@ __all__ = [
     "tensor_connection",
     "integrate_top",
 ]
+
+# An overlap sample keeps every k-th overlap node, k = nodes // this cap (>= 1).
+MAX_OVERLAP_SAMPLES = 2000
 
 
 def bump(t):
@@ -111,8 +117,19 @@ class GridAxis:
         ref_nodes, _ = np.polynomial.legendre.leggauss(self.order)
         self.bary = _barycentric_weights(ref_nodes)
         panel_half = 0.5 * (self.panel_edges[1] - self.panel_edges[0])
-        ref_diff = _diff_matrix(ref_nodes, self.bary) / panel_half
-        self.diff = np.kron(np.eye(self.panels), ref_diff)
+        self.diff = _diff_matrix(ref_nodes, self.bary) / panel_half
+
+    def locate(self, x):
+        """Panel of each coordinate and its barycentric basis on that panel."""
+        panel = np.clip(np.searchsorted(self.panel_edges, x, side="right") - 1,
+                        0, self.panels - 1)
+        local = self.nodes[panel[:, None] * self.order + np.arange(self.order)]
+        diff = x[:, None] - local
+        hit = np.abs(diff) < 1e-14
+        terms = np.where(hit, 0.0, self.bary / np.where(hit, 1.0, diff))
+        rows = hit.any(axis=1)
+        terms[rows] = hit[rows]
+        return panel, terms / np.sum(terms, axis=1, keepdims=True)
 
 
 class Chart:
@@ -194,54 +211,55 @@ class Chart:
         return inside
 
     def differentiate(self, values, axis):
-        """Spectral derivative of grid data along one axis (per panel)."""
-        values = np.asarray(values)
-        moved = np.tensordot(self.axes[axis].diff, values, axes=(1, axis))
-        return np.moveaxis(moved, 0, axis)
+        """Spectral derivative of grid data along one axis, panel by panel."""
+        ax = self.axes[axis]
+        moved = np.moveaxis(np.asarray(values), axis, 0)
+        panels = moved.reshape((ax.panels, ax.order, -1))
+        out = np.matmul(ax.diff, panels).reshape(moved.shape)
+        return np.moveaxis(out, 0, axis)
 
-    def interpolate(self, values, points, chunk=256):
+    def interpolate(self, values, points):
         """Barycentric tensor interpolation of grid data at arbitrary points."""
-        values = np.asarray(values)
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        if pts.shape[-1] != self.dim:
-            raise ValueError("points must have one coordinate per axis")
-        trail = values.shape[self.dim:]
-        out = np.empty((pts.shape[0],) + trail, dtype=values.dtype)
-        for start in range(0, pts.shape[0], chunk):
-            block = slice(start, min(start + chunk, pts.shape[0]))
-            out[block] = self._interp_block(values, pts[block])
-        return out
+        return _CellPlan(self, points)(values)
 
-    def _interp_block(self, values, pts):
-        basis = []
-        starts = []
-        for k, ax in enumerate(self.axes):
-            x = pts[:, k]
-            panel = np.clip(np.searchsorted(ax.panel_edges, x, side="right") - 1,
-                            0, ax.panels - 1)
-            start = panel * ax.order
-            local = ax.nodes[start[:, None] + np.arange(ax.order)[None, :]]
-            diff = x[:, None] - local
-            hit = np.abs(diff) < 1e-14
-            terms = np.where(hit, 0.0, ax.bary[None, :] / np.where(hit, 1.0, diff))
-            rows = hit.any(axis=1)
-            if rows.any():
-                terms[rows] = hit[rows].astype(float)
-            basis.append(terms / np.sum(terms, axis=1, keepdims=True))
-            starts.append(start)
-        if self.dim == 1:
-            idx = starts[0][:, None] + np.arange(self.axes[0].order)[None, :]
-            return np.einsum("ma,ma...->m...", basis[0], values[idx])
-        if self.dim == 2:
-            o0 = self.axes[0].order
-            o1 = self.axes[1].order
-            i0 = (starts[0][:, None] + np.arange(o0)[None, :])[:, :, None]
-            i1 = (starts[1][:, None] + np.arange(o1)[None, :])[:, None, :]
-            patch = values[i0, i1]
-            return np.einsum("ma,mb,mab...->m...", basis[0], basis[1], patch)
-        raise NotImplementedError("interpolation implemented for 1 and 2 axes")
+
+class _CellPlan:
+    """Interpolation at fixed points of one chart, grouped by panel cell.
+
+    A group is its cell's grid-block slices, its point rows and their
+    per-axis barycentric bases; applying it contracts the block in place.
+    """
+
+    def __init__(self, chart, points):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[-1] != chart.dim:
+            raise ValueError("points must have one coordinate per axis")
+        if chart.dim > 2:
+            raise NotImplementedError("interpolation implemented for 1 and 2 axes")
+        self.dim = chart.dim
+        self.count = pts.shape[0]
+        located = [ax.locate(pts[:, k]) for k, ax in enumerate(chart.axes)]
+        panel = np.stack([p for p, _ in located], axis=-1)
+        self.groups = []
+        for cell in np.unique(panel, axis=0):
+            rows = np.flatnonzero((panel == cell).all(axis=1))
+            block = tuple(slice(i * ax.order, (i + 1) * ax.order)
+                          for i, ax in zip(cell, chart.axes))
+            self.groups.append((block, rows,
+                                [basis[rows] for _, basis in located]))
+
+    def __call__(self, values):
+        values = np.asarray(values)
+        trail = values.shape[self.dim:]
+        out = np.empty((self.count,) + trail,
+                       dtype=np.result_type(values.dtype, float))
+        for block, rows, bases in self.groups:
+            acc = bases[0] @ values[block].reshape(bases[0].shape[1], -1)
+            for basis in bases[1:]:
+                acc = np.matmul(basis[:, None, :], acc.reshape(
+                    rows.size, basis.shape[1], -1))[:, 0]
+            out[rows] = acc.reshape((rows.size,) + trail)
+        return out
 
 
 class OverlapMap:
@@ -285,6 +303,14 @@ class ChartAtlas:
             own = chart.log_bump_values()
             self.pou[cname] = self._normalized(cname, own, chart.coords())
         self._validate_pou(pou_tol)
+        self._samples = {}
+
+    def overlap_sample(self, a, b):
+        """The sample of overlap (a, b), built on first use."""
+        if (a, b) not in self._samples:
+            self._samples[(a, b)] = _OverlapSample(
+                self.charts[a], self.charts[b], self.overlaps[(a, b)])
+        return self._samples[(a, b)]
 
     def _foreign_log_bumps(self, cname, coord_arrays):
         """Per-overlap log-bumps of the other charts at cname-coordinate points."""
@@ -484,21 +510,9 @@ class FormField:
                  for cname, chart_comps in self.comps.items()}
         return FormField(self.atlas, self.degree, comps, rank=None)
 
-    def overlap_residual(self, max_points=2000):
+    def overlap_residual(self):
         """Max deviation from Jacobian-pullback consistency on overlaps."""
-        worst = 0.0
-        keys = _form_keys(self.atlas.dim, self.degree)
-        for (a, b), overlap in self.atlas.overlaps.items():
-            sampled = _overlap_samples(self.atlas, a, b, overlap, max_points)
-            if sampled is None:
-                continue
-            idx, _, pts, jac = sampled
-            pulled = _pullback_values(self.atlas.charts[b], self.comps[b],
-                                      keys, self.degree, pts, jac)
-            for key in keys:
-                stored = _gather(self.comps[a][key], self.atlas.charts[a], idx)
-                worst = max(worst, float(np.max(np.abs(stored - pulled[key]))))
-        return worst
+        return _descent_residual(self.atlas, self.degree, self.comps)
 
 
 def _coef_product(arr_a, rank_a, arr_b, rank_b):
@@ -511,53 +525,79 @@ def _coef_product(arr_a, rank_a, arr_b, rank_b):
     return arr_a * arr_b[..., None, None]
 
 
-def _gather(grid_array, chart, flat_idx):
-    trail = grid_array.shape[chart.dim:]
-    return grid_array.reshape((-1,) + trail)[flat_idx]
+class _OverlapSample:
+    """Strided overlap nodes of chart a whose images land in chart b.
+
+    `idx` are their flat chart-a indices, `coords` their a-coordinates,
+    `points` their b-coordinates and `jacobian` the transition Jacobians;
+    `plan` interpolates chart-b grid data at `points`, and `minors` holds
+    the Jacobian minors that pull forms of every degree back.
+    """
+
+    def __init__(self, chart_a, chart_b, overlap):
+        coords = chart_a.coords()
+        idx = np.flatnonzero(np.asarray(overlap.mask(*coords), dtype=bool).ravel())
+        idx = idx[::max(1, idx.size // MAX_OVERLAP_SAMPLES)]
+        mapped = overlap.mapper(*(c.ravel()[idx] for c in coords))
+        pts = np.stack([np.asarray(m, dtype=float) for m in mapped], axis=-1)
+        keep = chart_b.contains(pts)
+        self.idx = idx[keep]
+        self.coords = [c.ravel()[self.idx] for c in coords]
+        self.points = pts[keep]
+        self.jacobian = np.asarray(overlap.jacobian(*self.coords), dtype=float)
+        self.plan = _CellPlan(chart_b, self.points)
+        keys = [key for p in range(chart_b.dim + 1)
+                for key in _form_keys(chart_b.dim, p)]
+        self.minors = {(ki, kj): np.linalg.det(self.jacobian[:, kj][:, :, ki])
+                       for ki in keys for kj in keys if len(ki) == len(kj)}
+
+    def gather(self, grid_array):
+        """Chart-a grid data at the sampled nodes."""
+        trail = grid_array.shape[len(self.coords):]
+        return grid_array.reshape((-1,) + trail)[self.idx]
+
+    def pullback(self, comps_b, degree):
+        """Pull chart-b form components back to the sampled a-nodes."""
+        keys = _form_keys(len(self.coords), degree)
+        interp = {key: self.plan(comps_b[key]) for key in keys}
+        return {ki: sum(self.minors[ki, kj].reshape((-1,) + (1,) * (v.ndim - 1))
+                        * v for kj, v in interp.items())
+                for ki in keys}
 
 
-def _overlap_samples(atlas, a, b, overlap, max_points):
-    """Subsampled overlap nodes of chart a with mapped points and Jacobians."""
-    chart_a = atlas.charts[a]
-    chart_b = atlas.charts[b]
-    coords = chart_a.coords()
-    inside = np.asarray(overlap.mask(*coords), dtype=bool)
-    idx = np.flatnonzero(inside.ravel())
-    if idx.size == 0:
-        return None
-    stride = max(1, idx.size // max_points)
-    idx = idx[::stride]
-    flat = [c.ravel()[idx] for c in coords]
-    mapped = overlap.mapper(*flat)
-    pts = np.stack([np.asarray(m, dtype=float) for m in mapped], axis=-1)
-    keep = chart_b.contains(pts)
-    if not keep.all():
-        idx = idx[keep]
-        flat = [f[keep] for f in flat]
-        pts = pts[keep]
-    if idx.size == 0:
-        return None
-    jac = np.asarray(overlap.jacobian(*flat), dtype=float)
-    return idx, flat, pts, jac
+def _descent_residual(atlas, degree, comps, conn=None, shifted=False):
+    """Max over overlaps (a, b) of |X_a - phi (pullback X_b) phi^-1 - shift|.
 
-
-def _pullback_values(chart_b, comps_b, keys, degree, pts, jac):
-    """Pull back chart-b components to the sampled a-chart points."""
-    interp = {key: chart_b.interpolate(arr, pts) for key, arr in comps_b.items()}
-    if degree == 0:
-        return {(): interp[()]}
-    pulled = {}
-    for key_i in keys:
-        total = None
-        cols = list(key_i)
-        for key_j, values in interp.items():
-            rows = list(key_j)
-            minors = np.linalg.det(jac[:, rows][:, :, cols])
-            factor = minors if values.ndim == 1 else minors[:, None, None]
-            term = factor * values
-            total = term if total is None else total + term
-        pulled[key_i] = total
-    return pulled
+    `comps[chart][key]` are the grid coefficients of a degree-`degree` form
+    X.  Without `conn`, phi is the identity and there is no shift.  With it,
+    phi is the transition phi_ab of `conn`; `shifted` (1-forms only) adds
+    the shift (d phi) phi^-1, which makes X = A the gluing check of `conn`.
+    """
+    worst = 0.0
+    for a, b in atlas.overlaps:
+        transition = None if conn is None else conn.transitions[(a, b)]
+        if shifted:
+            chart_a = atlas.charts[a]
+            phi_grid = np.asarray(transition(*chart_a.coords()), dtype=complex)
+            if phi_grid.shape != chart_a.shape + (conn.module.rank,) * 2:
+                raise ValueError(f"transition on {(a, b)} has wrong shape")
+            dphi = [chart_a.differentiate(phi_grid, axis)
+                    for axis in range(chart_a.dim)]
+        sample = atlas.overlap_sample(a, b)
+        if sample.idx.size == 0:
+            continue
+        if conn is not None:
+            phi = (sample.gather(phi_grid) if shifted else
+                   np.asarray(transition(*sample.coords), dtype=complex))
+            phi_inv = conn._inverse(phi)
+        for key, rhs in sample.pullback(comps[b], degree).items():
+            if conn is not None:
+                rhs = phi @ rhs @ phi_inv
+            if shifted:
+                rhs = rhs - sample.gather(dphi[key[0]]) @ phi_inv
+            stored = sample.gather(comps[a][key])
+            worst = max(worst, float(np.max(np.abs(stored - rhs))))
+    return worst
 
 
 def integrate_top(form):
@@ -628,57 +668,11 @@ class ModuleConnection:
             return mats.conj().swapaxes(-1, -2)
         return np.linalg.inv(mats)
 
-    def gluing_residual(self, max_points=1500):
+    def gluing_residual(self):
         """Max residual of A_a = phi A_b phi^-1 - (d phi) phi^-1 on overlaps."""
-        atlas = self.atlas
-        rank = self.module.rank
-        worst = 0.0
-        for (a, b), overlap in atlas.overlaps.items():
-            chart_a = atlas.charts[a]
-            coords = chart_a.coords()
-            phi_grid = np.asarray(self.transitions[(a, b)](*coords),
-                                  dtype=complex)
-            if phi_grid.shape != chart_a.shape + (rank, rank):
-                raise ValueError(f"transition on {(a, b)} has wrong shape")
-            dphi = [chart_a.differentiate(phi_grid, axis)
-                    for axis in range(chart_a.dim)]
-            sampled = _overlap_samples(atlas, a, b, overlap, max_points)
-            if sampled is None:
-                continue
-            idx, _, pts, jac = sampled
-            interp_b = [atlas.charts[b].interpolate(arr, pts)
-                        for arr in self.forms[b]]
-            phi = _gather(phi_grid, chart_a, idx)
-            phi_inv = self._inverse(phi)
-            for axis in range(chart_a.dim):
-                pulled = sum(jac[:, j, axis, None, None] * interp_b[j]
-                             for j in range(chart_a.dim))
-                rhs = phi @ pulled @ phi_inv \
-                    - _gather(dphi[axis], chart_a, idx) @ phi_inv
-                stored = _gather(self.forms[a][axis], chart_a, idx)
-                worst = max(worst, float(np.max(np.abs(stored - rhs))))
-        return worst
-
-
-def _conjugated_residual(conn, field, max_points=1500):
-    """Residual of X_a = phi (pullback X_b) phi^-1 for a matrix form field."""
-    atlas = conn.atlas
-    keys = _form_keys(atlas.dim, field.degree)
-    worst = 0.0
-    for (a, b), overlap in atlas.overlaps.items():
-        sampled = _overlap_samples(atlas, a, b, overlap, max_points)
-        if sampled is None:
-            continue
-        idx, flat, pts, jac = sampled
-        pulled = _pullback_values(atlas.charts[b], field.comps[b],
-                                  keys, field.degree, pts, jac)
-        phi = np.asarray(conn.transitions[(a, b)](*flat), dtype=complex)
-        phi_inv = conn._inverse(phi)
-        for key in keys:
-            stored = _gather(field.comps[a][key], atlas.charts[a], idx)
-            conjugated = phi @ pulled[key] @ phi_inv
-            worst = max(worst, float(np.max(np.abs(stored - conjugated))))
-    return worst
+        comps = {cname: {(axis,): arr for axis, arr in enumerate(forms)}
+                 for cname, forms in self.forms.items()}
+        return _descent_residual(self.atlas, 1, comps, self, shifted=True)
 
 
 def curvature(conn, tol=1e-6):
@@ -696,7 +690,7 @@ def curvature(conn, tol=1e-6):
                                + forms[i] @ forms[j] - forms[j] @ forms[i])
         comps[cname] = out
     field = FormField(atlas, 2, comps, rank=rank)
-    residual = _conjugated_residual(conn, field)
+    residual = _descent_residual(atlas, 2, field.comps, conn)
     if residual > tol:
         raise ValueError(
             f"curvature fails to descend: overlap residual {residual:.3e} "
@@ -716,7 +710,7 @@ def connection_difference(c1, c2, tol=1e-6):
         comps[cname] = {(axis,): c1.forms[cname][axis] - c2.forms[cname][axis]
                         for axis in range(chart.dim)}
     field = FormField(atlas, 1, comps, rank=c1.module.rank)
-    residual = _conjugated_residual(c1, field)
+    residual = _descent_residual(atlas, 1, field.comps, c1)
     if residual > tol:
         raise ValueError(
             f"difference does not glue by conjugation: residual {residual:.3e}")

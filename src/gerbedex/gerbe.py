@@ -40,7 +40,7 @@ class EdgeSampleGraph:
     basepoint: int = 0
 
     def __post_init__(self):
-        mats = np.asarray(self.matrices, dtype=float)
+        mats = np.array(self.matrices, dtype=float)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError("matrices must have shape (count, n, n)")
         object.__setattr__(self, "matrices", mats)
@@ -283,7 +283,7 @@ class GerbeModuleData:
             raise ValueError("band order must be at least 2")
         transitions = {}
         for key, arr in self.transitions.items():
-            arr = np.asarray(arr, dtype=complex)
+            arr = np.array(arr, dtype=complex)
             if arr.ndim != 3 or arr.shape[1:] != (self.rank, self.rank):
                 raise ValueError(f"transitions on {key} must be (count, rank, rank)")
             transitions[_ordered_edge(*key)] = arr

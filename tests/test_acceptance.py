@@ -5,7 +5,7 @@ tolerance and prints a single PASS/FAIL line.  Tolerances and runtime
 budgets are asserted, not just reported.
 """
 
-import itertools
+import argparse
 import time
 from fractions import Fraction
 from math import comb
@@ -21,14 +21,13 @@ from gerbedex.characteristic import (
     twisted_chern_character,
     twisting_curvature,
 )
-from gerbedex.cli import _random_spin_element as random_spin_element
+from gerbedex.cli import _clifford_suite, _gerbe_suite
 from gerbedex.clifford import (
     CliffordElement,
     CliffordModuleFiber,
     SpinElement,
     extract_twisting_factor,
     nearest_lift,
-    represent,
     spinor_rep,
 )
 from gerbedex.geometry import Chart, ChartAtlas, FormField, curvature, integrate_top
@@ -148,29 +147,7 @@ def gf_h2_dimension(nerve, p):
 
 def test_criterion_01_clifford_relations_span_and_homomorphism():
     start = time.perf_counter()
-    rng = np.random.default_rng(7)
-    pair_counts = {2: 34, 4: 33, 6: 33}
-    ok = True
-    for n in (2, 4, 6):
-        rep = spinor_rep(n)
-        worst = 0.0
-        for i, gi in enumerate(rep.gamma):
-            for j, gj in enumerate(rep.gamma):
-                target = (-2.0 * np.eye(rep.dim) if i == j
-                          else np.zeros(rep.dim))
-                worst = max(worst,
-                            float(np.abs(gi @ gj + gj @ gi - target).max()))
-        ok = ok and worst < 1e-12
-        blades = [CliffordElement(n, {blade: 1.0})
-                  for size in range(n + 1)
-                  for blade in itertools.combinations(range(n), size)]
-        stacked = np.stack([represent(b, rep).ravel() for b in blades])
-        ok = ok and int(np.linalg.matrix_rank(stacked)) == 4 ** (n // 2)
-        for _ in range(pair_counts[n]):
-            g, h = random_spin_element(rng, n), random_spin_element(rng, n)
-            residual = np.abs((g * h).adjoint_matrix()
-                              - g.adjoint_matrix() @ h.adjoint_matrix()).max()
-            ok = ok and float(residual) < 1e-10
+    _, ok = _clifford_suite(argparse.Namespace(seed=7))
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 5.0
     _verdict(1, "anticommutation 1e-12, blade span 4^(n/2), projection "
@@ -218,27 +195,10 @@ def test_criterion_03_cohomology_with_torsion_and_brute_force():
 
 
 def test_criterion_04_frame_lift_cocycle_and_module_weights():
-    parsed = parse_manifest(sphere_frame_manifest())
-    data = parsed.transitions.validate()
+    _, ok = _gerbe_suite(argparse.Namespace(seed=11))
+    data = parse_manifest(sphere_frame_manifest()).transitions.validate()
     lifted, cocycle = gerbe.lift_transitions(data)
-    ok = cech.is_cocycle(cocycle.cochain, cocycle.nerve) and cocycle.trivial
-    rng = np.random.default_rng(11)
-    edges = list(data.edges)
-    for _ in range(10):
-        flips = [e for e in edges if rng.random() < 0.5]
-        basepoints = {e: int(rng.integers(0, data.edges[e].count))
-                      for e in edges}
-        _, other = gerbe.lift_transitions(
-            data, seed=int(rng.integers(1 << 30)),
-            sign_flips=flips, basepoints=basepoints)
-        diff = cech.Cochain(2, 2, tuple(
-            a + b for a, b in zip(cocycle.cochain.values,
-                                  other.cochain.values)))
-        ok = (ok and cech.is_cocycle(diff, data.nerve)
-              and cech.solve_coboundary(diff, data.nerve) is not None)
     sigma = gerbe.spin_module(lifted)
-    check = gerbe.verify_module(sigma, cocycle)
-    ok = ok and check.ok and check.max_residual < 1e-9
     squared = gerbe.tensor_modules(sigma, sigma)
     ok = ok and sigma.weight == 1 and squared.weight == 0
     ok = ok and gerbe.verify_module(squared, cocycle).max_residual < 1e-9

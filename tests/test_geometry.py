@@ -250,6 +250,86 @@ def test_chart_interpolate_smooth_and_trailing():
     assert out == pytest.approx(expect, abs=1e-10)
 
 
+def random_grid_data(chart, trail, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(chart.shape + trail)
+    if trail:
+        values = values + 1j * rng.standard_normal(chart.shape + trail)
+    return values
+
+
+BOXES = [((0.0,), (1.5,)), ((0.0, -1.0), (1.0, 2.0))]
+
+
+@pytest.mark.parametrize("lo, hi", BOXES)
+@pytest.mark.parametrize("trail", [(), (2, 2)])
+def test_differentiate_matches_dense_panel_oracle(lo, hi, trail):
+    chart = Chart("c", lo, hi, 1, order=7, panels=3)
+    values = random_grid_data(chart, trail, seed=5)
+    for axis, ax in enumerate(chart.axes):
+        dense = np.kron(np.eye(ax.panels), ax.diff)
+        expect = np.moveaxis(np.tensordot(dense, values, axes=(1, axis)), 0, axis)
+        out = chart.differentiate(values, axis)
+        assert out.shape == values.shape
+        np.testing.assert_allclose(out, expect, rtol=0,
+                                   atol=1e-12 * np.abs(expect).max())
+
+
+def lagrange_oracle(chart, values, point):
+    """Interpolate on the panel cell holding the point (right panel on an
+    interior edge) with the product Lagrange basis, one point at a time."""
+    block = values
+    for k, ax in enumerate(chart.axes):
+        panel = int(np.sum(point[k] >= ax.panel_edges[1:-1]))
+        nodes = ax.nodes[panel * ax.order:(panel + 1) * ax.order]
+        basis = np.array([np.prod([(point[k] - t) / (s - t)
+                                   for t in nodes if t != s]) for s in nodes])
+        local = np.take(block, range(panel * ax.order, (panel + 1) * ax.order),
+                        axis=0)
+        block = np.tensordot(basis, local, axes=(0, 0))
+    return block
+
+
+def probe_points(chart, seed):
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(chart.lo), np.array(chart.hi)
+    random = rng.uniform(lo, hi, size=(30, chart.dim))
+    nodes = np.stack([rng.choice(ax.nodes, 10) for ax in chart.axes], axis=-1)
+    edges = rng.uniform(lo, hi, size=(4 * chart.dim, chart.dim))
+    for k, ax in enumerate(chart.axes):
+        edges[4 * k:4 * k + 4, k] = rng.choice(ax.panel_edges[1:-1], 4)
+    corners = np.array(np.meshgrid(*zip(lo, hi), indexing="ij")).reshape(
+        chart.dim, -1).T
+    return np.concatenate([random, nodes, edges, corners])
+
+
+@pytest.mark.parametrize("lo, hi", BOXES)
+@pytest.mark.parametrize("trail", [(), (2, 2)])
+def test_interpolate_matches_per_point_lagrange_oracle(lo, hi, trail):
+    chart = Chart("c", lo, hi, 1, order=6, panels=3)
+    values = random_grid_data(chart, trail, seed=9)
+    pts = probe_points(chart, seed=13)
+    out = chart.interpolate(values, pts)
+    assert out.shape == (len(pts),) + trail
+    expect = np.stack([lagrange_oracle(chart, values, p) for p in pts])
+    np.testing.assert_allclose(out, expect, rtol=0, atol=1e-11)
+
+
+def test_interpolate_on_grid_nodes_returns_the_grid_values():
+    chart = Chart("c", (0.0, -1.0), (1.0, 2.0), 1, order=6, panels=3)
+    values = random_grid_data(chart, (2, 2), seed=17)
+    x, y = chart.coords()
+    pts = np.stack([x.ravel(), y.ravel()], axis=-1)
+    out = chart.interpolate(values, pts)
+    assert np.array_equal(out, values.reshape((-1, 2, 2)))
+
+
+def test_interpolate_rejects_three_axes():
+    chart = Chart("c", (0.0,) * 3, (1.0,) * 3, 1, order=3, panels=1)
+    with pytest.raises(NotImplementedError):
+        chart.interpolate(np.zeros(chart.shape), np.zeros((1, 3)))
+
+
 # ---------------------------------------------------------------- atlases
 
 def test_single_chart_pou_is_one():
@@ -546,6 +626,87 @@ def test_connection_rejects_bad_gluing():
              for key in atlas.overlaps}
     with pytest.raises(ValueError):
         ModuleConnection(atlas, module, forms, ident)
+
+
+def loose_strip_connection(module, left_ax):
+    """Identity-glued strip connection with A_x = left_ax on the left chart only,
+    accepted under a loose gluing tolerance."""
+    atlas = flat_pair_atlas(order=12, panels=3)
+    forms = {}
+    for name, chart in atlas.charts.items():
+        x, y = chart.coords()
+        ax = np.zeros(chart.shape + (1, 1), dtype=complex)
+        if name == "left":
+            ax[..., 0, 0] = left_ax(x, y)
+        forms[name] = [ax, np.zeros(chart.shape + (1, 1), dtype=complex)]
+    ident = {key: (lambda x, y: np.ones(x.shape + (1, 1), dtype=complex))
+             for key in atlas.overlaps}
+    return ModuleConnection(atlas, module, forms, ident, tol=10.0)
+
+
+def test_curvature_rejects_a_field_that_does_not_descend():
+    conn = loose_strip_connection(scalar_module(), lambda x, y: 1j * x * y)
+    assert conn.gluing_residual() > 1.0
+    with pytest.raises(ValueError, match="curvature fails to descend"):
+        curvature(conn)
+
+
+def test_connection_difference_rejects_a_form_that_does_not_glue():
+    module = scalar_module()
+    flat = loose_strip_connection(module, lambda x, y: 0.0 * x)
+    shifted = ModuleConnection(
+        flat.atlas, module,
+        {name: [forms[0] + (1j if name == "left" else 0.0), forms[1]]
+         for name, forms in flat.forms.items()},
+        flat.transitions, tol=10.0)
+    with pytest.raises(ValueError, match="does not glue by conjugation"):
+        connection_difference(shifted, flat)
+
+
+def test_non_abelian_constant_transition_glues_by_conjugation():
+    atlas = flat_pair_atlas(order=12, panels=3)
+    nerve = Nerve.from_simplices([(0,), (1,), (0, 1)])
+    module = GerbeModuleData(nerve, band_order=2, weight=0, rank=2,
+                             transitions={(0, 1): np.eye(2)[None]}, triples={})
+    u = np.array([[0.6, -0.8j], [-0.8j, 0.6]])
+
+    def right_forms(x, y):
+        ax = np.zeros(x.shape + (2, 2), dtype=complex)
+        ay = np.zeros(x.shape + (2, 2), dtype=complex)
+        ax[..., 0, 0], ax[..., 1, 1] = 1j * x, -1j * y
+        ax[..., 0, 1], ax[..., 1, 0] = x * y, -x * y
+        ay[..., 0, 1] = ay[..., 1, 0] = 1j * np.sin(x)
+        return [ax, ay]
+
+    forms = {"right": right_forms(*atlas.charts["right"].coords()),
+             "left": [u @ a @ u.conj().T
+                      for a in right_forms(*atlas.charts["left"].coords())]}
+    transitions = {
+        ("left", "right"): lambda x, y: np.broadcast_to(u, x.shape + (2, 2)),
+        ("right", "left"): lambda x, y: np.broadcast_to(u.conj().T,
+                                                        x.shape + (2, 2)),
+    }
+    conn = ModuleConnection(atlas, module, forms, transitions)
+    assert conn.gluing_residual() < 1e-10
+    f = curvature(conn)
+    assert np.abs(f.comps["left"][(0, 1)]).max() > 0.1
+
+
+def test_each_overlap_is_sampled_once_for_every_check():
+    atlas = sphere_atlas(order=16)
+    calls = []
+    for overlap in {id(o): o for o in atlas.overlaps.values()}.values():
+        def counted(*coords, _mask=overlap.mask):
+            calls.append(1)
+            return _mask(*coords)
+        overlap.mask = counted
+    conn = monopole_connection(atlas, 2)
+    assert len(calls) == len(atlas.overlaps)
+    for _ in range(2):
+        assert conn.gluing_residual() < 1e-8
+        assert curvature(conn).trace().overlap_residual() < 1e-8
+        assert area_form(atlas).overlap_residual() < 1e-8
+    assert len(calls) == len(atlas.overlaps)
 
 
 def test_connection_rejects_non_antihermitian():

@@ -72,6 +72,22 @@ def test_graph_default_chain_and_connectivity():
         gerbe.EdgeSampleGraph(np.stack([rot(0.0)] * 2), adjacency=((0, 5),))
 
 
+
+def test_graph_keeps_its_own_copy_of_the_samples():
+    mats = np.stack([rot(0.0), rot(0.1)])
+    g = gerbe.EdgeSampleGraph(mats)
+    mats[0] = rot(2.0)
+    assert np.array_equal(g.matrices[0], rot(0.0))
+
+
+def test_module_keeps_its_own_copy_of_the_transitions():
+    phases = np.ones((2, 1, 1), dtype=complex)
+    module = gerbe.GerbeModuleData(
+        cech.Nerve.from_simplices([(0, 1)]), band_order=2, weight=0, rank=1,
+        transitions={(0, 1): phases}, triples={})
+    phases[0] = -1.0
+    assert np.all(module.transitions[(0, 1)] == 1.0)
+
 def test_transition_data_validation():
     nerve = triangle_nerve()
     edges = {e: chain_graph([0.0]) for e in nerve.simplices[1]}
