@@ -20,9 +20,8 @@ import numpy as np
 from . import cech
 from .characteristic import topological_index, twisted_chern_character
 from .clifford import CliffordElement, SpinElement, plane_rotation, represent, spinor_rep
-from .gerbe import lift_transitions, spin_module, verify_module
 from .geometry import integrate_top
-from .manifest import parse_manifest, read_nerve, sphere_frame_manifest
+from .manifest import parse_manifest, read_nerve, run_tasks, sphere_frame_manifest
 from .registry import benchmark_registry
 from .spectral import index_compare
 
@@ -145,41 +144,8 @@ def _cech_suite(args):
 
 
 def _gerbe_suite(args):
-    """Lift the sphere frame manifest, check the cocycle and spin module."""
-    parsed = parse_manifest(sphere_frame_manifest())
-    data = parsed.transitions.validate()
-    lifted, cocycle = lift_transitions(data)
-    closed = cech.is_cocycle(cocycle.cochain, cocycle.nerve)
-    trivial = cocycle.trivial
-    rng = np.random.default_rng(args.seed)
-    edges = list(data.edges)
-    trials, invariant = 10, True
-    for _ in range(trials):
-        flips = [e for e in edges if rng.random() < 0.5]
-        basepoints = {e: int(rng.integers(0, data.edges[e].count))
-                      for e in edges}
-        _, other = lift_transitions(data, seed=int(rng.integers(1 << 30)),
-                                    sign_flips=flips, basepoints=basepoints)
-        diff = cech.Cochain(2, 2, tuple(
-            a + b for a, b in zip(cocycle.cochain.values,
-                                  other.cochain.values)))
-        if not (cech.is_cocycle(diff, data.nerve)
-                and cech.solve_coboundary(diff, data.nerve) is not None):
-            invariant = False
-    spin_check = verify_module(spin_module(lifted), cocycle)
-    ok = (closed and trivial and invariant and spin_check.ok
-          and spin_check.max_residual < 1e-9)
-    report = {
-        "manifest": parsed.name,
-        "cocycle_closed": closed,
-        "class_trivial": trivial,
-        "cocycle_values": [int(v) for v in cocycle.cochain.values],
-        "randomized_trials": trials,
-        "class_invariant": invariant,
-        "spin_module_residual": spin_check.max_residual,
-        "pass": ok,
-    }
-    return report, ok
+    """Run the tasks of the sphere frame manifest: lift, cocycle, spin module."""
+    return run_tasks(parse_manifest(sphere_frame_manifest()), seed=args.seed)
 
 
 def _chern_one(manifold, args, cache):

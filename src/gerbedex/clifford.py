@@ -27,14 +27,16 @@ _SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 class LiftAmbiguityError(ValueError):
     """Raised when neither sign of a lift is decisively closer to the reference.
 
-    Carries the two candidate distances and the gap their difference missed.
+    Carries the two candidate distances and the gap their difference missed;
+    `pair` is the position of the ambiguous pair in a stacked sign pass.
     """
 
-    def __init__(self, message, d_plus, d_minus, ambiguity_gap):
+    def __init__(self, message, d_plus, d_minus, ambiguity_gap, pair=None):
         super().__init__(message)
         self.d_plus = d_plus
         self.d_minus = d_minus
         self.ambiguity_gap = ambiguity_gap
+        self.pair = pair
 
 
 def blade_product(b1, b2):
@@ -261,6 +263,13 @@ def _spin_tables(n):
                        blades, _frozen(blade_matrices))
 
 
+def _adjoint_matrices(n, unitaries):
+    """Rotations R[m] with u_m gamma_k u_m^dagger = sum_l R[m, l, k] gamma_l."""
+    gamma = _spin_tables(n).gamma
+    images = unitaries[:, None] @ gamma @ unitaries.conj().transpose(0, 2, 1)[:, None]
+    return np.einsum("lab,mkab->mlk", gamma.conj(), images).real / unitaries.shape[-1]
+
+
 class SpinElement:
     """Element of Spin(n), stored as its unitary matrix on the spinors.
 
@@ -332,10 +341,6 @@ class SpinElement:
     def __neg__(self):
         return SpinElement._from_unitary(self.dimension, -self._unitary)
 
-    def normalized(self):
-        scale = np.vdot(self._unitary, self._unitary).real / self._unitary.shape[0]
-        return SpinElement._from_unitary(self.dimension, self._unitary / math.sqrt(scale))
-
     def matrix(self, rep=None):
         """The stored unitary; `rep`, if given, must be the representation it lives in."""
         own = _spin_tables(self.dimension).rep
@@ -346,10 +351,7 @@ class SpinElement:
 
     def adjoint_matrix(self):
         """Rotation matrix R with g e_k reverse(g) = sum_l R[l, k] e_l."""
-        gamma = _spin_tables(self.dimension).gamma
-        u = self._unitary
-        images = u @ gamma @ u.conj().T
-        return np.einsum("lab,kab->lk", gamma.conj(), images).real / u.shape[0]
+        return _adjoint_matrices(self.dimension, self._unitary[None])[0]
 
     def distance(self, other):
         """Blade-coefficient distance; blade matrices are orthogonal of norm^2 dim."""
@@ -374,76 +376,116 @@ def plane_rotation(n, i, j, theta):
     )
 
 
-def _check_special_orthogonal(matrix, tol):
-    matrix = np.asarray(matrix, dtype=float)
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
+def _check_special_orthogonal(matrices, tol):
+    mats = np.asarray(matrices, dtype=float)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValueError("rotation matrix must be square")
-    if np.linalg.norm(matrix.T @ matrix - np.eye(n)) > tol:
+    n = mats.shape[1]
+    gram = mats.transpose(0, 2, 1) @ mats - np.eye(n)
+    # written so that a NaN sample fails too
+    if not (np.linalg.norm(gram, axis=(1, 2)) <= tol).all():
         raise ValueError("matrix is not orthogonal")
-    if np.linalg.det(matrix) < 0:
+    if (np.linalg.det(mats) < 0).any():
         raise ValueError("matrix has determinant -1; it does not lift")
-    return matrix, n
+    return mats, n
+
+
+def canonical_lifts(matrices, tol=1e-8):
+    """Deterministic lifts of a stack of special orthogonal matrices.
+
+    Takes (m, n, n) rotations and returns the (m, dim, dim) spinor unitaries
+    of their lifts. Each sample is Givens-reduced to the identity; the planes
+    and angles rebuild it as a product of plane rotations, and its lift is the
+    product of their lifts. One plane is reduced for all samples at once, with
+    angle 0 where a sample's entry is already clear. Every check raises on
+    the first failing sample: orthogonality and determinant, the
+    diagonalization, the flip parity, and the 1e-6 adjoint residual of the
+    normalized lift. The overall sign is a fixed function of the matrix (it
+    has the usual jump discontinuities, which lift_signs exists to smooth
+    over).
+    """
+    mats, n = _check_special_orthogonal(matrices, tol)
+    tables = _spin_tables(n)
+    count = mats.shape[0]
+    rows = list(mats.transpose(1, 0, 2))  # rows[k] is row k of every sample
+    planes = [(j, i) for j in range(n - 1) for i in range(j + 1, n)]
+    angles = np.zeros((len(planes), count))
+    for phi, (j, i) in zip(angles, planes):
+        w_ij, w_jj = rows[i][:, j], rows[j][:, j]
+        np.arctan2(-w_ij, w_jj, out=phi)
+        phi[(np.abs(w_ij) < 1e-15) & (w_jj > 0)] = 0.0
+        c, s = np.cos(phi)[:, None], np.sin(phi)[:, None]
+        rows[j], rows[i] = c * rows[j] - s * rows[i], s * rows[j] + c * rows[i]
+    work = np.stack(rows, axis=1)
+    # the lift of the rotation by -phi in plane (j, i), one plane at a time
+    half = (0.5 * -angles)[..., None, None]
+    cos_half, sin_half = np.cos(half), np.sin(half)
+    lifts = np.broadcast_to(tables.eye, (count,) + tables.eye.shape)
+    for p, (j, i) in enumerate(planes):
+        lifts = lifts @ (cos_half[p] * tables.eye + sin_half[p] * tables.pairs[j, i])
+    diag = np.diagonal(work, axis1=1, axis2=2)
+    off = work.copy()
+    off[:, np.arange(n), np.arange(n)] -= np.round(diag)
+    if (np.linalg.norm(off, axis=(1, 2)) > max(tol, 1e-7) * n).any():
+        raise ValueError("Givens reduction failed to diagonalize; input too far from SO(n)")
+    # Each reduction step leaves w_jj >= 0, so only the last diagonal entry
+    # can be negative: a sign flip is always odd, and there are no flip pairs
+    # to lift as rotations by pi.
+    if ((diag < 0).sum(axis=1) % 2).any():
+        raise ValueError("odd number of sign flips; determinant is not +1")
+    scale = np.einsum("kab,kab->k", lifts.conj(), lifts).real / tables.rep.dim
+    lifts = lifts / np.sqrt(scale)[:, None, None]
+    residual = np.linalg.norm(_adjoint_matrices(n, lifts) - mats, axis=(1, 2))
+    bad = np.flatnonzero(residual > 1e-6)
+    if bad.size:
+        raise ValueError(f"lift verification failed (residual {residual[bad[0]]:.3e})")
+    return lifts
 
 
 def canonical_lift(matrix, tol=1e-8):
-    """Deterministic lift of a special orthogonal matrix.
+    """Deterministic lift of one special orthogonal matrix; see canonical_lifts."""
+    matrix = np.asarray(matrix, dtype=float)
+    return SpinElement._from_unitary(matrix.shape[-1], canonical_lifts(matrix[None], tol)[0])
 
-    Givens-reduce M to the identity; the recorded planes and angles rebuild M
-    as a product of plane rotations, and the lift is the product of their
-    lifts. The overall sign is a fixed function of M (it has the usual jump
-    discontinuities, which nearest_lift exists to smooth over).
+
+def lift_signs(candidates, references, ambiguity_gap=0.5):
+    """Signs s (+1 or -1) making s[k] candidates[k] the lift nearest references[k].
+
+    Both are (m, dim, dim) stacks of spinor unitaries. With c = Re tr(r^dagger
+    g) / dim the blade distances of the two candidates +-g from r are
+    d+- = sqrt(2 -+ 2c); lifts of one rotation are distance 2 apart, so along
+    a reasonably sampled path the choice is clear cut. Where the two distances
+    differ by less than `ambiguity_gap` the sampling is too coarse to transport
+    the sign and we refuse to guess: the LiftAmbiguityError names the first
+    such pair by its position `pair`.
     """
-    matrix, n = _check_special_orthogonal(matrix, tol)
-    lift = SpinElement.identity(n)
-    work = matrix.copy()
-    rotations = []
-    for j in range(n - 1):
-        for i in range(j + 1, n):
-            if abs(work[i, j]) < 1e-15 and work[j, j] > 0:
-                continue
-            phi = math.atan2(-work[i, j], work[j, j])
-            c, s = math.cos(phi), math.sin(phi)
-            row_j = c * work[j, :] - s * work[i, :]
-            row_i = s * work[j, :] + c * work[i, :]
-            work[j, :], work[i, :] = row_j, row_i
-            rotations.append((j, i, phi))
-    diag = np.diagonal(work)
-    if np.linalg.norm(work - np.diag(np.round(diag))) > max(tol, 1e-7) * n:
-        raise ValueError("Givens reduction failed to diagonalize; input too far from SO(n)")
-    flips = [k for k in range(n) if diag[k] < 0]
-    if len(flips) % 2:
-        raise ValueError("odd number of sign flips; determinant is not +1")
-    for j, i, phi in rotations:
-        lift = lift * plane_rotation(n, j, i, -phi)
-    for p, q in zip(flips[0::2], flips[1::2]):
-        lift = lift * plane_rotation(n, p, q, math.pi)
-    lift = lift.normalized()
-    residual = np.linalg.norm(lift.adjoint_matrix() - matrix)
-    if residual > 1e-6:
-        raise ValueError(f"lift verification failed (residual {residual:.3e})")
-    return lift
+    dim = candidates.shape[-1]
+    c = np.einsum("kab,kab->k", references.conj(), candidates).real / dim
+    d_plus = np.sqrt(np.maximum(2.0 - 2.0 * c, 0.0))
+    d_minus = np.sqrt(np.maximum(2.0 + 2.0 * c, 0.0))
+    ambiguous = np.flatnonzero(np.abs(d_plus - d_minus) < ambiguity_gap)
+    if ambiguous.size:
+        k = int(ambiguous[0])
+        raise LiftAmbiguityError(
+            f"sign transport is ambiguous: candidate distances "
+            f"{d_plus[k]:.3f} / {d_minus[k]:.3f}",
+            float(d_plus[k]), float(d_minus[k]), ambiguity_gap, pair=k,
+        )
+    return np.where(d_plus < d_minus, 1.0, -1.0)
 
 
 def nearest_lift(matrix, reference, ambiguity_gap=0.5, tol=1e-8):
     """The lift of `matrix` closest to `reference` in blade coefficients.
 
-    The two candidate lifts differ by a global sign and are distance 2 apart,
-    so along any reasonably sampled path the choice is clear cut. If the two
-    distances differ by less than `ambiguity_gap` the sampling is too coarse
-    to transport the sign and we refuse to guess.
+    The sign of canonical_lift(matrix) is chosen by lift_signs, which raises
+    LiftAmbiguityError when the choice is not clear cut.
     """
     if not isinstance(reference, SpinElement):
         raise TypeError("reference must be a SpinElement")
     cand = canonical_lift(matrix, tol)
-    d_plus = cand.distance(reference)
-    d_minus = (-cand).distance(reference)
-    if abs(d_plus - d_minus) < ambiguity_gap:
-        raise LiftAmbiguityError(
-            f"sign transport is ambiguous: candidate distances {d_plus:.3f} / {d_minus:.3f}",
-            d_plus, d_minus, ambiguity_gap,
-        )
-    return cand if d_plus < d_minus else -cand
+    reference._check_dimension(cand)
+    sign = lift_signs(cand.matrix()[None], reference.matrix()[None], ambiguity_gap)[0]
+    return cand if sign > 0 else -cand
 
 
 def clifford_of_curvature(omega, tol=1e-10):

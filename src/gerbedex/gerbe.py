@@ -1,9 +1,10 @@
 """Lifting sampled principal-bundle transitions and the modules they twist.
 
 Transition functions are SO(n)-valued samples on small graphs over each
-overlap. Lifting picks spin-group representatives by nearest-lift transport
-along a spanning tree; the sign defect of the triple products is a mod-2
-cocycle on the nerve whose class does not depend on any of the choices made.
+overlap. Lifting picks spin-group representatives by sign transport along a
+spanning tree of each overlap's sample graph; the sign defect of the triple
+products is a mod-2 cocycle on the nerve whose class does not depend on any
+of the choices made.
 Modules twisted by that cocycle (weight-d transition data) support tensor,
 direct sum, endomorphism descent, weight decomposition, and descent of the
 weight-zero ones to plain bundle data.
@@ -15,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cech
-from .clifford import LiftAmbiguityError, canonical_lift, nearest_lift, spinor_rep
+from .clifford import (
+    LiftAmbiguityError,
+    SpinElement,
+    canonical_lifts,
+    lift_signs,
+    spinor_rep,
+)
 
 
 class HolonomyError(ValueError):
@@ -60,7 +67,7 @@ class EdgeSampleGraph:
         neighbours = self.neighbour_table()
         while frontier:
             node = frontier.pop()
-            for nb in neighbours[node]:
+            for nb, _ in neighbours[node]:
                 if nb not in reach:
                     reach.add(nb)
                     frontier.append(nb)
@@ -72,10 +79,11 @@ class EdgeSampleGraph:
         return self.matrices.shape[0]
 
     def neighbour_table(self):
+        """Per sample, its (neighbour, position in adjacency) pairs."""
         table = [[] for _ in range(self.count)]
-        for i, j in self.adjacency:
-            table[i].append(j)
-            table[j].append(i)
+        for pos, (i, j) in enumerate(self.adjacency):
+            table[i].append((j, pos))
+            table[j].append((i, pos))
         return table
 
 
@@ -134,14 +142,21 @@ class TransitionData:
 
 @dataclass(frozen=True)
 class LiftedTransitionData:
-    """TransitionData plus a SpinElement per sample node on every edge."""
+    """TransitionData plus the spinor unitary of a lift of every sample."""
 
     data: TransitionData
-    lifts: dict  # edge -> tuple of SpinElement, one per sample
+    unitaries: dict  # edge -> (count, dim, dim) array, one lift per sample
+
+    @property
+    def lifts(self):
+        """edge -> tuple of SpinElement, one per sample."""
+        return {edge: tuple(SpinElement._from_unitary(self.data.dimension, u) for u in stack)
+                for edge, stack in self.unitaries.items()}
 
     def lift_at(self, a, b, index):
         """Lift of the sample on overlap (a, b), reversed when a > b."""
-        g = self.lifts[_ordered_edge(a, b)][index]
+        u = self.unitaries[_ordered_edge(a, b)][index]
+        g = SpinElement._from_unitary(self.data.dimension, u)
         return g if a < b else g.reverse()
 
 
@@ -178,19 +193,90 @@ def zero_gerbe_cocycle(nerve, band_order=2):
     return GerbeCocycle(nerve, cech.zero_cochain(nerve, 2, ring=band_order))
 
 
-def _transport(edge, graph, assigned, i, j, ambiguity_gap):
-    """Lift of sample j nearest to the lift assigned to sample i."""
+def _edge_lifts(edge, graph, base, flip, rng, ambiguity_gap):
+    """Lifts of every sample on one overlap, as +- its canonical lift stack.
+
+    The relative sign of each adjacent pair comes from one lift_signs pass;
+    a spanning-tree walk from `base` fixes every sign, and the adjacencies
+    off the tree must close up with the signs the walk gave their ends.
+    """
+    canon = canonical_lifts(graph.matrices)
+    pairs = np.array(graph.adjacency, dtype=int).reshape(-1, 2)
     try:
-        return nearest_lift(graph.matrices[j], assigned[i], ambiguity_gap)
+        relative = lift_signs(canon[pairs[:, 1]], canon[pairs[:, 0]], ambiguity_gap)
     except LiftAmbiguityError as exc:
+        i, j = graph.adjacency[exc.pair]
         raise LiftAmbiguityError(
             f"overlap {edge}, samples {i}->{j}: {exc}; resample the overlap more densely",
             exc.d_plus, exc.d_minus, exc.ambiguity_gap,
         ) from exc
+    signs = np.zeros(graph.count)
+    signs[base] = -1.0 if flip else 1.0
+    on_tree = np.zeros(len(pairs), dtype=bool)
+    frontier = [base]
+    neighbours = graph.neighbour_table()
+    while frontier:
+        node = frontier.pop()
+        order = rng.permutation(len(neighbours[node])) if rng is not None else range(
+            len(neighbours[node])
+        )
+        for pos in order:
+            nb, k = neighbours[node][pos]
+            if signs[nb]:
+                continue
+            signs[nb] = signs[node] * relative[k]
+            on_tree[k] = True
+            frontier.append(nb)
+    # +-g are 0 or 2 apart: an off-tree pair closes when its distance is < 1
+    off = ~on_tree
+    closure = np.abs(signs[pairs[off, 0]] * relative[off] - signs[pairs[off, 1]])
+    if (closure > 1.0).any():
+        raise HolonomyError(
+            f"sign holonomy around a loop in overlap {edge}: "
+            "the overlap is not simply connected (cover is not good)"
+        )
+    lifts = signs[:, None, None] * canon
+    lifts.flags.writeable = False
+    return lifts
+
+
+def _triple_signs(data, unitaries):
+    """Sign defect (0 or 1) of the lifted triple products on each 2-simplex."""
+    values = []
+    for simplex in data.nerve.simplices[2]:
+        a, b, c = simplex
+        i, j, l = np.array(data.triples[simplex]).T
+        prods = (unitaries[(a, b)][i] @ unitaries[(b, c)][j]
+                 @ unitaries[(a, c)][l].conj().transpose(0, 2, 1))
+        dim = prods.shape[-1]
+        scalars = np.trace(prods, axis1=1, axis2=2).real / dim
+        defects = np.linalg.norm(prods - np.round(scalars)[:, None, None] * np.eye(dim),
+                                 axis=(1, 2)) / math.sqrt(dim)
+        bad = np.flatnonzero((np.abs(np.abs(scalars) - 1.0) > 1e-6) | (defects > 1e-6))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(
+                f"lifted triple product on {simplex} is not a sign "
+                f"(scalar {scalars[k]:.6f}, defect {defects[k]:.3e})"
+            )
+        signs = set(np.where(scalars > 0, 0, 1).tolist())
+        if len(signs) != 1:
+            raise ValueError(
+                f"cocycle sign varies across the sampled triple overlap {simplex}; "
+                "good-cover constancy assumption violated"
+            )
+        values.append(signs.pop())
+    return tuple(values)
 
 
 def lift_transitions(data, seed=None, sign_flips=None, basepoints=None, ambiguity_gap=0.5):
     """Lift every sampled transition and read off the obstruction cocycle.
+
+    Each overlap is lifted in one stacked pass: canonical_lifts of all its
+    samples, lift_signs of all its adjacent pairs, then a spanning-tree walk
+    that fixes the signs and a HolonomyError unless every adjacency off the
+    tree closes up. The first ambiguous pair in adjacency order raises
+    LiftAmbiguityError naming the overlap and the two samples.
 
     seed shuffles the spanning-tree traversal, sign_flips (iterable of edges)
     negates chosen edge lifts globally, basepoints ({edge: sample index})
@@ -198,66 +284,17 @@ def lift_transitions(data, seed=None, sign_flips=None, basepoints=None, ambiguit
     a coboundary; tests rely on that.
     """
     data.validate()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed) if seed is not None else None
     sign_flips = frozenset(_ordered_edge(*e) for e in (sign_flips or ()))
     basepoints = {_ordered_edge(*k): v for k, v in (basepoints or {}).items()}
-    lifts = {}
+    unitaries = {}
     for edge in sorted(data.edges):
         graph = data.edges[edge]
         base = basepoints.get(edge, graph.basepoint)
-        start = canonical_lift(graph.matrices[base])
-        if edge in sign_flips:
-            start = -start
-        assigned = {base: start}
-        frontier = [base]
-        neighbours = graph.neighbour_table()
-        while frontier:
-            node = frontier.pop()
-            order = rng.permutation(len(neighbours[node])) if seed is not None else range(
-                len(neighbours[node])
-            )
-            for pos in order:
-                nb = neighbours[node][pos]
-                if nb in assigned:
-                    continue
-                assigned[nb] = _transport(edge, graph, assigned, node, nb, ambiguity_gap)
-                frontier.append(nb)
-        # every off-tree adjacency must close up with the same sign
-        for i, j in graph.adjacency:
-            transported = _transport(edge, graph, assigned, i, j, ambiguity_gap)
-            if transported.distance(assigned[j]) > 1.0:
-                raise HolonomyError(
-                    f"sign holonomy around a loop in overlap {edge}: "
-                    "the overlap is not simply connected (cover is not good)"
-                )
-        lifts[edge] = tuple(assigned[i] for i in range(graph.count))
-    lifted = LiftedTransitionData(data=data, lifts=lifts)
-    values = []
-    for simplex in data.nerve.simplices[2]:
-        a, b, c = simplex
-        signs = []
-        for i, j, l in data.triples[simplex]:
-            prod = (
-                lifted.lifts[(a, b)][i] * lifted.lifts[(b, c)][j]
-                * lifted.lifts[(a, c)][l].reverse()
-            ).matrix()
-            dim = prod.shape[0]
-            scalar = np.trace(prod).real / dim
-            defect = np.linalg.norm(prod - round(scalar) * np.eye(dim)) / math.sqrt(dim)
-            if abs(abs(scalar) - 1.0) > 1e-6 or defect > 1e-6:
-                raise ValueError(
-                    f"lifted triple product on {simplex} is not a sign "
-                    f"(scalar {scalar:.6f}, defect {defect:.3e})"
-                )
-            signs.append(0 if scalar > 0 else 1)
-        if len(set(signs)) != 1:
-            raise ValueError(
-                f"cocycle sign varies across the sampled triple overlap {simplex}; "
-                "good-cover constancy assumption violated"
-            )
-        values.append(signs[0])
-    cocycle = GerbeCocycle(data.nerve, cech.Cochain(2, 2, tuple(values)))
-    return lifted, cocycle
+        unitaries[edge] = _edge_lifts(edge, graph, base, edge in sign_flips, rng,
+                                      ambiguity_gap)
+    cocycle = GerbeCocycle(data.nerve, cech.Cochain(2, 2, _triple_signs(data, unitaries)))
+    return LiftedTransitionData(data=data, unitaries=unitaries), cocycle
 
 
 @dataclass(frozen=True)
@@ -303,7 +340,8 @@ class GerbeModuleData:
         return {edge: arr.shape[0] for edge, arr in self.transitions.items()}
 
     def _inverse(self, mat):
-        return mat.conj().T if self.unitary else np.linalg.inv(mat)
+        """Inverse of one transition matrix, or of each in a stack."""
+        return np.swapaxes(mat.conj(), -1, -2) if self.unitary else np.linalg.inv(mat)
 
 
 @dataclass(frozen=True)
@@ -408,11 +446,12 @@ def endomorphism_descent(module):
     """Endomorphism module: transitions conjugate, so the twist cancels."""
     transitions = {}
     for edge, arr in module.transitions.items():
-        out = np.empty((arr.shape[0], module.rank**2, module.rank**2), dtype=complex)
-        for idx in range(arr.shape[0]):
-            # action psi -> phi psi phi^-1 in column-major vectorization
-            out[idx] = np.kron(module._inverse(arr[idx]).T, arr[idx])
-        transitions[edge] = out
+        # action psi -> phi psi phi^-1 in column-major vectorization: per
+        # sample the Kronecker product of phi^-T and phi (a broadcast product
+        # rounds exactly as np.kron does; einsum's complex product does not)
+        inverse_t = np.swapaxes(module._inverse(arr), -1, -2)
+        out = inverse_t[:, :, None, :, None] * arr[:, None, :, None, :]
+        transitions[edge] = out.reshape(arr.shape[0], module.rank**2, module.rank**2)
     return GerbeModuleData(
         nerve=module.nerve,
         band_order=module.band_order,
@@ -526,17 +565,12 @@ def spin_module(lifted, band_order=2):
     data = lifted.data
     if data.dimension % 2:
         raise ValueError("spinor matrices implemented for even fiber dimension only")
-    rep = spinor_rep(data.dimension)
-    transitions = {
-        edge: np.stack([g.matrix(rep) for g in lifts])
-        for edge, lifts in lifted.lifts.items()
-    }
     return GerbeModuleData(
         nerve=data.nerve,
         band_order=band_order,
         weight=1,
-        rank=rep.dim,
-        transitions=transitions,
+        rank=spinor_rep(data.dimension).dim,
+        transitions=lifted.unitaries,
         triples=data.triples,
         unitary=True,
     )

@@ -2,7 +2,8 @@
 
 Manifests bundle a nerve, sampled bundle transitions, module blocks, and
 named connection references into one JSON document (UTF-8, sorted keys on
-write) so check suites run from diff-able artifacts.  Matrix data
+write) so check suites run from diff-able artifacts.  The `tasks` list names
+the checks that run_tasks performs, each from MANIFEST_TASKS.  Matrix data
 serializes as row-major nested lists whose innermost entries are
 [real, imaginary] pairs; nerve files are plain text with one simplex per
 line.
@@ -15,7 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from . import cech
-from .gerbe import EdgeSampleGraph, GerbeModuleData, TransitionData
+from .gerbe import (
+    EdgeSampleGraph,
+    GerbeModuleData,
+    TransitionData,
+    lift_transitions,
+    spin_module,
+    verify_module,
+)
 from .registry import _BENCHMARKS, SphereBenchmark, benchmark_registry
 
 MANIFEST_FORMAT = 1
@@ -247,9 +255,85 @@ def parse_manifest(doc):
                 f"connection {conn_name!r} references unknown builder "
                 f"{block.get('builder')!r}")
     tasks = tuple(str(t) for t in doc["tasks"])
+    unknown = [t for t in tasks if t not in MANIFEST_TASKS]
+    if unknown:
+        raise ValueError(f"unknown manifest task {unknown[0]!r}; "
+                         f"known tasks are {sorted(MANIFEST_TASKS)}")
     return ParsedManifest(name=doc["name"], nerve=nerve,
                           transitions=transitions, modules=modules,
                           connections=dict(doc["connections"]), tasks=tasks)
+
+
+# ------------------------------------------------------------ manifest tasks
+# Each task reads the lifted transitions and returns its report fields and
+# whether it passed.
+
+RANDOMIZED_TRIALS = 10
+
+
+def _task_lift(data, lifted, cocycle, seed):
+    """Cocycle values, and their class under randomized relifts."""
+    rng = np.random.default_rng(seed)
+    edges = list(data.edges)
+    invariant = True
+    for _ in range(RANDOMIZED_TRIALS):
+        flips = [e for e in edges if rng.random() < 0.5]
+        basepoints = {e: int(rng.integers(0, data.edges[e].count))
+                      for e in edges}
+        _, other = lift_transitions(data, seed=int(rng.integers(1 << 30)),
+                                    sign_flips=flips, basepoints=basepoints)
+        diff = cech.Cochain(2, 2, tuple(
+            a + b for a, b in zip(cocycle.cochain.values,
+                                  other.cochain.values)))
+        if not (cech.is_cocycle(diff, data.nerve)
+                and cech.solve_coboundary(diff, data.nerve) is not None):
+            invariant = False
+    return {"cocycle_values": [int(v) for v in cocycle.cochain.values],
+            "randomized_trials": RANDOMIZED_TRIALS,
+            "class_invariant": invariant}, invariant
+
+
+def _task_cocycle_closed(data, lifted, cocycle, seed):
+    closed = cech.is_cocycle(cocycle.cochain, cocycle.nerve)
+    return {"cocycle_closed": closed}, closed
+
+
+def _task_class_trivial(data, lifted, cocycle, seed):
+    trivial = cocycle.trivial
+    return {"class_trivial": trivial}, trivial
+
+
+def _task_spin_module(data, lifted, cocycle, seed):
+    check = verify_module(spin_module(lifted), cocycle)
+    return ({"spin_module_residual": check.max_residual},
+            check.ok and check.max_residual < 1e-9)
+
+
+MANIFEST_TASKS = {
+    "lift": _task_lift,
+    "cocycle-closed": _task_cocycle_closed,
+    "class-trivial": _task_class_trivial,
+    "spin-module": _task_spin_module,
+}
+
+
+def run_tasks(parsed, seed=0):
+    """Lift the manifest's transitions and run exactly the tasks it names.
+
+    Returns the report (the manifest name, each task's fields, and "pass")
+    and whether every task passed.
+    """
+    if parsed.transitions is None:
+        raise ValueError(f"manifest {parsed.name!r} has no transitions to lift")
+    data = parsed.transitions.validate()
+    lifted, cocycle = lift_transitions(data)
+    report, ok = {"manifest": parsed.name}, True
+    for name in parsed.tasks:
+        fields, passed = MANIFEST_TASKS[name](data, lifted, cocycle, seed)
+        report.update(fields)
+        ok = ok and passed
+    report["pass"] = ok
+    return report, ok
 
 
 def write_manifest(path, doc):

@@ -241,6 +241,44 @@ def test_twisting_curvature_strips_spin_part(sphere, m):
     assert clifford_commutant_residual(rel, sphere.clifford_fiber()) < 1e-8
 
 
+def loop_commutant_residual(field, fiber):
+    """Per node and per action, the commutator of the coefficient matrix."""
+    worst = 0.0
+    for chart_comps in field.comps.values():
+        for arr in chart_comps.values():
+            for node in arr.reshape(-1, fiber.dim, fiber.dim):
+                for action in fiber.actions:
+                    worst = max(worst, float(np.abs(node @ action - action @ node).max()))
+    return worst
+
+
+@pytest.mark.parametrize("n,multiplicity,degree", [(2, 1, 1), (2, 3, 2), (4, 2, 1)])
+def test_commutant_residual_matches_the_loop_form(n, multiplicity, degree):
+    bench = SphereBenchmark(order=6, panels=1)
+    atlas = bench.atlas
+    fiber = CliffordModuleFiber.from_tensor(n, multiplicity)
+    r = fiber.dim
+    rng = np.random.default_rng(10 * n + multiplicity)
+    keys = [(0,), (1,)] if degree == 1 else [(0, 1)]
+    for commuting in (False, True):
+        comps = {}
+        for cname, chart in atlas.charts.items():
+            comps[cname] = {}
+            for key in keys:
+                shape = chart.shape + (multiplicity, multiplicity)
+                twist = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                arr = np.kron(np.eye(r // multiplicity), twist)
+                if not commuting:
+                    shape = chart.shape + (r, r)
+                    arr = arr + 1e-3 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+                comps[cname][key] = arr
+        field = FormField(atlas, degree, comps, rank=r)
+        fast = clifford_commutant_residual(field, fiber)
+        slow = loop_commutant_residual(field, fiber)
+        assert abs(fast - slow) <= 1e-13 * max(1.0, slow)
+        assert (slow > 1e-4) != commuting
+
+
 def test_twisting_curvature_rejects_incompatible(sphere):
     fiber = sphere.clifford_fiber()
     field = curvature(sphere.twisted_connection(1))

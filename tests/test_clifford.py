@@ -10,8 +10,10 @@ from gerbedex.clifford import (
     SpinElement,
     blade_product,
     canonical_lift,
+    canonical_lifts,
     clifford_of_curvature,
     extract_twisting_factor,
+    lift_signs,
     nearest_lift,
     plane_rotation,
     relative_supertrace,
@@ -303,6 +305,106 @@ def test_dimension_nine_is_rejected():
         plane_rotation(9, 0, 1, 0.3)
     with pytest.raises(ValueError, match="n <= 8"):
         SpinElement(CliffordElement.scalar(9, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# stacked canonical lifts against the per-matrix Givens loop
+
+def oracle_canonical_lift(matrix):
+    """Spinor unitary of the canonical lift, one matrix and one plane at a time."""
+    n = matrix.shape[0]
+    lift = SpinElement.identity(n)
+    work = np.array(matrix, dtype=float)
+    rotations = []
+    for j in range(n - 1):
+        for i in range(j + 1, n):
+            if abs(work[i, j]) < 1e-15 and work[j, j] > 0:
+                continue
+            phi = math.atan2(-work[i, j], work[j, j])
+            c, s = math.cos(phi), math.sin(phi)
+            row_j = c * work[j, :] - s * work[i, :]
+            row_i = s * work[j, :] + c * work[i, :]
+            work[j, :], work[i, :] = row_j, row_i
+            rotations.append((j, i, phi))
+    flips = [k for k in range(n) if work[k, k] < 0]
+    assert not flips
+    for j, i, phi in rotations:
+        lift = lift * plane_rotation(n, j, i, -phi)
+    u = lift.matrix()
+    return u / math.sqrt(np.vdot(u, u).real / u.shape[0])
+
+
+def lift_samples(rng, n):
+    """Haar-random rotations, the identity, exact axis-aligned quarter turns
+    (whose zero entries take the skip path), and rotations by pi."""
+    samples = [random_rotation(rng, n) for _ in range(6)]
+    samples.append(np.eye(n))
+    for j, i in ((0, 1), (0, n - 1)):
+        quarter = np.eye(n)
+        quarter[[j, i], [j, i]] = 0.0
+        quarter[i, j], quarter[j, i] = 1.0, -1.0
+        samples.append(quarter)
+    samples.append(np.diag([-1.0, -1.0] + [1.0] * (n - 2)))
+    if n >= 4:
+        samples.append(np.diag([-1.0] * 4 + [1.0] * (n - 4)))
+    return np.stack(samples)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_canonical_lifts_match_the_per_matrix_oracle(n):
+    rng = np.random.default_rng(8300 + n)
+    mats = lift_samples(rng, n)
+    lifts = canonical_lifts(mats)
+    oracle = np.stack([oracle_canonical_lift(m) for m in mats])
+    assert lifts.shape == oracle.shape
+    assert np.abs(lifts - oracle).max() < 1e-13
+    for m, u in zip(mats, lifts):
+        g = SpinElement._from_unitary(n, u)
+        assert np.abs(g.adjoint_matrix() - m).max() < 1e-12
+    assert np.array_equal(canonical_lift(mats[0]).matrix(), canonical_lifts(mats[:1])[0])
+
+
+def good_rotation_stack(n=3, count=5):
+    rng = np.random.default_rng(8400)
+    return np.stack([random_rotation(rng, n) for _ in range(count)])
+
+
+@pytest.mark.parametrize("bad,message", [
+    (np.diag([1.0, 1.0, 1.0 + 1e-6]), "not orthogonal"),
+    (np.full((3, 3), np.nan), "not orthogonal"),
+    (np.diag([1.0, 1.0, -1.0]), "determinant -1"),
+])
+def test_canonical_lifts_reject_a_stack_with_one_bad_sample(bad, message):
+    mats = good_rotation_stack()
+    mats[3] = bad
+    with pytest.raises(ValueError, match=message):
+        canonical_lifts(mats)
+
+
+def test_canonical_lifts_reject_an_odd_sign_flip():
+    # Only a loose tolerance lets a determinant-zero sample through to the
+    # reduction; its last diagonal entry stays negative.
+    mats = good_rotation_stack(n=2)
+    mats[2] = np.diag([0.0, -1.0])
+    with pytest.raises(ValueError, match="odd number of sign flips"):
+        canonical_lifts(mats, tol=2.0)
+
+
+def test_lift_signs_pick_the_nearer_sign_and_name_the_first_ambiguous_pair():
+    rng = np.random.default_rng(8500)
+    refs = canonical_lifts(good_rotation_stack(n=4, count=6))
+    signs = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0])
+    near = np.stack([plane_rotation(4, 0, 1, rng.uniform(-0.5, 0.5)).matrix() for _ in refs])
+    assert np.array_equal(lift_signs(signs[:, None, None] * refs @ near, refs), signs)
+    half_turn = plane_rotation(4, 0, 2, math.pi).matrix()
+    candidates = refs.copy()
+    candidates[[2, 4]] = refs[[2, 4]] @ half_turn
+    with pytest.raises(LiftAmbiguityError) as info:
+        lift_signs(candidates, refs)
+    err = info.value
+    assert err.pair == 2
+    assert abs(err.d_plus - math.sqrt(2.0)) < 1e-12
+    assert abs(err.d_minus - math.sqrt(2.0)) < 1e-12
 
 
 def test_matrix_lives_in_the_storing_rep():

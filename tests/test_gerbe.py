@@ -199,6 +199,83 @@ def test_holonomy_error_on_winding_loop():
         gerbe.lift_transitions(data)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_holonomy_error_on_winding_loop_for_any_spanning_tree(seed):
+    steps = 16
+    loop = [2.0 * math.pi * k / steps for k in range(steps)]
+    # a winding cycle with chords, so each seed and basepoint walks its own tree
+    adjacency = [(k, (k + 1) % steps) for k in range(steps)]
+    adjacency += [(k, k + 2) for k in range(0, steps - 2, 3)]
+    cyclic = gerbe.EdgeSampleGraph(np.stack([rot(t) for t in loop]), adjacency=adjacency)
+    edges = {(0, 1): cyclic, (0, 2): chain_graph([0.0]), (1, 2): chain_graph([0.0])}
+    data = gerbe.TransitionData(
+        nerve=triangle_nerve(), dimension=2, edges=edges, triples={(0, 1, 2): [(0, 0, 0)]}
+    )
+    with pytest.raises(gerbe.HolonomyError, match=r"overlap \(0, 1\)"):
+        gerbe.lift_transitions(data, seed=seed, basepoints={(0, 1): seed % steps})
+
+
+def branching_path_data(samples=13):
+    """chart_path_data with every overlap sampled on a branching graph.
+
+    The samples form a chain with extra chords (k, k + 2) and (k, k + 3), so
+    the graph has vertices of degree up to six and many short loops, all of
+    which close because each overlap is an interval.
+    """
+    base = chart_path_data(seed=21, samples=samples)
+    adjacency = [(k, k + 1) for k in range(samples - 1)]
+    adjacency += [(k, k + 2) for k in range(0, samples - 2, 2)]
+    adjacency += [(k + 3, k) for k in range(1, samples - 3, 3)]
+    edges = {
+        edge: gerbe.EdgeSampleGraph(graph.matrices, adjacency=adjacency, basepoint=samples // 2)
+        for edge, graph in base.edges.items()
+    }
+    return gerbe.TransitionData(nerve=base.nerve, dimension=2, edges=edges, triples=base.triples)
+
+
+def test_branching_sample_graphs_relift_to_one_class():
+    data = branching_path_data()
+    lifted, base = gerbe.lift_transitions(data)
+    for edge, graph in data.edges.items():
+        for idx in range(graph.count):
+            proj = lifted.lifts[edge][idx].adjoint_matrix()
+            assert np.abs(proj - graph.matrices[idx]).max() < 1e-9
+    rng = np.random.default_rng(900)
+    edges = list(data.edges)
+    for _ in range(10):
+        flips = [e for e in edges if rng.random() < 0.5]
+        basepoints = {e: int(rng.integers(0, data.edges[e].count)) for e in edges}
+        _, other = gerbe.lift_transitions(
+            data, seed=int(rng.integers(1 << 30)), sign_flips=flips, basepoints=basepoints
+        )
+        diff = cech.Cochain(
+            2, 2, tuple(a + b for a, b in zip(base.cochain.values, other.cochain.values))
+        )
+        assert cech.solve_coboundary(diff, data.nerve) is not None
+
+
+def test_lift_transitions_lifts_each_overlap_in_one_stacked_call(monkeypatch):
+    from gerbedex import clifford
+
+    calls = []
+    stacked = gerbe.canonical_lifts
+
+    def counting_lifts(matrices, *args, **kwargs):
+        calls.append(len(matrices))
+        return stacked(matrices, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-sample lift called")
+
+    monkeypatch.setattr(gerbe, "canonical_lifts", counting_lifts)
+    monkeypatch.setattr(clifford, "nearest_lift", forbidden)
+    monkeypatch.setattr(clifford, "canonical_lift", forbidden)
+    data = branching_path_data()
+    gerbe.lift_transitions(data, seed=5, sign_flips=[(0, 1)])
+    assert calls == [data.edges[e].count for e in sorted(data.edges)]
+    assert not hasattr(gerbe, "nearest_lift") and not hasattr(gerbe, "canonical_lift")
+
+
 def test_sparse_sampling_raises_ambiguity():
     nerve = triangle_nerve()
     edges = {
@@ -421,6 +498,26 @@ def test_endomorphism_descent_untwists():
     endo2 = gerbe.endomorphism_descent(sigma2)
     for edge in endo.transitions:
         assert np.abs(endo.transitions[edge] - endo2.transitions[edge]).max() < 1e-12
+
+
+@pytest.mark.parametrize("unitary", [True, False])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_endomorphism_descent_equals_the_per_sample_kron(unitary, rank):
+    rng = np.random.default_rng(40 + rank)
+    nerve = triangle_nerve()
+    transitions = {}
+    for edge in nerve.simplices[1]:
+        arr = rng.normal(size=(5, rank, rank)) + 1j * rng.normal(size=(5, rank, rank))
+        transitions[edge] = np.linalg.qr(arr)[0] if unitary else arr + 2.0 * np.eye(rank)
+    module = gerbe.GerbeModuleData(
+        nerve=nerve, band_order=2, weight=1, rank=rank, transitions=transitions,
+        triples={(0, 1, 2): [(0, 0, 0)]}, unitary=unitary,
+    )
+    endo = gerbe.endomorphism_descent(module)
+    for edge, arr in transitions.items():
+        inverse = (lambda g: g.conj().T) if unitary else np.linalg.inv
+        oracle = np.stack([np.kron(inverse(g).T, g) for g in arr])
+        assert np.array_equal(endo.transitions[edge], oracle)
 
 
 def test_rank_one_endomorphisms_trivialize():

@@ -20,6 +20,7 @@ from gerbedex.manifest import (
     read_manifest,
     read_nerve,
     resolve_connection,
+    run_tasks,
     sphere_frame_manifest,
     transitions_from_block,
     transitions_to_block,
@@ -157,3 +158,25 @@ def test_build_manifest_rejects_mismatched_nerve(frame_bench):
     with pytest.raises(ValueError):
         build_manifest("clash", nerve=nerve,
                        transitions=frame_bench.frame_transitions())
+
+
+def test_unknown_task_name_is_rejected():
+    doc = json.loads(json.dumps(sphere_frame_manifest()))
+    doc["tasks"].append("class-nontrivial")
+    with pytest.raises(ValueError, match="unknown manifest task 'class-nontrivial'"):
+        parse_manifest(doc)
+
+
+def test_run_tasks_runs_exactly_the_named_tasks():
+    doc = json.loads(json.dumps(sphere_frame_manifest()))
+    full, ok = run_tasks(parse_manifest(doc), seed=7)
+    assert ok and set(full) == {
+        "manifest", "cocycle_values", "randomized_trials", "class_invariant",
+        "cocycle_closed", "class_trivial", "spin_module_residual", "pass"}
+    doc["tasks"].remove("class-trivial")
+    report, ok = run_tasks(parse_manifest(doc), seed=7)
+    assert ok and "class_trivial" not in report
+    assert report == {k: v for k, v in full.items() if k != "class_trivial"}
+    doc["tasks"] = ["spin-module"]
+    report, ok = run_tasks(parse_manifest(doc), seed=7)
+    assert ok and set(report) == {"manifest", "spin_module_residual", "pass"}
