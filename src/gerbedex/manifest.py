@@ -84,7 +84,11 @@ def nerve_from_text(text):
             continue
         tokens = line.split()
         if tokens[0] == "vertices" and len(tokens) == 2:
+            if vertex_count is not None:
+                raise ValueError(f"second vertices line {raw!r}")
             vertex_count = int(tokens[1])
+            if vertex_count < 0:
+                raise ValueError(f"negative vertex count in nerve line {raw!r}")
         elif tokens[0] == "simplex" and len(tokens) > 1:
             simplices.append(tuple(int(tok) for tok in tokens[1:]))
         else:

@@ -1,21 +1,33 @@
 """Exact integer matrix normal forms and solvers.
 
-Everything here works on small dense matrices of Python ints (lists of rows),
-so all arithmetic is exact.  `smith_normal_form` is the classical dense
-elimination with both transforms and their inverses; its cost grows with the
-cube of the matrix side, so callers factor each matrix once and keep the
-`SmithResult`, which then answers linear solves over Z and Z_k in its own
-coordinates (`SmithResult.solve`, `SmithResult.solve_mod`).  Coboundary
-matrices are +-1-sparse, so the pivot search stops at the first unit entry and
-`matmul` skips zero entries.  An entry that the pivot does not divide is
-cleared by one unimodular 2x2 Bezout step, so dense inputs with non-unit
-pivots do not blow up their entries.
+Matrices come in and go out as lists of rows of Python ints.
+`smith_normal_form` is the classical dense elimination with both transforms
+and their inverses; its cost grows with the cube of the matrix side, so
+callers factor each matrix once and keep the `SmithResult`, which then answers
+linear solves over Z and Z_k in its own coordinates (`SmithResult.solve`,
+`SmithResult.solve_mod`).
+
+During the elimination D, U, U^-1, V and V^-1 are int64 arrays.  The pivot is
+the first smallest nonzero |entry| of the trailing block in row-major order,
+so on +-1-sparse coboundary matrices it is the first unit entry.  Clearing the
+pivot's column (then its row) subtracts each run of entries the pivot divides
+in one batched row (column) update; an entry it does not divide is cleared by
+one unimodular 2x2 Bezout step, so dense inputs with non-unit pivots do not
+blow up their entries.  A running bound on the largest |entry| guards every
+update: when the update could reach 2**62 the arrays are rescanned, and if it
+still could, all five are widened to dtype=object (exact Python ints) and the
+elimination goes on with the same code.  So the operation sequence, and the
+result, are those of a plain list elimination at any entry size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
+_LIMIT = 1 << 62
 
 
 def identity(n):
@@ -110,124 +122,156 @@ def _bezout(a, b):
     return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
 
 
+class _Elimination:
+    """D, U, U^-1, V and V^-1 as arrays, with the elementary operations.
+
+    Row ops multiply U on the left of A (and the inverse op hits U^-1's
+    columns); column ops multiply V on the right (the inverse op hits V^-1's
+    rows).  The arrays start as int64 with `bound` >= every |entry|; each
+    update first calls `_reserve` with the factor by which it can grow that
+    bound.  Where the product could reach 2**62 the arrays are rescanned, and
+    if the true bound still allows it they are widened to dtype=object
+    (Python ints), after which the same operations run exactly.
+    """
+
+    def __init__(self, a, m, n):
+        try:
+            self.d = np.array(a, dtype=np.int64).reshape(m, n)
+        except OverflowError:
+            rows = [list(map(int, row)) for row in a]  # Python ints, not numpy scalars
+            self.d = np.array(rows, dtype=object).reshape(m, n)
+        self.u, self.uinv = np.eye(m, dtype=np.int64), np.eye(m, dtype=np.int64)
+        self.v, self.vinv = np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64)
+        self.exact = False
+        self.bound = _LIMIT  # unknown until the first rescan
+        self._reserve(1)
+
+    def _reserve(self, factor):
+        if self.exact:
+            return
+        if self.bound * factor >= _LIMIT:
+            arrays = (self.d, self.u, self.uinv, self.v, self.vinv)
+            self.bound = max(max(-int(x.min(initial=0)), int(x.max(initial=0)))
+                             for x in arrays)
+            if self.bound * factor >= _LIMIT:
+                self.exact = True
+                self.d, self.u, self.uinv, self.v, self.vinv = (
+                    x.astype(object) for x in arrays)
+                return
+        self.bound *= factor
+
+    def _multipliers(self, q):
+        # rows or columns k gain q_k times row or column t: entries grow to at
+        # most (1 + sum |q_k|) <= (1 + len(q) max |q_k|) times the bound
+        q = np.asarray(q)
+        self._reserve(1 + len(q) * int(np.abs(q).max()))
+        return q.astype(self.d.dtype)
+
+    def row_add(self, rows, t, q):
+        # row_k += q_k * row_t for each k in rows
+        q = self._multipliers(q)
+        self.d[rows] += q[:, None] * self.d[t]
+        self.u[rows] += q[:, None] * self.u[t]
+        self.uinv[:, t] -= self.uinv[:, rows] @ q
+
+    def col_add(self, cols, t, q):
+        # col_k += q_k * col_t for each k in cols
+        q = self._multipliers(q)
+        self.d[:, cols] += self.d[:, t, None] * q
+        self.v[:, cols] += self.v[:, t, None] * q
+        self.vinv[t] -= q @ self.vinv[cols]
+
+    def row_swap(self, i, j):
+        self.d[[i, j]] = self.d[[j, i]]
+        self.u[[i, j]] = self.u[[j, i]]
+        self.uinv[:, [i, j]] = self.uinv[:, [j, i]]
+
+    def col_swap(self, i, j):
+        self.d[:, [i, j]] = self.d[:, [j, i]]
+        self.v[:, [i, j]] = self.v[:, [j, i]]
+        self.vinv[[i, j]] = self.vinv[[j, i]]
+
+    def row_negate(self, i):
+        self.d[i] *= -1
+        self.u[i] *= -1
+        self.uinv[:, i] *= -1
+
+    def row_bezout(self, t, i):
+        # rows (t, i) <- [[x, y], [-b/g, a/g]] (t, i): pivot becomes g, d[i, t] 0
+        a, b = int(self.d[t, t]), int(self.d[i, t])
+        g, x, y = _bezout(a, b)
+        p, q = -b // g, a // g
+        self._reserve(max(abs(x) + abs(y), abs(p) + abs(q)))
+        for mat in (self.d, self.u):
+            s, w = mat[[t, i]]
+            mat[t], mat[i] = x * s + y * w, p * s + q * w
+        # inverse [[a/g, -y], [b/g, x]] acts on the columns of U^-1
+        s, w = self.uinv[:, [t, i]].T
+        self.uinv[:, t], self.uinv[:, i] = q * s - p * w, x * w - y * s
+
+    def col_bezout(self, t, j):
+        # cols (t, j) <- (t, j) [[x, -b/g], [y, a/g]]: pivot becomes g, d[t, j] 0
+        a, b = int(self.d[t, t]), int(self.d[t, j])
+        g, x, y = _bezout(a, b)
+        p, q = -b // g, a // g
+        self._reserve(max(abs(x) + abs(y), abs(p) + abs(q)))
+        for mat in (self.d, self.v):
+            s, w = mat[:, [t, j]].T
+            mat[:, t], mat[:, j] = x * s + y * w, p * s + q * w
+        # inverse [[a/g, b/g], [-y, x]] acts on the rows of V^-1
+        s, w = self.vinv[[t, j]]
+        self.vinv[t], self.vinv[j] = q * s - p * w, x * w - y * s
+
+
 def smith_normal_form(a):
     """Smith normal form over Z with transform matrices and their inverses."""
     m = len(a)
     n = len(a[0]) if m else 0
-    d = [list(map(int, row)) for row in a]
-    u, uinv = identity(m), identity(m)
-    v, vinv = identity(n), identity(n)
-
-    # Elementary operations, mirrored into the transforms.  Row ops multiply U
-    # on the left of A (and the inverse op hits Uinv's columns); column ops
-    # multiply V on the right (inverse op hits Vinv's rows).
-    def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        for r in range(m):
-            uinv[r][i], uinv[r][j] = uinv[r][j], uinv[r][i]
-
-    def col_swap(i, j):
-        for r in range(m):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(n):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def row_add(i, j, q):
-        # row_i += q * row_j
-        if q == 0:
-            return
-        d[i][:] = [x + q * y for x, y in zip(d[i], d[j])]
-        u[i][:] = [x + q * y for x, y in zip(u[i], u[j])]
-        for r in range(m):
-            uinv[r][j] -= q * uinv[r][i]
-
-    def col_add(i, j, q):
-        # col_i += q * col_j
-        if q == 0:
-            return
-        for r in range(m):
-            d[r][i] += q * d[r][j]
-        for r in range(n):
-            v[r][i] += q * v[r][j]
-        vinv[j][:] = [x - q * y for x, y in zip(vinv[j], vinv[i])]
-
-    def row_bezout(t, i):
-        # rows (t, i) <- [[x, y], [-b/g, a/g]] (t, i): pivot becomes g, d[i][t] 0
-        a, b = d[t][t], d[i][t]
-        g, x, y = _bezout(a, b)
-        p, q = -b // g, a // g
-        for mat in (d, u):
-            mat[t][:], mat[i][:] = ([x * s + y * w for s, w in zip(mat[t], mat[i])],
-                                    [p * s + q * w for s, w in zip(mat[t], mat[i])])
-        for r in range(m):
-            # inverse [[a/g, -y], [b/g, x]] acts on the columns of Uinv
-            s, w = uinv[r][t], uinv[r][i]
-            uinv[r][t], uinv[r][i] = q * s - p * w, x * w - y * s
-
-    def col_bezout(t, j):
-        # cols (t, j) <- (t, j) [[x, -b/g], [y, a/g]]: pivot becomes g, d[t][j] 0
-        a, b = d[t][t], d[t][j]
-        g, x, y = _bezout(a, b)
-        p, q = -b // g, a // g
-        for mat, rows in ((d, m), (v, n)):
-            for r in range(rows):
-                s, w = mat[r][t], mat[r][j]
-                mat[r][t], mat[r][j] = x * s + y * w, p * s + q * w
-        # inverse [[a/g, b/g], [-y, x]] acts on the rows of Vinv
-        vinv[t][:], vinv[j][:] = ([q * s - p * w for s, w in zip(vinv[t], vinv[j])],
-                                  [x * w - y * s for s, w in zip(vinv[t], vinv[j])])
-
-    def row_negate(i):
-        d[i][:] = [-x for x in d[i]]
-        u[i][:] = [-x for x in u[i]]
-        for r in range(m):
-            uinv[r][i] = -uinv[r][i]
-
+    e = _Elimination(a, m, n)
     t = 0
-    while True:
-        # locate the smallest nonzero entry of the trailing submatrix
-        pivot = None
-        best = None
-        for i in range(t, m):
-            row = d[i]
-            for j in range(t, n):
-                val = abs(row[j])
-                if val and (best is None or val < best):
-                    best = val
-                    pivot = (i, j)
-                    if val == 1:
-                        break  # nothing is smaller, and ties keep the first
-            if best == 1:
-                break
-        if pivot is None:
+    while t < min(m, n):
+        # pivot: the first smallest nonzero |entry| of the trailing block in
+        # row-major order (so the first unit entry when there is one)
+        block = np.abs(e.d[t:, t:]).ravel()
+        nonzero = np.flatnonzero(block)
+        if not nonzero.size:
             break
-        pi, pj = pivot
-        if pi != t:
-            row_swap(t, pi)
-        if pj != t:
-            col_swap(t, pj)
-        # clear row and column t: a multiple of the pivot is subtracted away,
-        # anything else meets a 2x2 Bezout step that replaces the pivot by the
+        pi, pj = divmod(int(nonzero[np.argmin(block[nonzero])]), n - t)
+        if pi:
+            e.row_swap(t, t + pi)
+        if pj:
+            e.col_swap(t, t + pj)
+        # clear column and row t: each run of entries the pivot divides is
+        # subtracted away in one batched update, and the first entry it does
+        # not divide meets a 2x2 Bezout step that replaces the pivot by the
         # gcd; the pivot only shrinks, so this stops
         while True:
             done = True
-            for i in range(t + 1, m):
-                if d[i][t] % d[t][t]:
-                    row_bezout(t, i)
-                elif d[i][t]:
-                    row_add(i, t, -(d[i][t] // d[t][t]))
-            for j in range(t + 1, n):
-                if d[t][j] % d[t][t]:
-                    col_bezout(t, j)
-                    done = False
-                elif d[t][j]:
-                    col_add(j, t, -(d[t][j] // d[t][t]))
+            rows = t + 1 + np.flatnonzero(e.d[t + 1:, t])
+            while rows.size:
+                stuck = np.flatnonzero(e.d[rows, t] % e.d[t, t])
+                run = rows[:stuck[0]] if stuck.size else rows
+                if run.size:
+                    e.row_add(run, t, -(e.d[run, t] // e.d[t, t]))
+                if not stuck.size:
+                    break
+                e.row_bezout(t, int(rows[stuck[0]]))
+                rows = rows[stuck[0] + 1:]
+            cols = t + 1 + np.flatnonzero(e.d[t, t + 1:])
+            while cols.size:
+                stuck = np.flatnonzero(e.d[t, cols] % e.d[t, t])
+                run = cols[:stuck[0]] if stuck.size else cols
+                if run.size:
+                    e.col_add(run, t, -(e.d[t, run] // e.d[t, t]))
+                if not stuck.size:
+                    break
+                e.col_bezout(t, int(cols[stuck[0]]))
+                done = False
+                cols = cols[stuck[0] + 1:]
             if done:
                 break
-        if d[t][t] < 0:
-            row_negate(t)
+        if e.d[t, t] < 0:
+            e.row_negate(t)
         t += 1
 
     rank = t
@@ -236,23 +280,24 @@ def smith_normal_form(a):
     while changed:
         changed = False
         for i in range(rank - 1):
-            if d[i + 1][i + 1] % d[i][i] == 0:
+            if e.d[i + 1, i + 1] % e.d[i, i] == 0:
                 continue
             changed = True
             # block [[a,0],[0,b]] -> [[a,0],[b,b]] -> [[g,*],[0,±ab/g]] -> diag(g, lcm)
-            col_add(i, i + 1, 1)
-            while d[i + 1][i]:
-                q = d[i][i] // d[i + 1][i]
-                row_add(i, i + 1, -q)
-                row_swap(i, i + 1)
+            e.col_add([i], i + 1, [1])
+            while e.d[i + 1, i]:
+                e.row_add([i], i + 1, [-(e.d[i, i] // e.d[i + 1, i])])
+                e.row_swap(i, i + 1)
             # g = gcd(a,b) divides b, and the fill-in above it is a multiple of b
-            if d[i][i + 1]:
-                col_add(i + 1, i, -(d[i][i + 1] // d[i][i]))
-            if d[i][i] < 0:
-                row_negate(i)
-            if d[i + 1][i + 1] < 0:
-                row_negate(i + 1)
-    return SmithResult(d=d, u=u, v=v, uinv=uinv, vinv=vinv, rank=rank)
+            if e.d[i, i + 1]:
+                e.col_add([i + 1], i, [-(e.d[i, i + 1] // e.d[i, i])])
+            if e.d[i, i] < 0:
+                e.row_negate(i)
+            if e.d[i + 1, i + 1] < 0:
+                e.row_negate(i + 1)
+    # each array is freed as soon as its list exists, which keeps the peak low
+    fields = {name: vars(e).pop(name).tolist() for name in ("d", "u", "v", "uinv", "vinv")}
+    return SmithResult(rank=rank, **fields)
 
 
 def kernel_basis(a):

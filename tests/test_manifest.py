@@ -73,6 +73,20 @@ def test_nerve_text_rejects_garbage():
         nerve_from_text("# comment only\n")
 
 
+def test_nerve_text_rejects_negative_vertex_count():
+    with pytest.raises(ValueError, match="negative vertex count in nerve line 'vertices -2'"):
+        nerve_from_text("vertices -2\nsimplex 0 1\n")
+    with pytest.raises(ValueError, match="'vertices -1'"):
+        nerve_from_text("vertices -1\n")
+
+
+def test_nerve_text_rejects_second_vertices_line():
+    with pytest.raises(ValueError, match="second vertices line 'vertices 5'"):
+        nerve_from_text("vertices 4\nsimplex 0 1\nvertices 5\n")
+    with pytest.raises(ValueError, match="second vertices line"):
+        nerve_from_text("vertices 3\nvertices 3\n")
+
+
 def test_nerve_file_io(tmp_path):
     nerve = cech.lens_complex(3)
     path = tmp_path / "lens.nerve"
