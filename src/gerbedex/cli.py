@@ -281,7 +281,7 @@ def run(argv=None):
     except Exception as exc:
         ok = False
         payload = {"command": args.command, "pass": False,
-                   "error": str(exc)}
+                   "error": str(exc), "error_type": type(exc).__name__}
     text = json.dumps(payload, sort_keys=True, indent=2,
                       default=_jsonable) + "\n"
     if args.out:

@@ -1,10 +1,13 @@
 """Lifting sampled principal-bundle transitions and the modules they twist.
 
 Transition functions are SO(n)-valued samples on small graphs over each
-overlap. Lifting picks spin-group representatives by sign transport along a
-spanning tree of each overlap's sample graph; the sign defect of the triple
-products is a mod-2 cocycle on the nerve whose class does not depend on any
-of the choices made.
+overlap. Lifting picks spin-group representatives in one stacked pass over
+all overlaps: one canonical lift of every sample, one relative sign for
+every adjacent pair, and each sample's sign relative to its overlap's
+basepoint read along a spanning tree cached on its sample graph. Once every
+loop of the graph closes up, those signs do not depend on the tree. The sign
+defect of the triple products is a mod-2 cocycle on the nerve whose class
+does not depend on any of the choices made.
 Modules twisted by that cocycle (weight-d transition data) support tensor,
 direct sum, endomorphism descent, weight decomposition, and descent of the
 weight-zero ones to plain bundle data.
@@ -12,6 +15,9 @@ weight-zero ones to plain bundle data.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +25,7 @@ from . import cech
 from .clifford import (
     LiftAmbiguityError,
     SpinElement,
+    _frozen,
     canonical_lifts,
     lift_signs,
     spinor_rep,
@@ -39,7 +46,10 @@ class EdgeSampleGraph:
     """Connected graph of matrix samples over one overlap.
 
     `adjacency` pairs must connect all samples; consecutive-chain adjacency is
-    filled in when omitted. The basepoint is where lifting starts.
+    filled in when omitted. The basepoint is where lifting starts. The
+    samples are stored read-only. The breadth-first traversal from sample 0
+    that checks connectivity also records a spanning tree: each sample's
+    parent and the adjacency position that reaches it (-1 at sample 0).
     """
 
     matrices: np.ndarray
@@ -50,7 +60,7 @@ class EdgeSampleGraph:
         mats = np.array(self.matrices, dtype=float)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError("matrices must have shape (count, n, n)")
-        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "matrices", _frozen(mats))
         count = mats.shape[0]
         if self.adjacency is None:
             adj = tuple((i, i + 1) for i in range(count - 1))
@@ -62,17 +72,19 @@ class EdgeSampleGraph:
                 raise ValueError(f"bad adjacency pair ({i}, {j})")
         if not 0 <= self.basepoint < count:
             raise ValueError("basepoint out of range")
-        reach = {0} if count else set()
-        frontier = [0]
+        parent, parent_pos, depth = [0] + [-1] * (count - 1), [-1] * count, [0] * count
+        order = [0]
         neighbours = self.neighbour_table()
-        while frontier:
-            node = frontier.pop()
-            for nb, _ in neighbours[node]:
-                if nb not in reach:
-                    reach.add(nb)
-                    frontier.append(nb)
-        if len(reach) != count:
+        for node in order:  # grows while it is read: a breadth-first walk
+            for nb, pos in neighbours[node]:
+                if parent[nb] < 0:
+                    parent[nb], parent_pos[nb], depth[nb] = node, pos, depth[node] + 1
+                    order.append(nb)
+        if len(order) != count:
             raise ValueError("sample graph is not connected")
+        object.__setattr__(self, "_parent", _frozen(np.array(parent, dtype=np.intp)))
+        object.__setattr__(self, "_parent_pos", _frozen(np.array(parent_pos, dtype=np.intp)))
+        object.__setattr__(self, "_depth", max(depth))
 
     @property
     def count(self):
@@ -87,6 +99,58 @@ class EdgeSampleGraph:
         return table
 
 
+class _SampleStack(NamedTuple):
+    """Every overlap's samples and sample graph, concatenated in edge order.
+
+    Sample and pair indices are positions in the concatenation; overlap k
+    owns samples offsets[k]:offsets[k + 1] and adjacency positions
+    pair_offsets[k]:pair_offsets[k + 1].
+    """
+
+    edges: tuple
+    offsets: np.ndarray
+    pair_offsets: np.ndarray
+    matrices: np.ndarray  # (total, n, n)
+    pairs: np.ndarray  # (total pairs, 2)
+    parent: np.ndarray  # spanning-forest parent; each overlap's sample 0 is its own
+    children: np.ndarray  # the samples that have a tree edge above them
+    tree_pairs: np.ndarray  # the adjacency position of that tree edge
+    doublings: int  # pointer-doubling steps that reach every root
+
+
+def _stack_samples(edges, graphs, dimension):
+    def offsets_of(sizes):
+        return np.concatenate([[0], np.cumsum(sizes, dtype=np.intp)])
+
+    offsets = offsets_of([g.count for g in graphs])
+    pair_offsets = offsets_of([len(g.adjacency) for g in graphs])
+    pairs = np.concatenate([np.zeros((0, 2), dtype=np.intp)] + [
+        np.array(g.adjacency, dtype=np.intp).reshape(-1, 2) + off
+        for g, off in zip(graphs, offsets)
+    ])
+    parent = np.concatenate([np.zeros(0, dtype=np.intp)] + [
+        g._parent + off for g, off in zip(graphs, offsets)
+    ])
+    parent_pos = np.concatenate([np.zeros(0, dtype=np.intp)] + [
+        np.where(g._parent_pos < 0, -1, g._parent_pos + off)
+        for g, off in zip(graphs, pair_offsets)
+    ])
+    children = np.flatnonzero(parent_pos >= 0)
+    depth = max((g._depth for g in graphs), default=0)
+    return _SampleStack(
+        edges=edges,
+        offsets=_frozen(offsets),
+        pair_offsets=_frozen(pair_offsets),
+        matrices=_frozen(np.concatenate(
+            [np.zeros((0, dimension, dimension))] + [g.matrices for g in graphs])),
+        pairs=_frozen(pairs),
+        parent=_frozen(parent),
+        children=_frozen(children),
+        tree_pairs=_frozen(parent_pos[children]),
+        doublings=max(depth - 1, 0).bit_length(),
+    )
+
+
 @dataclass(frozen=True)
 class TransitionData:
     """Sampled transition functions of a principal SO(n) bundle on a cover.
@@ -95,7 +159,8 @@ class TransitionData:
     graph; `triples` maps each 2-simplex to index triples (i_ab, i_bc, i_ac)
     of samples taken at a common point of the triple overlap. The first listed
     triple is the basepoint where the lifted cocycle is read off; any others
-    are constancy spot checks.
+    are constancy spot checks. Both mappings are stored as read-only views,
+    so validation is remembered once it has passed.
     """
 
     nerve: cech.Nerve
@@ -105,9 +170,10 @@ class TransitionData:
 
     def __post_init__(self):
         edges = {_ordered_edge(*k): v for k, v in self.edges.items()}
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", MappingProxyType(edges))
         triples = {tuple(sorted(k)): tuple(tuple(t) for t in v) for k, v in self.triples.items()}
-        object.__setattr__(self, "triples", triples)
+        object.__setattr__(self, "triples", MappingProxyType(triples))
+        object.__setattr__(self, "_validated", set())
         for simplex in self.nerve.simplices[1]:
             if simplex not in edges:
                 raise ValueError(f"missing sample graph for overlap {simplex}")
@@ -118,7 +184,16 @@ class TransitionData:
                 raise ValueError(f"missing triple basepoint for {simplex}")
 
     def validate(self, tol=1e-10):
-        """Check SO(n) membership and the unlifted cocycle at triple points."""
+        """Check SO(n) membership and the unlifted cocycle at triple points.
+
+        A pass is remembered per `tol`: the samples cannot change afterwards.
+        """
+        if tol not in self._validated:
+            self._check(tol)
+            self._validated.add(tol)
+        return self
+
+    def _check(self, tol):
         eye = np.eye(self.dimension)
         for edge, graph in self.edges.items():
             mats = graph.matrices
@@ -137,7 +212,11 @@ class TransitionData:
                         f"triple overlap {(a, b, c)} violates the cocycle "
                         f"condition by {defect:.3e}"
                     )
-        return self
+
+    @cached_property
+    def _stack(self):
+        edges = tuple(sorted(self.edges))
+        return _stack_samples(edges, [self.edges[e] for e in edges], self.dimension)
 
 
 @dataclass(frozen=True)
@@ -193,51 +272,28 @@ def zero_gerbe_cocycle(nerve, band_order=2):
     return GerbeCocycle(nerve, cech.zero_cochain(nerve, 2, ring=band_order))
 
 
-def _edge_lifts(edge, graph, base, flip, rng, ambiguity_gap):
-    """Lifts of every sample on one overlap, as +- its canonical lift stack.
+def _tree_parities(stack, negative):
+    """Parity of the negative relative signs on each sample's tree path to its
+    overlap's sample 0, by pointer doubling over every overlap at once."""
+    parity = np.zeros(len(stack.parent), dtype=bool)
+    parity[stack.children] = negative[stack.tree_pairs]
+    up = stack.parent
+    for _ in range(stack.doublings):
+        parity ^= parity[up]
+        up = up[up]
+    return parity
 
-    The relative sign of each adjacent pair comes from one lift_signs pass;
-    a spanning-tree walk from `base` fixes every sign, and the adjacencies
-    off the tree must close up with the signs the walk gave their ends.
-    """
-    canon = canonical_lifts(graph.matrices)
-    pairs = np.array(graph.adjacency, dtype=int).reshape(-1, 2)
-    try:
-        relative = lift_signs(canon[pairs[:, 1]], canon[pairs[:, 0]], ambiguity_gap)
-    except LiftAmbiguityError as exc:
-        i, j = graph.adjacency[exc.pair]
-        raise LiftAmbiguityError(
-            f"overlap {edge}, samples {i}->{j}: {exc}; resample the overlap more densely",
-            exc.d_plus, exc.d_minus, exc.ambiguity_gap,
-        ) from exc
-    signs = np.zeros(graph.count)
-    signs[base] = -1.0 if flip else 1.0
-    on_tree = np.zeros(len(pairs), dtype=bool)
-    frontier = [base]
-    neighbours = graph.neighbour_table()
-    while frontier:
-        node = frontier.pop()
-        order = rng.permutation(len(neighbours[node])) if rng is not None else range(
-            len(neighbours[node])
-        )
-        for pos in order:
-            nb, k = neighbours[node][pos]
-            if signs[nb]:
-                continue
-            signs[nb] = signs[node] * relative[k]
-            on_tree[k] = True
-            frontier.append(nb)
-    # +-g are 0 or 2 apart: an off-tree pair closes when its distance is < 1
-    off = ~on_tree
-    closure = np.abs(signs[pairs[off, 0]] * relative[off] - signs[pairs[off, 1]])
-    if (closure > 1.0).any():
+
+def _check_holonomy(stack, parity, negative, upto):
+    """Every adjacency among the first `upto` must close up with the tree's signs."""
+    pairs = stack.pairs[:upto]
+    bad = np.flatnonzero(parity[pairs[:, 0]] ^ negative[:upto] ^ parity[pairs[:, 1]])
+    if bad.size:
+        edge = stack.edges[np.searchsorted(stack.pair_offsets, bad[0], side="right") - 1]
         raise HolonomyError(
             f"sign holonomy around a loop in overlap {edge}: "
             "the overlap is not simply connected (cover is not good)"
         )
-    lifts = signs[:, None, None] * canon
-    lifts.flags.writeable = False
-    return lifts
 
 
 def _triple_signs(data, unitaries):
@@ -269,32 +325,71 @@ def _triple_signs(data, unitaries):
     return tuple(values)
 
 
+def _base_index(edge, base, count):
+    if not -count <= base < count:
+        raise IndexError(f"basepoint {base} out of range for overlap {edge} "
+                         f"with {count} samples")
+    return base % count
+
+
 def lift_transitions(data, seed=None, sign_flips=None, basepoints=None, ambiguity_gap=0.5):
     """Lift every sampled transition and read off the obstruction cocycle.
 
-    Each overlap is lifted in one stacked pass: canonical_lifts of all its
-    samples, lift_signs of all its adjacent pairs, then a spanning-tree walk
-    that fixes the signs and a HolonomyError unless every adjacency off the
-    tree closes up. The first ambiguous pair in adjacency order raises
-    LiftAmbiguityError naming the overlap and the two samples.
+    All overlaps are lifted in one stacked pass, in sorted edge order:
+    canonical_lifts of every sample, lift_signs of every adjacent pair, the
+    parity of each sample's tree path by pointer doubling over the spanning
+    trees cached on the sample graphs, and a HolonomyError naming the first
+    overlap where an adjacency fails to close up. The first ambiguous pair
+    raises LiftAmbiguityError naming the overlap and the two samples, after
+    the holonomy check of the overlaps before it.
 
-    seed shuffles the spanning-tree traversal, sign_flips (iterable of edges)
-    negates chosen edge lifts globally, basepoints ({edge: sample index})
-    overrides where transport starts. All three change the cocycle at most by
-    a coboundary; tests rely on that.
+    sign_flips (iterable of edges) negates chosen edge lifts globally and
+    basepoints ({edge: sample index}) overrides which sample keeps its
+    canonical lift; both change the cocycle at most by a coboundary, which
+    tests rely on. seed is still accepted but changes nothing: it used to
+    shuffle the spanning-tree walk, and once every loop closes up the signs
+    do not depend on the tree.
     """
+    del seed
     data.validate()
-    rng = np.random.default_rng(seed) if seed is not None else None
+    stack = data._stack
     sign_flips = frozenset(_ordered_edge(*e) for e in (sign_flips or ()))
     basepoints = {_ordered_edge(*k): v for k, v in (basepoints or {}).items()}
-    unitaries = {}
-    for edge in sorted(data.edges):
-        graph = data.edges[edge]
-        base = basepoints.get(edge, graph.basepoint)
-        unitaries[edge] = _edge_lifts(edge, graph, base, edge in sign_flips, rng,
-                                      ambiguity_gap)
+    canon = canonical_lifts(stack.matrices)
+    pairs = stack.pairs
+    try:
+        negative = lift_signs(canon[pairs[:, 1]], canon[pairs[:, 0]], ambiguity_gap) < 0
+    except LiftAmbiguityError as exc:
+        k = np.searchsorted(stack.pair_offsets, exc.pair, side="right") - 1
+        start = stack.pair_offsets[k]
+        # the overlaps before this one lift cleanly; their holonomy comes first
+        negative = np.zeros(len(pairs), dtype=bool)
+        negative[:start] = lift_signs(canon[pairs[:start, 1]], canon[pairs[:start, 0]],
+                                      ambiguity_gap) < 0
+        _check_holonomy(stack, _tree_parities(stack, negative), negative, start)
+        edge = stack.edges[k]
+        i, j = data.edges[edge].adjacency[exc.pair - start]
+        raise LiftAmbiguityError(
+            f"overlap {edge}, samples {i}->{j}: {exc}; resample the overlap more densely",
+            exc.d_plus, exc.d_minus, exc.ambiguity_gap,
+        ) from exc
+    parity = _tree_parities(stack, negative)
+    _check_holonomy(stack, parity, negative, len(pairs))
+    counts = np.diff(stack.offsets)
+    bases = np.array([
+        _base_index(edge, basepoints.get(edge, data.edges[edge].basepoint), count)
+        for edge, count in zip(stack.edges, counts)
+    ], dtype=np.intp)
+    flips = np.array([edge in sign_flips for edge in stack.edges], dtype=bool)
+    # a sample's sign relative to its basepoint is the parity of the tree path
+    # between them, times the overlap's flip
+    edge_negative = parity[stack.offsets[:-1] + bases] ^ flips
+    signs = np.where(parity ^ np.repeat(edge_negative, counts), -1.0, 1.0)
+    lifts = _frozen(signs[:, None, None] * canon)
+    unitaries = {edge: lifts[stack.offsets[k]:stack.offsets[k + 1]]
+                 for k, edge in enumerate(stack.edges)}
     cocycle = GerbeCocycle(data.nerve, cech.Cochain(2, 2, _triple_signs(data, unitaries)))
-    return LiftedTransitionData(data=data, unitaries=unitaries), cocycle
+    return LiftedTransitionData(data=data, unitaries=MappingProxyType(unitaries)), cocycle
 
 
 @dataclass(frozen=True)
@@ -304,7 +399,8 @@ class GerbeModuleData:
     Transitions on edge (a, b) act per sample; at each designated triple the
     product around the triangle equals zeta^(weight * e) times identity where
     zeta = exp(2 pi i / band_order). weight None marks a module that has not
-    been split into weight-homogeneous summands yet.
+    been split into weight-homogeneous summands yet. The transition arrays
+    are stored read-only, and both mappings as read-only views.
     """
 
     nerve: cech.Nerve
@@ -323,10 +419,10 @@ class GerbeModuleData:
             arr = np.array(arr, dtype=complex)
             if arr.ndim != 3 or arr.shape[1:] != (self.rank, self.rank):
                 raise ValueError(f"transitions on {key} must be (count, rank, rank)")
-            transitions[_ordered_edge(*key)] = arr
-        object.__setattr__(self, "transitions", transitions)
+            transitions[_ordered_edge(*key)] = _frozen(arr)
+        object.__setattr__(self, "transitions", MappingProxyType(transitions))
         triples = {tuple(sorted(k)): tuple(tuple(t) for t in v) for k, v in self.triples.items()}
-        object.__setattr__(self, "triples", triples)
+        object.__setattr__(self, "triples", MappingProxyType(triples))
         if self.weight is not None:
             object.__setattr__(self, "weight", int(self.weight) % self.band_order)
         for simplex in self.nerve.simplices[1]:

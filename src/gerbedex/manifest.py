@@ -329,7 +329,7 @@ def run_tasks(parsed, seed=0):
     """
     if parsed.transitions is None:
         raise ValueError(f"manifest {parsed.name!r} has no transitions to lift")
-    data = parsed.transitions.validate()
+    data = parsed.transitions
     lifted, cocycle = lift_transitions(data)
     report, ok = {"manifest": parsed.name}, True
     for name in parsed.tasks:

@@ -37,6 +37,7 @@ def test_failing_suite_exits_one(tmp_path):
     assert code == 1
     assert payload["pass"] is False
     assert "error" in payload
+    assert payload["error_type"] == "ValueError"
 
 
 # ---------------------------------------------------------------------------

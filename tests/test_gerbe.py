@@ -1,11 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from gerbedex import cech, gerbe
-from gerbedex.clifford import CliffordElement, LiftAmbiguityError, spinor_rep
+from gerbedex.clifford import (
+    CliffordElement,
+    LiftAmbiguityError,
+    canonical_lifts,
+    lift_signs,
+    spinor_rep,
+)
 from gerbedex.manifest import parse_manifest, sphere_frame_manifest
+from gerbedex.registry import TorusBenchmark
 
 
 def rot(theta):
@@ -87,6 +95,60 @@ def test_module_keeps_its_own_copy_of_the_transitions():
         transitions={(0, 1): phases}, triples={})
     phases[0] = -1.0
     assert np.all(module.transitions[(0, 1)] == 1.0)
+
+def test_frozen_samples_and_mappings_reject_writes():
+    data = chart_path_data(seed=5)
+    graph = data.edges[(0, 1)]
+    with pytest.raises(ValueError, match="read-only"):
+        graph.matrices[0] = rot(1.0)
+    with pytest.raises(TypeError):
+        data.edges[(0, 1)] = chain_graph([1.0] * graph.count)
+    with pytest.raises(TypeError):
+        data.triples[(0, 1, 2)] = ((1, 1, 1),)
+    lifted, _ = gerbe.lift_transitions(data)
+    with pytest.raises(ValueError, match="read-only"):
+        lifted.unitaries[(0, 1)][0] *= -1.0
+    with pytest.raises(TypeError):
+        lifted.unitaries[(0, 1)] = -lifted.unitaries[(0, 1)]
+    module = gerbe.spin_module(lifted)
+    with pytest.raises(ValueError, match="read-only"):
+        module.transitions[(0, 1)][0] = 0.0
+    with pytest.raises(TypeError):
+        module.transitions[(0, 1)] = module.transitions[(0, 2)]
+    with pytest.raises(TypeError):
+        module.triples[(0, 1, 2)] = ((1, 1, 1),)
+
+
+def test_validate_remembers_a_pass_per_tolerance(monkeypatch):
+    data = chart_path_data(seed=6)
+    checked = []
+    original = gerbe.TransitionData._check
+
+    def counting_check(self, tol):
+        checked.append(tol)
+        original(self, tol)
+
+    monkeypatch.setattr(gerbe.TransitionData, "_check", counting_check)
+    for _ in range(3):
+        assert data.validate() is data
+        gerbe.lift_transitions(data)
+    data.validate(1e-12)
+    data.validate(1e-12)
+    assert checked == [1e-10, 1e-12]
+
+
+def test_validate_does_not_remember_a_failure():
+    skew = {e: chain_graph([0.0]) for e in triangle_nerve().simplices[1]}
+    skew[(0, 1)] = chain_graph([0.3])
+    data = gerbe.TransitionData(nerve=triangle_nerve(), dimension=2, edges=skew,
+                                triples={(0, 1, 2): [(0, 0, 0)]})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="cocycle"):
+            data.validate()
+    data.validate(tol=0.5)
+    with pytest.raises(ValueError, match="cocycle"):
+        gerbe.lift_transitions(data)
+
 
 def test_transition_data_validation():
     nerve = triangle_nerve()
@@ -272,7 +334,7 @@ def test_lift_transitions_lifts_each_overlap_in_one_stacked_call(monkeypatch):
     monkeypatch.setattr(clifford, "canonical_lift", forbidden)
     data = branching_path_data()
     gerbe.lift_transitions(data, seed=5, sign_flips=[(0, 1)])
-    assert calls == [data.edges[e].count for e in sorted(data.edges)]
+    assert calls == [sum(graph.count for graph in data.edges.values())]
     assert not hasattr(gerbe, "nearest_lift") and not hasattr(gerbe, "canonical_lift")
 
 
@@ -338,6 +400,212 @@ def test_lifting_the_frame_manifest_builds_no_clifford_elements(monkeypatch):
     lifted, _ = gerbe.lift_transitions(data, seed=3)
     assert sum(len(lifts) for lifts in lifted.lifts.values()) > 0
     assert built == []
+
+
+# ---------------------------------------------------------------------------
+# the per-overlap spanning-tree walk, kept as the oracle of the stacked pass
+
+def oracle_edge_lifts(edge, graph, base, flip, rng, ambiguity_gap):
+    """Lifts of one overlap by a seeded depth-first walk from `base`."""
+    canon = canonical_lifts(graph.matrices)
+    pairs = np.array(graph.adjacency, dtype=int).reshape(-1, 2)
+    try:
+        relative = lift_signs(canon[pairs[:, 1]], canon[pairs[:, 0]], ambiguity_gap)
+    except LiftAmbiguityError as exc:
+        i, j = graph.adjacency[exc.pair]
+        raise LiftAmbiguityError(
+            f"overlap {edge}, samples {i}->{j}: {exc}; resample the overlap more densely",
+            exc.d_plus, exc.d_minus, exc.ambiguity_gap,
+        ) from exc
+    signs = np.zeros(graph.count)
+    signs[base] = -1.0 if flip else 1.0
+    on_tree = np.zeros(len(pairs), dtype=bool)
+    frontier = [base]
+    neighbours = graph.neighbour_table()
+    while frontier:
+        node = frontier.pop()
+        order = rng.permutation(len(neighbours[node])) if rng is not None else range(
+            len(neighbours[node])
+        )
+        for pos in order:
+            nb, k = neighbours[node][pos]
+            if signs[nb]:
+                continue
+            signs[nb] = signs[node] * relative[k]
+            on_tree[k] = True
+            frontier.append(nb)
+    off = ~on_tree
+    closure = np.abs(signs[pairs[off, 0]] * relative[off] - signs[pairs[off, 1]])
+    if (closure > 1.0).any():
+        raise gerbe.HolonomyError(
+            f"sign holonomy around a loop in overlap {edge}: "
+            "the overlap is not simply connected (cover is not good)"
+        )
+    return signs[:, None, None] * canon
+
+
+def oracle_lift_transitions(data, seed=None, sign_flips=None, basepoints=None,
+                            ambiguity_gap=0.5):
+    """lift_transitions one overlap at a time, each by its own tree walk."""
+    data.validate()
+    rng = np.random.default_rng(seed) if seed is not None else None
+    sign_flips = frozenset(gerbe._ordered_edge(*e) for e in (sign_flips or ()))
+    basepoints = {gerbe._ordered_edge(*k): v for k, v in (basepoints or {}).items()}
+    unitaries = {}
+    for edge in sorted(data.edges):
+        graph = data.edges[edge]
+        base = basepoints.get(edge, graph.basepoint)
+        unitaries[edge] = oracle_edge_lifts(edge, graph, base, edge in sign_flips, rng,
+                                            ambiguity_gap)
+    values = gerbe._triple_signs(data, unitaries)
+    return unitaries, gerbe.GerbeCocycle(data.nerve, cech.Cochain(2, 2, values))
+
+
+def assert_lift_matches_oracle(data, **options):
+    """Bitwise-equal lifts and an equal cocycle, or the same error."""
+    try:
+        unitaries, cocycle = oracle_lift_transitions(data, **options)
+    except (LiftAmbiguityError, gerbe.HolonomyError) as expected:
+        with pytest.raises(type(expected)) as info:
+            gerbe.lift_transitions(data, **options)
+        err = info.value
+        assert str(err) == str(expected)
+        assert vars(err) == vars(expected)
+        assert type(err.__cause__) is type(expected.__cause__)
+        assert str(err.__cause__) == str(expected.__cause__)
+        return expected
+    lifted, got = gerbe.lift_transitions(data, **options)
+    assert list(lifted.unitaries) == list(unitaries)
+    for edge, stack in unitaries.items():
+        assert np.array_equal(lifted.unitaries[edge], stack)
+    assert got.cochain == cocycle.cochain
+    return None
+
+
+def random_relift_options(rng, data):
+    edges = sorted(data.edges)
+    return {
+        "seed": int(rng.integers(1 << 30)),
+        "sign_flips": [e for e in edges if rng.random() < 0.5],
+        "basepoints": {e: int(rng.integers(data.edges[e].count)) for e in edges},
+    }
+
+
+def test_stacked_lift_matches_the_oracle_on_the_frame_manifest():
+    data = parse_manifest(sphere_frame_manifest()).transitions
+    assert_lift_matches_oracle(data)
+    rng = np.random.default_rng(1300)
+    for _ in range(50):
+        assert_lift_matches_oracle(data, **random_relift_options(rng, data))
+
+
+@pytest.mark.parametrize("seed", [None, 0, 3, 11, 12, 29])
+def test_stacked_lift_matches_the_oracle_on_path_data(seed):
+    data = branching_path_data() if seed is None else chart_path_data(seed=seed, samples=9)
+    assert_lift_matches_oracle(data)
+    rng = np.random.default_rng(1310)
+    for _ in range(8):
+        assert_lift_matches_oracle(data, **random_relift_options(rng, data))
+
+
+def test_stacked_lift_matches_the_oracle_on_the_torus_frames():
+    data = TorusBenchmark(order=4, panels=1).frame_transitions()
+    assert_lift_matches_oracle(data)
+    rng = np.random.default_rng(1320)
+    for _ in range(8):
+        assert_lift_matches_oracle(data, **random_relift_options(rng, data))
+
+
+def test_stacked_lift_matches_the_oracle_on_a_long_chain_based_at_its_far_end():
+    count = 2049
+    # four full turns in small hops: the lift changes sign after each turn
+    chain = chain_graph(np.linspace(0.0, 8.0 * math.pi, count), basepoint=count - 1)
+    edges = {(0, 1): chain, (0, 2): chain_graph([0.0]), (1, 2): chain_graph([0.0])}
+    data = gerbe.TransitionData(nerve=triangle_nerve(), dimension=2, edges=edges,
+                                triples={(0, 1, 2): [(0, 0, 0), (count - 1, 0, 0)]})
+    assert chain._depth == count - 1
+    assert_lift_matches_oracle(data)
+    assert_lift_matches_oracle(data, sign_flips=[(0, 1)], basepoints={(0, 1): count // 3})
+    assert_lift_matches_oracle(data, basepoints={(1, 0): -1})
+
+
+def test_stacked_lift_matches_the_oracle_on_a_star_graph():
+    rng = np.random.default_rng(1330)
+    count, centre = 40, 17
+    angles = 2.5 + rng.uniform(-1.0, 1.0, count)
+    star = gerbe.EdgeSampleGraph(
+        np.stack([rot(t) for t in angles]),
+        adjacency=[(centre, k) if k % 2 else (k, centre) for k in range(count) if k != centre],
+    )
+    assert star._depth <= 2
+    identity = chain_graph([0.0])
+    data = gerbe.TransitionData(
+        nerve=triangle_nerve(), dimension=2,
+        edges={(0, 1): identity, (0, 2): star, (1, 2): chain_graph([angles[0]])},
+        triples={(0, 1, 2): [(0, 0, 0)]},
+    )
+    assert_lift_matches_oracle(data)
+    for _ in range(8):
+        assert_lift_matches_oracle(data, **random_relift_options(rng, data))
+
+
+def test_stacked_lift_of_a_nerve_without_overlaps():
+    nerve = cech.Nerve.from_simplices([(0,), (1,)])
+    data = gerbe.TransitionData(nerve=nerve, dimension=2, edges={}, triples={})
+    lifted, cocycle = gerbe.lift_transitions(data, sign_flips=[(0, 1)])
+    assert dict(lifted.unitaries) == {}
+    assert cocycle.cochain.values == ()
+
+
+def winding_cycle(steps=16, chords=False):
+    loop = [2.0 * math.pi * k / steps for k in range(steps)]
+    adjacency = [(k, (k + 1) % steps) for k in range(steps)]
+    if chords:
+        adjacency += [(k, k + 2) for k in range(0, steps - 2, 3)]
+    return gerbe.EdgeSampleGraph(np.stack([rot(t) for t in loop]), adjacency=adjacency)
+
+
+@pytest.mark.parametrize("edges", [
+    # holonomy on one overlap, with and without chords
+    {(0, 1): winding_cycle()},
+    {(0, 1): winding_cycle(chords=True)},
+    # holonomy on two overlaps: the first in sorted order is named
+    {(0, 2): winding_cycle(), (1, 2): winding_cycle(chords=True)},
+    # an ambiguous pair, alone or late in its overlap
+    {(0, 1): chain_graph([0.0, math.pi])},
+    {(0, 1): chain_graph([0.0, 0.4, 0.4 + 0.95 * math.pi])},
+    # holonomy before an ambiguity, and an ambiguity before holonomy
+    {(0, 1): winding_cycle(), (0, 2): chain_graph([0.0, math.pi])},
+    {(0, 1): chain_graph([0.0, math.pi]), (0, 2): winding_cycle()},
+])
+def test_stacked_lift_fails_as_the_oracle_does(edges):
+    identity = chain_graph([0.0])
+    edges = {e: edges.get(e, identity) for e in triangle_nerve().simplices[1]}
+    data = gerbe.TransitionData(nerve=triangle_nerve(), dimension=2, edges=edges,
+                                triples={(0, 1, 2): [(0, 0, 0)]})
+    moved = {e: 1 for e, graph in edges.items() if graph.count > 1}
+    for seed in (None, 0, 1, 2):
+        assert assert_lift_matches_oracle(data, seed=seed) is not None
+        assert assert_lift_matches_oracle(data, seed=seed, basepoints=moved) is not None
+
+
+def test_relift_walks_no_sample_graph_in_python(monkeypatch):
+    data = branching_path_data()
+    gerbe.lift_transitions(data)
+
+    def forbidden(self):
+        raise AssertionError("per-sample walk in lift_transitions")
+
+    monkeypatch.setattr(gerbe.EdgeSampleGraph, "neighbour_table", forbidden)
+    gerbe.lift_transitions(data, sign_flips=[(0, 1)], basepoints={(1, 2): 4})
+
+
+def test_spanning_tree_takes_no_part_in_equality():
+    names = [f.name for f in dataclasses.fields(gerbe.EdgeSampleGraph)]
+    assert names == ["matrices", "adjacency", "basepoint"]
+    graph = chain_graph([0.0, 0.1, 0.2], basepoint=2)
+    assert graph._parent.tolist() == [0, 0, 1]
+    assert graph._parent_pos.tolist() == [-1, 0, 1]
 
 
 # ---------------------------------------------------------------------------

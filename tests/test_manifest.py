@@ -194,3 +194,19 @@ def test_run_tasks_runs_exactly_the_named_tasks():
     doc["tasks"] = ["spin-module"]
     report, ok = run_tasks(parse_manifest(doc), seed=7)
     assert ok and set(report) == {"manifest", "spin_module_residual", "pass"}
+
+
+def test_run_tasks_validates_the_transitions_once(monkeypatch):
+    from gerbedex import gerbe
+
+    checked = []
+    original = gerbe.TransitionData._check
+
+    def counting_check(self, tol):
+        checked.append(tol)
+        original(self, tol)
+
+    monkeypatch.setattr(gerbe.TransitionData, "_check", counting_check)
+    report, ok = run_tasks(parse_manifest(sphere_frame_manifest()), seed=7)
+    assert ok and report["randomized_trials"] > 0
+    assert len(checked) == 1
