@@ -4,8 +4,11 @@ A `Nerve` is the combinatorial nerve of a cover: a face-closed simplicial
 complex truncated at degree 3 (the toolkit never needs cohomology above H^3).
 Cochains take values in Z or in Z_k written additively; all cohomology is
 computed exactly via integer Smith normal form, so torsion is exact, not a
-floating-point byproduct.  Each coboundary matrix is factored once per nerve,
-and the factorization is cached on the nerve.
+floating-point byproduct.  Each coboundary matrix is built once per nerve as
+a read-only int64 array and factored once; both are cached on the nerve.
+Products with these matrices and with the Smith transforms go through
+`smith.dot`, so they run in int64 only when a bound proves the result fits;
+cochain values and every reported number stay Python ints.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import smith
 
@@ -146,36 +151,50 @@ def _check_match(c, nerve):
 
 
 def delta_matrix(nerve, q):
-    """Integer matrix of the coboundary C^q -> C^{q+1}, rows = (q+1)-simplices."""
+    """Read-only int64 matrix of the coboundary C^q -> C^{q+1}, rows =
+    (q+1)-simplices, built once per nerve."""
     if not 0 <= q < MAX_DEGREE:
         raise ValueError("coboundary defined for degrees 0..2")
-    rows = nerve.n_simplices(q + 1)
-    cols = nerve.n_simplices(q)
-    mat = [[0] * cols for _ in range(rows)]
-    for r, s in enumerate(nerve.simplices[q + 1]):
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1 :]
-            mat[r][nerve.index(face)] += (-1) ** i
+    return nerve._cached(("delta", q), lambda: _delta_matrix(nerve, q))
+
+
+def _delta_matrix(nerve, q):
+    # each simplex is keyed by its vertices as digits in base vertex_count, so
+    # the keys of a level are sorted like the level and faces are found by
+    # binary search; vertex_count**(q+1) past int64 keys on Python ints
+    rows, cols = nerve.n_simplices(q + 1), nerve.n_simplices(q)
+    dtype = np.int64 if nerve.vertex_count ** (q + 1) < 1 << 63 else object
+    radix = np.array([nerve.vertex_count ** p for p in range(q, -1, -1)], dtype=dtype)
+    keys = np.array(nerve.simplices[q], dtype=dtype).reshape(cols, q + 1) @ radix
+    upper = np.array(nerve.simplices[q + 1], dtype=dtype).reshape(rows, q + 2)
+    mat = np.zeros((rows, cols), dtype=np.int64)
+    for i in range(q + 2):
+        faces = np.delete(upper, i, axis=1) @ radix
+        mat[np.arange(rows), np.searchsorted(keys, faces)] = (-1) ** i
+    mat.flags.writeable = False
     return mat
+
+
+def _delta(c, nerve):
+    """delta c over Z, as an int64 or object array of exact values."""
+    _check_match(c, nerve)
+    if c.degree >= MAX_DEGREE:
+        raise ValueError("coboundary of a degree-3 cochain is not represented")
+    # a row of delta_q has q + 2 entries +-1
+    top = max(map(abs, c.values), default=0)
+    return smith.dot(delta_matrix(nerve, c.degree), c.values, c.degree + 2, top)
 
 
 def coboundary(c, nerve):
     """(delta c)(sigma) = sum_i (-1)^i c(d_i sigma)."""
-    _check_match(c, nerve)
-    if c.degree >= MAX_DEGREE:
-        raise ValueError("coboundary of a degree-3 cochain is not represented")
-    mat = delta_matrix(nerve, c.degree)
-    out = smith.matvec(mat, list(c.values))
-    return Cochain(c.degree + 1, c.ring, tuple(out))
+    return Cochain(c.degree + 1, c.ring, tuple(_delta(c, nerve).tolist()))
 
 
 def is_cocycle(c, nerve):
     if c.degree == MAX_DEGREE:
         return True  # no degree-4 simplices are represented
-    d = coboundary(c, nerve)
-    if c.ring == "Z":
-        return all(v == 0 for v in d.values)
-    return all(v % c.ring == 0 for v in d.values)
+    d = _delta(c, nerve)
+    return not (d if c.ring == "Z" else d % c.ring).any()
 
 
 def solve_coboundary(c, nerve):
@@ -217,10 +236,12 @@ def _factor(nerve, q):
     still n x n and every q-cochain is a cocycle.
     """
     def build():
-        mat = delta_matrix(nerve, q) or [[0] * nerve.n_simplices(q)]
+        mat = delta_matrix(nerve, q)
+        if not len(mat):
+            mat = np.zeros((1, mat.shape[1]), dtype=np.int64)
         return smith.smith_normal_form(mat)
 
-    return nerve._cached(("delta", q), build)
+    return nerve._cached(("smith", q), build)
 
 
 def _cocycle_quotient(nerve, q):
@@ -236,8 +257,11 @@ def _cocycle_quotient(nerve, q):
 
     def build():
         up = _factor(nerve, q)
-        down = delta_matrix(nerve, q - 1) if q else [[] for _ in range(nerve.n_simplices(0))]
-        return smith.smith_normal_form(smith.matmul(up.vinv[up.rank:], down))
+        if q:
+            down = delta_matrix(nerve, q - 1)
+        else:
+            down = np.zeros((nerve.n_simplices(0), 0), dtype=np.int64)
+        return smith.smith_normal_form(up.times(up.vinv[up.rank:], down, 1))
 
     return nerve._cached(("cocycles", q), build)
 
@@ -266,35 +290,30 @@ def _cohomology(nerve, degree, ring):
     n = nerve.n_simplices(degree)
     if n == 0:
         return CohomologyResult(degree=degree, ring=ring, orders=())
-    if degree < MAX_DEGREE:
-        up = _factor(nerve, degree)
-        v, rank, d = up.v, up.rank, up.diagonal()
-    else:
-        v, rank, d = smith.identity(n), 0, []
+    up = _factor(nerve, degree) if degree < MAX_DEGREE else None
+    rank, d = (0, []) if up is None else (up.rank, up.diagonal()[:up.rank])
     quotient = _cocycle_quotient(nerve, degree)
     e = quotient.diagonal()
     e += [0] * (n - rank - len(e))  # cocycle directions the coboundaries miss
-
-    def cocycle_generator(j):
-        # V[:, r:] @ column j of the quotient's U^-1
-        col = [row[j] for row in quotient.uinv]
-        return [sum(x * y for x, y in zip(vrow[rank:], col) if y) for vrow in v]
+    k = None if ring == "Z" else ring
+    # the quotient's piece j is generated by V[:, r:] @ column j of its U^-1,
+    # where in degree 3 V = I and r = 0
+    cyclic = [j for j, o in enumerate(e) if (o if k is None else math.gcd(o, k)) != 1]
+    gens = quotient.uinv[:, cyclic]
+    if up is not None:
+        gens = up.times(up.v[:, rank:], gens, quotient.bound)
+    gens = gens.T.tolist()
 
     # one (order, generator) per cyclic piece; pieces of order 1 are dropped
-    if ring == "Z":
-        pieces = [(o, cocycle_generator(j)) for j, o in enumerate(e) if o != 1]
-    else:
-        k = ring
-        pieces = []
-        for i in range(rank):
-            g = math.gcd(d[i], k)
-            if g > 1:
-                pieces.append((g, [(k // g) * row[i] for row in v]))
-        for j, o in enumerate(e):
-            g = math.gcd(o, k)
-            if g > 1:
-                pieces.append((g, cocycle_generator(j)))
-        pieces = _invariant_factors(pieces, k)
+    if k is None:
+        return _result(degree, ring, [(e[j], g) for j, g in zip(cyclic, gens)])
+    pieces = [(math.gcd(di, k), i) for i, di in enumerate(d)]
+    pieces = [(g, [(k // g) * x for x in up.v[:, i].tolist()]) for g, i in pieces if g > 1]
+    pieces += [(math.gcd(e[j], k), g) for j, g in zip(cyclic, gens)]
+    return _result(degree, ring, _invariant_factors(pieces, k))
+
+
+def _result(degree, ring, pieces):
     return CohomologyResult(
         degree=degree,
         ring=ring,
@@ -309,18 +328,12 @@ def _invariant_factors(pieces, k):
     pulled back through its U^-1 and reduced mod k."""
     if not pieces:
         return []
-    s = len(pieces)
-    relations = smith.smith_normal_form(
-        [[pieces[i][0] if i == j else 0 for j in range(s)] for i in range(s)])
-    out = []
-    for j, order in enumerate(relations.diagonal()):
-        if order == 1:
-            continue
-        coeffs = [row[j] for row in relations.uinv]
-        gen = [sum(c * x for c, x in zip(coeffs, xs) if c) % k
-               for xs in zip(*(g for _, g in pieces))]
-        out.append((order, gen))
-    return out
+    relations = smith.smith_normal_form(np.diag([o for o, _ in pieces]))
+    orders = relations.diagonal()
+    kept = [j for j, o in enumerate(orders) if o != 1]
+    residues = [[x % k for x in g] for _, g in pieces]
+    gens = relations.times(relations.uinv[:, kept].T, residues, k) % k
+    return list(zip((orders[j] for j in kept), gens.tolist()))
 
 
 @dataclass(frozen=True)
@@ -339,14 +352,12 @@ def bockstein(c, nerve):
     """
     if c.degree != 2 or c.ring == "Z":
         raise ValueError("bockstein expects a degree-2 cochain over Z_k")
-    _check_match(c, nerve)
-    if not is_cocycle(c, nerve):
-        raise ValueError("bockstein input must be a cocycle mod k")
     k = c.ring
-    lift = Cochain(2, "Z", c.values)
-    delta = coboundary(lift, nerve)
-    assert all(v % k == 0 for v in delta.values)
-    beta = Cochain(3, "Z", tuple(v // k for v in delta.values))
+    # the values in [0, k) are the integer lift; one product gives delta(lift)
+    delta = _delta(c, nerve)
+    if (delta % k).any():
+        raise ValueError("bockstein input must be a cocycle mod k")
+    beta = Cochain(3, "Z", tuple((delta // k).tolist()))
     witness = solve_coboundary(beta, nerve) if any(beta.values) else zero_cochain(nerve, 2)
     return BocksteinResult(beta=beta, trivial=witness is not None, witness=witness)
 

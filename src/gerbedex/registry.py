@@ -21,7 +21,6 @@ sphere's spin connection diagonalizes into the monopole connections labeled
 -1 and +1, with constant extra transition factors diag(-i, +i).
 """
 
-from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -323,9 +322,10 @@ class ProjectivePlaneBenchmark:
     The ring has one degree-2 generator x with x^3 = 0 and x^2 integrating
     to 1. The tangent data is the total Chern class (1+x)^3 of the Euler
     sequence; p1 is derived in-ring as c1^2 - 2 c2. Twist modules are shipped
-    as exact Chern characters exp((k + 3/2) x); the half-integral exponent is
-    the weight-1 phenomenon, and pairings remain integers. The Fubini-Study
-    metric of the dense affine chart backs a numeric normalization check.
+    as exact Chern characters exp((k + c1/2) x) with c1 = 3x; the
+    half-integral exponent is the weight-1 phenomenon, and pairings remain
+    integers. The Fubini-Study metric of the dense affine chart backs a
+    numeric normalization check.
     """
 
     name = "CP2"
@@ -346,7 +346,9 @@ class ProjectivePlaneBenchmark:
         return c1 * c1 - 2 * c2
 
     def module_character(self, k):
-        return (self.generator() * Fraction(2 * int(k) + 3, 2)).exp()
+        # the weight-1 shift is c1/2, read off the total Chern class
+        half_c1 = self.total_tangent_chern().coefficient(1) / 2
+        return (self.generator() * (int(k) + half_c1)).exp()
 
     def section_count(self, k):
         """Monomial count of degree k in three variables: independent oracle."""

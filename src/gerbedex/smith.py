@@ -1,21 +1,28 @@
 """Exact integer matrix normal forms and solvers.
 
-Matrices come in and go out as lists of rows of Python ints.
-`smith_normal_form` is the classical dense elimination with both transforms
-and their inverses; its cost grows with the cube of the matrix side, so
-callers factor each matrix once and keep the `SmithResult`, which then answers
-linear solves over Z and Z_k in its own coordinates (`SmithResult.solve`,
-`SmithResult.solve_mod`).
+Integer matrices are numpy arrays: int64 while their entries provably fit,
+dtype=object (exact Python ints) once they might not.  `smith_normal_form`
+takes a list of rows or an array and is the classical dense elimination with
+both transforms and their inverses; its cost grows with the cube of the
+matrix side, so callers factor each matrix once and keep the `SmithResult`.
+That holds the elimination's own arrays, with a bound on their entries, and
+answers linear solves over Z and Z_k in its own coordinates
+(`SmithResult.solve`, `SmithResult.solve_mod`).  `dot` is the one exact
+product: it runs in int64 only when a bound from the caller proves every
+|entry| of the result below 2**62, and on Python ints otherwise.
 
-During the elimination D, U, U^-1, V and V^-1 are int64 arrays.  The pivot is
-the first smallest nonzero |entry| of the trailing block in row-major order,
-so on +-1-sparse coboundary matrices it is the first unit entry.  Clearing the
-pivot's column (then its row) subtracts each run of entries the pivot divides
-in one batched row (column) update; an entry it does not divide is cleared by
-one unimodular 2x2 Bezout step, so dense inputs with non-unit pivots do not
-blow up their entries.  A running bound on the largest |entry| guards every
-update: when the update could reach 2**62 the arrays are rescanned, and if it
-still could, all five are widened to dtype=object (exact Python ints) and the
+During the elimination D, U and V share one int64 array [[D, U], [V, 0]], so
+each row or column op is one update, and U^-1 is kept transposed next to
+V^-1 so that every op on them is a row op.  The pivot is the first smallest
+nonzero |entry| of the trailing block in row-major order, so on +-1-sparse
+coboundary matrices it is the first unit entry, found in the pivot row
+without scanning the block.  Clearing the pivot's column (then its row)
+subtracts each run of entries the pivot divides in one batched row (column)
+update; a unit pivot divides them all, and an entry it does not divide is
+cleared by one unimodular 2x2 Bezout step, so dense inputs with non-unit
+pivots do not blow up their entries.  A running bound on the largest |entry|
+guards every update: when the update could reach 2**62 the arrays are
+rescanned, and if it still could, they are widened to dtype=object and the
 elimination goes on with the same code.  So the operation sequence, and the
 result, are those of a plain list elimination at any entry size.
 """
@@ -30,33 +37,31 @@ import numpy as np
 _LIMIT = 1 << 62
 
 
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _max_abs(x):
+    # max |entry| of an array, without abs() overflowing at -2**63
+    return max(-int(x.min(initial=0)), int(x.max(initial=0)))
 
 
-def matmul(a, b):
-    """Exact integer matrix product; zero entries of both factors are skipped."""
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in a]
-    if len(a[0]) != len(b):
-        raise ValueError("matmul: inner dimensions differ")
-    width = len(b[0])
-    sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
-    for row in a:
-        acc = [0] * width
-        for x, brow in zip(row, sparse_b):
-            if x:
-                for j, y in brow:
-                    acc[j] += x * y
-        out.append(acc)
-    return out
+def _as_array(a, m, n):
+    """A fresh m x n array of a's entries: int64 when they fit, else object."""
+    try:
+        return np.array(a, dtype=np.int64).reshape(m, n)
+    except OverflowError:
+        rows = [list(map(int, row)) for row in a]  # Python ints, not numpy scalars
+        return np.array(rows, dtype=object).reshape(m, n)
 
 
-def matvec(a, v):
-    if a and len(a[0]) != len(v):
-        raise ValueError("matvec: dimension mismatch")
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+def dot(a, b, *factors):
+    """Exact integer product a @ b of an integer array a and an array or list b.
+
+    The product of `factors` must bound every |entry| of the result; a None
+    factor means no bound is known.  Below 2**62 b is taken as int64 (an
+    object a keeps the product on Python ints), otherwise both factors are
+    object arrays of Python ints, so the product is exact at any size.
+    """
+    if None not in factors and math.prod(factors) < _LIMIT:
+        return a @ np.asarray(b, dtype=np.int64)
+    return a.astype(object) @ np.asarray(b, dtype=object)
 
 
 @dataclass
@@ -64,51 +69,64 @@ class SmithResult:
     """U @ A @ V == D with U, V unimodular; A == Uinv @ D @ Vinv.
 
     D is diagonal with nonnegative entries d_1 | d_2 | ... ; `rank` counts the
-    nonzero diagonal entries.
+    nonzero diagonal entries.  The five matrices are the elimination's own
+    arrays: all int64 with every |entry| <= `bound`, or all dtype=object
+    (Python ints) with `bound` None once the elimination has widened them.
     """
 
-    d: list
-    u: list
-    v: list
-    uinv: list
-    vinv: list
+    d: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    uinv: np.ndarray
+    vinv: np.ndarray
     rank: int
+    bound: int | None = None
 
     def diagonal(self):
-        r = min(len(self.d), len(self.d[0]) if self.d else 0)
-        return [self.d[i][i] for i in range(r)]
+        return np.diagonal(self.d).tolist()
+
+    def times(self, a, x, top):
+        """a @ x, exact, for one of this result's matrices a and |x| <= top."""
+        return dot(a, x, self.bound, a.shape[1], top)
+
+    def _coordinates(self, b):
+        # U b with its diagonal, in Python ints
+        top = max(map(abs, b), default=0)
+        return self.times(self.u, b, top).tolist(), self.diagonal()
 
     def solve(self, b):
         """One integer solution x of A x = b, or None if none exists."""
         y = [0] * len(self.v)
-        for i, c in enumerate(matvec(self.u, b)):
+        c, d = self._coordinates(b)
+        for i, ci in enumerate(c):
             if i < self.rank:
-                q, rem = divmod(c, self.d[i][i])
+                q, rem = divmod(ci, d[i])
                 if rem:
                     return None
                 y[i] = q
-            elif c:
+            elif ci:
                 return None
-        return matvec(self.v, y)
+        return self.times(self.v, y, max(map(abs, y), default=0)).tolist()
 
     def solve_mod(self, b, k):
         """One solution x (entries in [0, k)) of A x = b (mod k), or None."""
         if k < 2:
             raise ValueError("modulus must be >= 2")
         y = [0] * len(self.v)
-        for i, c in enumerate(matvec(self.u, b)):
-            c %= k
+        c, d = self._coordinates(b)
+        for i, ci in enumerate(c):
+            ci %= k
             if i < self.rank:
-                di = self.d[i][i]
+                di = d[i]
                 g = math.gcd(di, k)
-                if c % g:
+                if ci % g:
                     return None
                 # solve (di/g) * y = c/g  (mod k/g)
                 kk = k // g
-                y[i] = ((c // g) * pow((di // g) % kk, -1, kk)) % kk if kk > 1 else 0
-            elif c:
+                y[i] = ((ci // g) * pow((di // g) % kk, -1, kk)) % kk if kk > 1 else 0
+            elif ci:
                 return None
-        return [x % k for x in matvec(self.v, y)]
+        return [x % k for x in self.times(self.v, y, k).tolist()]
 
 
 def _bezout(a, b):
@@ -122,26 +140,38 @@ def _bezout(a, b):
     return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
 
 
+def _swap(x, i, j):
+    # rows i and j of x (columns, for x a transposed view)
+    x[i], x[j] = x[j], x[i].copy()
+
+
 class _Elimination:
     """D, U, U^-1, V and V^-1 as arrays, with the elementary operations.
 
     Row ops multiply U on the left of A (and the inverse op hits U^-1's
     columns); column ops multiply V on the right (the inverse op hits V^-1's
-    rows).  The arrays start as int64 with `bound` >= every |entry|; each
-    update first calls `_reserve` with the factor by which it can grow that
-    bound.  Where the product could reach 2**62 the arrays are rescanned, and
-    if the true bound still allows it they are widened to dtype=object
-    (Python ints), after which the same operations run exactly.
+    rows).  D, U and V share one array `a` = [[D, U], [V, 0]], so a row op on
+    D carries U along in the same rows and a column op carries V along in the
+    same columns.  U^-1 is kept transposed, as `uinvt`, so its column ops are
+    row ops too.  A column op touches only the rows where its source column
+    is nonzero, which on sparse matrices is a handful.
+
+    The arrays start as int64 with `bound` >= every |entry|; each update
+    first calls `_reserve` with the factor by which it can grow that bound.
+    Where the product could reach 2**62 the arrays are rescanned, and if the
+    true bound still allows it they are widened to dtype=object (Python
+    ints), after which the same operations run exactly.
     """
 
     def __init__(self, a, m, n):
-        try:
-            self.d = np.array(a, dtype=np.int64).reshape(m, n)
-        except OverflowError:
-            rows = [list(map(int, row)) for row in a]  # Python ints, not numpy scalars
-            self.d = np.array(rows, dtype=object).reshape(m, n)
-        self.u, self.uinv = np.eye(m, dtype=np.int64), np.eye(m, dtype=np.int64)
-        self.v, self.vinv = np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64)
+        d = _as_array(a, m, n)
+        self.a = np.zeros((m + n, n + m), dtype=d.dtype)
+        self.a[:m, :n] = d
+        self.a[:m, n:] = np.eye(m, dtype=np.int64)
+        self.a[m:, :n] = np.eye(n, dtype=np.int64)
+        self.uinvt, self.vinv = np.eye(m, dtype=np.int64), np.eye(n, dtype=np.int64)
+        self.m, self.n = m, n
+        self.d = self.a[:m, :n]
         self.exact = False
         self.bound = _LIMIT  # unknown until the first rescan
         self._reserve(1)
@@ -150,51 +180,59 @@ class _Elimination:
         if self.exact:
             return
         if self.bound * factor >= _LIMIT:
-            arrays = (self.d, self.u, self.uinv, self.v, self.vinv)
-            self.bound = max(max(-int(x.min(initial=0)), int(x.max(initial=0)))
-                             for x in arrays)
+            self.rescan()
             if self.bound * factor >= _LIMIT:
                 self.exact = True
-                self.d, self.u, self.uinv, self.v, self.vinv = (
-                    x.astype(object) for x in arrays)
+                self.bound = None
+                self.a, self.uinvt, self.vinv = (
+                    x.astype(object) for x in (self.a, self.uinvt, self.vinv))
+                self.d = self.a[:self.m, :self.n]
                 return
         self.bound *= factor
+
+    def rescan(self):
+        self.bound = max(map(_max_abs, (self.a, self.uinvt, self.vinv)))
+
+    def result(self, rank):
+        if not self.exact:
+            self.rescan()  # a tight bound keeps later products on int64
+        m, n = self.m, self.n
+        return SmithResult(d=self.d, u=self.a[:m, n:], v=self.a[m:, :n], uinv=self.uinvt.T,
+                           vinv=self.vinv, rank=rank, bound=self.bound)
 
     def _multipliers(self, q):
         # rows or columns k gain q_k times row or column t: entries grow to at
         # most (1 + sum |q_k|) <= (1 + len(q) max |q_k|) times the bound
         q = np.asarray(q)
         self._reserve(1 + len(q) * int(np.abs(q).max()))
-        return q.astype(self.d.dtype)
+        return q.astype(self.a.dtype, copy=False)
 
-    def row_add(self, rows, t, q):
-        # row_k += q_k * row_t for each k in rows
+    def row_add(self, rows, t, q, lo=0):
+        # row_k += q_k * row_t for each k in rows; row t of D must vanish in
+        # the columns left of lo, which are skipped
         q = self._multipliers(q)
-        self.d[rows] += q[:, None] * self.d[t]
-        self.u[rows] += q[:, None] * self.u[t]
-        self.uinv[:, t] -= self.uinv[:, rows] @ q
+        self.a[rows, lo:] += q[:, None] * self.a[t, lo:]
+        self.uinvt[t] -= q @ self.uinvt[rows]
 
     def col_add(self, cols, t, q):
-        # col_k += q_k * col_t for each k in cols
+        # col_k += q_k * col_t for each k in cols; only the rows where column
+        # t is nonzero change
         q = self._multipliers(q)
-        self.d[:, cols] += self.d[:, t, None] * q
-        self.v[:, cols] += self.v[:, t, None] * q
+        live = self.a[:, t].nonzero()[0][:, None]
+        self.a[live, cols] += self.a[live, t] * q
         self.vinv[t] -= q @ self.vinv[cols]
 
     def row_swap(self, i, j):
-        self.d[[i, j]] = self.d[[j, i]]
-        self.u[[i, j]] = self.u[[j, i]]
-        self.uinv[:, [i, j]] = self.uinv[:, [j, i]]
+        _swap(self.a, i, j)
+        _swap(self.uinvt, i, j)
 
     def col_swap(self, i, j):
-        self.d[:, [i, j]] = self.d[:, [j, i]]
-        self.v[:, [i, j]] = self.v[:, [j, i]]
-        self.vinv[[i, j]] = self.vinv[[j, i]]
+        _swap(self.a.T, i, j)
+        _swap(self.vinv, i, j)
 
     def row_negate(self, i):
-        self.d[i] *= -1
-        self.u[i] *= -1
-        self.uinv[:, i] *= -1
+        self.a[i] *= -1
+        self.uinvt[i] *= -1
 
     def row_bezout(self, t, i):
         # rows (t, i) <- [[x, y], [-b/g, a/g]] (t, i): pivot becomes g, d[i, t] 0
@@ -202,12 +240,11 @@ class _Elimination:
         g, x, y = _bezout(a, b)
         p, q = -b // g, a // g
         self._reserve(max(abs(x) + abs(y), abs(p) + abs(q)))
-        for mat in (self.d, self.u):
-            s, w = mat[[t, i]]
-            mat[t], mat[i] = x * s + y * w, p * s + q * w
+        s, w = self.a[[t, i]]
+        self.a[t], self.a[i] = x * s + y * w, p * s + q * w
         # inverse [[a/g, -y], [b/g, x]] acts on the columns of U^-1
-        s, w = self.uinv[:, [t, i]].T
-        self.uinv[:, t], self.uinv[:, i] = q * s - p * w, x * w - y * s
+        s, w = self.uinvt[[t, i]]
+        self.uinvt[t], self.uinvt[i] = q * s - p * w, x * w - y * s
 
     def col_bezout(self, t, j):
         # cols (t, j) <- (t, j) [[x, -b/g], [y, a/g]]: pivot becomes g, d[t, j] 0
@@ -215,12 +252,51 @@ class _Elimination:
         g, x, y = _bezout(a, b)
         p, q = -b // g, a // g
         self._reserve(max(abs(x) + abs(y), abs(p) + abs(q)))
-        for mat in (self.d, self.v):
-            s, w = mat[:, [t, j]].T
-            mat[:, t], mat[:, j] = x * s + y * w, p * s + q * w
+        s, w = self.a[:, [t, j]].T
+        self.a[:, t], self.a[:, j] = x * s + y * w, p * s + q * w
         # inverse [[a/g, b/g], [-y, x]] acts on the rows of V^-1
         s, w = self.vinv[[t, j]]
         self.vinv[t], self.vinv[j] = q * s - p * w, x * w - y * s
+
+    def clear_column(self, t):
+        """Zero column t of D below the pivot: each run of entries the pivot
+        divides goes in one row_add (all of them when the pivot is a unit),
+        and the first it does not divide meets a row_bezout."""
+        rows = t + 1 + self.d[t + 1:, t].nonzero()[0]
+        while rows.size:
+            p, x = self.d[t, t], self.d[rows, t]
+            if abs(p) == 1:
+                self.row_add(rows, t, -x * p, lo=t)
+                return
+            stuck = (x % p).nonzero()[0]
+            run = len(rows) if not stuck.size else stuck[0]
+            if run:
+                self.row_add(rows[:run], t, -(x[:run] // p), lo=t)
+            if not stuck.size:
+                return
+            self.row_bezout(t, int(rows[run]))
+            rows = rows[run + 1:]
+
+    def clear_row(self, t):
+        """The same for row t of D, by column ops; False when a col_bezout
+        ran, which refills column t."""
+        cols = t + 1 + self.d[t, t + 1:].nonzero()[0]
+        clean = True
+        while cols.size:
+            p, x = self.d[t, t], self.d[t, cols]
+            if abs(p) == 1:
+                self.col_add(cols, t, -x * p)
+                return clean
+            stuck = (x % p).nonzero()[0]
+            run = len(cols) if not stuck.size else stuck[0]
+            if run:
+                self.col_add(cols[:run], t, -(x[:run] // p))
+            if not stuck.size:
+                return clean
+            self.col_bezout(t, int(cols[run]))
+            clean = False
+            cols = cols[run + 1:]
+        return clean
 
 
 def smith_normal_form(a):
@@ -231,45 +307,26 @@ def smith_normal_form(a):
     t = 0
     while t < min(m, n):
         # pivot: the first smallest nonzero |entry| of the trailing block in
-        # row-major order (so the first unit entry when there is one)
-        block = np.abs(e.d[t:, t:]).ravel()
-        nonzero = np.flatnonzero(block)
-        if not nonzero.size:
-            break
-        pi, pj = divmod(int(nonzero[np.argmin(block[nonzero])]), n - t)
+        # row-major order, so the first unit entry when there is one, and the
+        # first unit of row t when that row has one
+        pj = int(np.argmax(np.abs(e.d[t, t:]) == 1))
+        if abs(e.d[t, t + pj]) == 1:
+            pi = 0
+        else:
+            block = np.abs(e.d[t:, t:]).ravel()
+            nonzero = np.flatnonzero(block)
+            if not nonzero.size:
+                break
+            pi, pj = divmod(int(nonzero[np.argmin(block[nonzero])]), n - t)
         if pi:
             e.row_swap(t, t + pi)
         if pj:
             e.col_swap(t, t + pj)
-        # clear column and row t: each run of entries the pivot divides is
-        # subtracted away in one batched update, and the first entry it does
-        # not divide meets a 2x2 Bezout step that replaces the pivot by the
-        # gcd; the pivot only shrinks, so this stops
-        while True:
-            done = True
-            rows = t + 1 + np.flatnonzero(e.d[t + 1:, t])
-            while rows.size:
-                stuck = np.flatnonzero(e.d[rows, t] % e.d[t, t])
-                run = rows[:stuck[0]] if stuck.size else rows
-                if run.size:
-                    e.row_add(run, t, -(e.d[run, t] // e.d[t, t]))
-                if not stuck.size:
-                    break
-                e.row_bezout(t, int(rows[stuck[0]]))
-                rows = rows[stuck[0] + 1:]
-            cols = t + 1 + np.flatnonzero(e.d[t, t + 1:])
-            while cols.size:
-                stuck = np.flatnonzero(e.d[t, cols] % e.d[t, t])
-                run = cols[:stuck[0]] if stuck.size else cols
-                if run.size:
-                    e.col_add(run, t, -(e.d[t, run] // e.d[t, t]))
-                if not stuck.size:
-                    break
-                e.col_bezout(t, int(cols[stuck[0]]))
-                done = False
-                cols = cols[stuck[0] + 1:]
-            if done:
-                break
+        # clear column and row t; a Bezout step on the row refills the column,
+        # but the pivot only shrinks, so this stops
+        e.clear_column(t)
+        while not e.clear_row(t):
+            e.clear_column(t)
         if e.d[t, t] < 0:
             e.row_negate(t)
         t += 1
@@ -295,20 +352,13 @@ def smith_normal_form(a):
                 e.row_negate(i)
             if e.d[i + 1, i + 1] < 0:
                 e.row_negate(i + 1)
-    # each array is freed as soon as its list exists, which keeps the peak low
-    fields = {name: vars(e).pop(name).tolist() for name in ("d", "u", "v", "uinv", "vinv")}
-    return SmithResult(rank=rank, **fields)
+    return e.result(rank)
 
 
 def kernel_basis(a):
-    """Columns forming a Z-basis of {x : A x = 0}."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if n == 0:
-        return []
+    """An array whose columns form a Z-basis of {x : A x = 0}."""
     snf = smith_normal_form(a)
-    cols = range(snf.rank, n)
-    return [[snf.v[i][j] for j in cols] for i in range(n)]
+    return snf.v[:, snf.rank:]
 
 
 def solve_integer(a, b):

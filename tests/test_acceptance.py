@@ -138,8 +138,8 @@ def gf_rank(mat, p):
 
 def gf_h2_dimension(nerve, p):
     """dim H^2(nerve; GF(p)) from coboundary ranks alone."""
-    kernel = nerve.n_simplices(2) - gf_rank(cech.delta_matrix(nerve, 2), p)
-    return kernel - gf_rank(cech.delta_matrix(nerve, 1), p)
+    kernel = nerve.n_simplices(2) - gf_rank(cech.delta_matrix(nerve, 2).tolist(), p)
+    return kernel - gf_rank(cech.delta_matrix(nerve, 1).tolist(), p)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from gerbedex import cech, smith
 from gerbedex.manifest import read_nerve, write_nerve
+from oracles import identity, matmul, matvec, relabelled
 
 
 # ---------------------------------------------------------------------------
@@ -50,22 +51,28 @@ def random_int_matrix(rng, m, n, lo=-5, hi=5):
     return [[int(rng.integers(lo, hi + 1)) for _ in range(n)] for _ in range(m)]
 
 
+def snf_lists(a):
+    """smith_normal_form(a) with its five matrices as lists of rows."""
+    res = smith.smith_normal_form(a)
+    return res, *(getattr(res, name).tolist() for name in ("d", "u", "v", "uinv", "vinv"))
+
+
 @pytest.mark.parametrize("trial", range(30))
 def test_snf_transforms_and_divisibility(trial):
     rng = np.random.default_rng(1000 + trial)
     m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
     a = random_int_matrix(rng, m, n)
-    res = smith.smith_normal_form(a)
-    assert smith.matmul(smith.matmul(res.u, a), res.v) == res.d
-    assert smith.matmul(smith.matmul(res.uinv, res.d), res.vinv) == a
-    assert smith.matmul(res.u, res.uinv) == smith.identity(m)
-    assert smith.matmul(res.v, res.vinv) == smith.identity(n)
+    res, d, u, v, uinv, vinv = snf_lists(a)
+    assert matmul(matmul(u, a), v) == d
+    assert matmul(matmul(uinv, d), vinv) == a
+    assert matmul(u, uinv) == identity(m)
+    assert matmul(v, vinv) == identity(n)
     diag = res.diagonal()
-    assert all(d >= 0 for d in diag)
+    assert all(x >= 0 for x in diag)
     for i in range(m):
         for j in range(n):
             if i != j:
-                assert res.d[i][j] == 0
+                assert d[i][j] == 0
     nonzero = [d for d in diag if d]
     assert len(nonzero) == res.rank
     for x, y in zip(nonzero, nonzero[1:]):
@@ -88,13 +95,13 @@ def test_snf_dense_non_unit_pivots():
     # row and column; clearing them by Euclid-by-swaps blew the entries up.
     rng = np.random.default_rng(0)
     a = random_int_matrix(rng, 8, 8, lo=-4, hi=4)
-    res = smith.smith_normal_form(a)
-    assert smith.matmul(smith.matmul(res.u, a), res.v) == res.d
-    assert smith.matmul(smith.matmul(res.uinv, res.d), res.vinv) == a
-    assert smith.matmul(res.u, res.uinv) == smith.identity(8)
-    assert smith.matmul(res.v, res.vinv) == smith.identity(8)
+    res, d, u, v, uinv, vinv = snf_lists(a)
+    assert matmul(matmul(u, a), v) == d
+    assert matmul(matmul(uinv, d), vinv) == a
+    assert matmul(u, uinv) == identity(8)
+    assert matmul(v, vinv) == identity(8)
     diag = res.diagonal()
-    assert all(res.d[i][j] == 0 for i in range(8) for j in range(8) if i != j)
+    assert all(d[i][j] == 0 for i in range(8) for j in range(8) if i != j)
     assert all(y % x == 0 for x, y in zip(diag, diag[1:]) if x)
     assert res.rank == np.linalg.matrix_rank(np.array(a, dtype=float))
     assert math.prod(diag) == round(abs(np.linalg.det(np.array(a, dtype=float))))
@@ -106,14 +113,14 @@ def test_integer_and_modular_solving(trial):
     m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
     a = random_int_matrix(rng, m, n)
     x = [int(rng.integers(-4, 5)) for _ in range(n)]
-    b = smith.matvec(a, x)
+    b = matvec(a, x)
     sol = smith.solve_integer(a, b)
     assert sol is not None
-    assert smith.matvec(a, sol) == b
+    assert matvec(a, sol) == b
     k = int(rng.integers(2, 8))
     solk = smith.solve_mod(a, b, k)
     assert solk is not None
-    assert all((u - v) % k == 0 for u, v in zip(smith.matvec(a, solk), b))
+    assert all((u - v) % k == 0 for u, v in zip(matvec(a, solk), b))
 
 
 def test_solve_integer_unsolvable():
@@ -129,10 +136,11 @@ def test_kernel_basis_spans_kernel():
         m, n = int(rng.integers(1, 6)), int(rng.integers(2, 7))
         a = random_int_matrix(rng, m, n)
         kb = smith.kernel_basis(a)
-        z = len(kb[0]) if kb and kb[0] else 0
+        assert kb.shape[0] == n
+        z = kb.shape[1]
         for j in range(z):
-            col = [kb[r][j] for r in range(n)]
-            assert all(v == 0 for v in smith.matvec(a, col))
+            col = kb[:, j].tolist()
+            assert all(v == 0 for v in matvec(a, col))
         arr = np.array(a, dtype=float)
         expected = n - np.linalg.matrix_rank(arr) if a else n
         assert z == expected
@@ -185,6 +193,99 @@ def test_coboundary_example_single_triangle():
     c = cech.Cochain(1, "Z", tuple(vals[s] for s in nerve.simplices[1]))
     d = cech.coboundary(c, nerve)
     assert d.values == (2 - 3 + 5,)
+
+
+# ---------------------------------------------------------------------------
+# the coboundary matrix and products, against the list loops they replaced
+
+def oracle_delta_matrix(nerve, q):
+    """delta_q as lists of rows, one simplex and one face at a time."""
+    mat = [[0] * nerve.n_simplices(q) for _ in range(nerve.n_simplices(q + 1))]
+    for r, s in enumerate(nerve.simplices[q + 1]):
+        for i in range(len(s)):
+            mat[r][nerve.index(s[:i] + s[i + 1:])] += (-1) ** i
+    return mat
+
+
+def oracle_coboundary(nerve, q, values):
+    return [sum(x * y for x, y in zip(row, values)) for row in oracle_delta_matrix(nerve, q)]
+
+
+def wide_label_nerve():
+    """A tetrahedron whose vertex_count**3 is past int64."""
+    vs = (0, 5, 2 ** 21, 2 ** 21 + 7)
+    return cech.Nerve(vertex_count=2 ** 21 + 8, simplices=tuple(
+        tuple(itertools.combinations(vs, r)) for r in range(1, 5)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("k", range(2, 8))
+def test_delta_matches_list_loop_on_relabelled_lens_complexes(k, seed):
+    nerve = relabelled(cech.lens_complex(k), seed)
+    for q in range(3):
+        assert cech.delta_matrix(nerve, q).tolist() == oracle_delta_matrix(nerve, q)
+
+
+@pytest.mark.parametrize("nerve, shapes", [
+    (cech.projective_plane(), [(15, 6), (10, 15), (0, 10)]),
+    (cech.tetrahedron_sphere(), [(6, 4), (4, 6), (0, 4)]),
+    (cech.Nerve.from_simplices([(0, 1, 2)]), [(3, 3), (1, 3), (0, 1)]),
+    (cech.Nerve.from_simplices([(0,), (1,), (2,)]), [(0, 3), (0, 0), (0, 0)]),
+    (cech.Nerve.from_simplices([]), [(0, 0), (0, 0), (0, 0)]),
+    (wide_label_nerve(), [(6, 4), (4, 6), (1, 4)]),
+])
+def test_delta_matches_list_loop(nerve, shapes):
+    for q, shape in enumerate(shapes):
+        delta = cech.delta_matrix(nerve, q)
+        assert delta.dtype == np.int64 and delta.shape == shape
+        assert delta.tolist() == oracle_delta_matrix(nerve, q)
+
+
+def test_delta_is_read_only_and_cached_per_nerve():
+    nerve = cech.lens_complex(3)
+    for q in range(3):
+        delta = cech.delta_matrix(nerve, q)
+        assert cech.delta_matrix(nerve, q) is delta
+        assert not delta.flags.writeable
+        with pytest.raises(ValueError):
+            delta[0, 0] = 5
+    assert cech.delta_matrix(cech.lens_complex(3), 2) is not cech.delta_matrix(nerve, 2)
+
+
+@pytest.fixture
+def product_dtypes(monkeypatch):
+    dtypes = []
+    real = smith.dot
+
+    def recording(a, b, *factors):
+        out = real(a, b, *factors)
+        dtypes.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(smith, "dot", recording)
+    return dtypes
+
+
+@pytest.mark.parametrize("big", [2 ** 62, -(2 ** 62), 2 ** 63, -(2 ** 63), 2 ** 90])
+def test_coboundary_past_int64_is_exact(big, product_dtypes):
+    nerve = relabelled(cech.lens_complex(3), 0)
+    for q in range(3):
+        values = [big if i % 3 == 0 else (-1) ** i * (i % 7) for i in range(nerve.n_simplices(q))]
+        got = cech.coboundary(cech.Cochain(q, "Z", values), nerve).values
+        assert list(got) == oracle_coboundary(nerve, q, values)
+        assert all(type(v) is int for v in got)
+    assert product_dtypes == [object] * 3
+
+
+def test_coboundary_below_the_guard_stays_int64(product_dtypes):
+    nerve = relabelled(cech.lens_complex(3), 1)
+    for q in range(3):
+        top = (2 ** 62 - 1) // (q + 2)  # a row of delta_q has q + 2 entries +-1
+        for values in ([top - i % 5 for i in range(nerve.n_simplices(q))],
+                       [(-1) ** i * (i % 9) for i in range(nerve.n_simplices(q))]):
+            got = cech.coboundary(cech.Cochain(q, "Z", values), nerve).values
+            assert list(got) == oracle_coboundary(nerve, q, values)
+    assert product_dtypes == [np.int64] * 6
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +364,29 @@ def test_bockstein_nontrivial_on_lens_complex(k):
     # beta generates H^3: k*beta must be exact while beta is not
     ktimes = cech.Cochain(3, "Z", tuple(k * v for v in res.beta.values))
     assert cech.solve_coboundary(ktimes, nerve) is not None
+
+
+def test_bockstein_rejects_a_non_cocycle():
+    nerve, gen = cech.standard_lens_cocycle(3)
+    bad = cech.Cochain(2, 3, (gen.values[0] + 1,) + gen.values[1:])
+    assert not cech.is_cocycle(bad, nerve)
+    with pytest.raises(ValueError, match="bockstein input must be a cocycle mod k"):
+        cech.bockstein(bad, nerve)
+
+
+def test_bockstein_makes_one_coboundary_product(monkeypatch):
+    nerve, gen = cech.standard_lens_cocycle(3)
+    delta2 = cech.delta_matrix(nerve, 2)
+    with_delta = []
+    real = smith.dot
+
+    def counting(a, b, *factors):
+        with_delta.append(a is delta2)
+        return real(a, b, *factors)
+
+    monkeypatch.setattr(smith, "dot", counting)
+    assert not cech.bockstein(gen, nerve).trivial
+    assert sum(with_delta) == 1
 
 
 def test_bockstein_vanishes_on_exact_cocycles():
@@ -434,7 +558,7 @@ def test_workload_sequence_factors_delta2_once(snf_calls):
     cech.cohomology(nerve, 3, "Z")
     assert not cech.bockstein(h2k.generators[0], nerve).trivial
     delta2 = cech.delta_matrix(nerve, 2)
-    assert sum(a == delta2 for a in snf_calls) == 1
+    assert sum(np.array_equal(a, delta2) for a in snf_calls) == 1
 
 
 def test_repeated_queries_factor_nothing_new(snf_calls):

@@ -369,6 +369,14 @@ def test_cp2_module_character_coefficients(proj, k):
 
 
 @pytest.mark.parametrize("k", range(5))
+def test_cp2_module_shift_is_half_c1(proj, k):
+    chern = proj.total_tangent_chern()
+    c1 = RingElement(2, {1: chern.coefficient(1)})
+    assert c1 == 3 * proj.generator()
+    assert proj.module_character(k) == (proj.generator() * k + c1 * Fraction(1, 2)).exp()
+
+
+@pytest.mark.parametrize("k", range(5))
 def test_cp2_index_pairing_matches_section_count(proj, k):
     ahat = RingElement.constant(2, 1) - proj.p1_class() * Fraction(1, 24)
     paired = (ahat * proj.module_character(k)).integrate()

@@ -6,10 +6,13 @@ every field of the result must agree exactly, including where the transforms
 outgrow int64.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from gerbedex import cech, smith
+from oracles import identity, is_exact_int_array, matmul, matvec, relabelled
 
 
 # ---------------------------------------------------------------------------
@@ -21,8 +24,8 @@ def oracle_smith_normal_form(a):
     m = len(a)
     n = len(a[0]) if m else 0
     d = [list(map(int, row)) for row in a]
-    u, uinv = smith.identity(m), smith.identity(m)
-    v, vinv = smith.identity(n), smith.identity(n)
+    u, uinv = identity(m), identity(m)
+    v, vinv = identity(n), identity(n)
 
     # Elementary operations, mirrored into the transforms.  Row ops multiply U
     # on the left of A (and the inverse op hits Uinv's columns); column ops
@@ -169,28 +172,21 @@ def assert_matches_oracle(a, ref=None):
     res = smith.smith_normal_form(a)
     if ref is None:
         ref = oracle_smith_normal_form(a)
-    for name in ("d", "u", "v", "uinv", "vinv", "rank"):
-        assert getattr(res, name) == getattr(ref, name), name
+    assert res.rank == ref.rank
     for name in ("d", "u", "v", "uinv", "vinv"):
-        assert all(type(x) is int for row in getattr(res, name) for x in row)
+        assert getattr(res, name).tolist() == getattr(ref, name), name
+        assert is_exact_int_array(getattr(res, name)), name
     return res
-
-
-def relabelled(nerve, seed):
-    perm = np.random.default_rng(seed).permutation(nerve.vertex_count)
-    return cech.Nerve.from_simplices(
-        [tuple(int(perm[v]) for v in s) for level in nerve.simplices for s in level],
-        vertex_count=nerve.vertex_count)
 
 
 def assert_complex_matches_oracle(nerve):
     """delta_0..delta_2 and the cocycle-quotient matrices vinv[r:] @ delta_{q-1}."""
-    deltas = [cech.delta_matrix(nerve, q) for q in range(3)]
+    deltas = [cech.delta_matrix(nerve, q).tolist() for q in range(3)]
     refs = [oracle_smith_normal_form(a) for a in deltas]
     for a, ref in zip(deltas, refs):
         assert_matches_oracle(a, ref)
     for q in (1, 2):
-        assert_matches_oracle(smith.matmul(refs[q].vinv[refs[q].rank:], deltas[q - 1]))
+        assert_matches_oracle(matmul(refs[q].vinv[refs[q].rank:], deltas[q - 1]))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -225,13 +221,14 @@ def test_edge_shapes_match_oracle(a):
 
 def assert_exact(a, res):
     a = [[int(x) for x in row] for row in a]
-    assert smith.matmul(smith.matmul(res.u, a), res.v) == res.d
-    assert smith.matmul(smith.matmul(res.uinv, res.d), res.vinv) == a
+    d, u, v, uinv, vinv = (getattr(res, name).tolist() for name in ("d", "u", "v", "uinv", "vinv"))
+    assert matmul(matmul(u, a), v) == d
+    assert matmul(matmul(uinv, d), vinv) == a
 
 
 def largest(res):
     return max(abs(x) for name in ("d", "u", "v", "uinv", "vinv")
-               for row in getattr(res, name) for x in row)
+               for x in getattr(res, name).flat)
 
 
 def test_transforms_outgrowing_int64_are_exact():
@@ -240,6 +237,7 @@ def test_transforms_outgrowing_int64_are_exact():
     assert (len(a), len(a[0])) == (10, 8)
     res = assert_matches_oracle(a)
     assert largest(res) > 2 ** 63
+    assert all(getattr(res, name).dtype == object for name in ("d", "u", "v", "uinv", "vinv"))
     assert_exact(a, res)
 
 
@@ -253,5 +251,78 @@ def test_transforms_outgrowing_int64_are_exact():
 def test_entries_past_int64_are_exact(a):
     res = assert_matches_oracle(a)
     assert largest(res) >= 2 ** 62
+    assert all(getattr(res, name).dtype == object for name in ("d", "u", "v", "uinv", "vinv"))
     assert_exact(a, res)
 
+
+
+# ---------------------------------------------------------------------------
+# products and solves on the array results, against the list code
+
+
+def oracle_solve(ref, b, k=None):
+    """The list solve (over Z, or mod k) on an oracle SmithResult of lists."""
+    y = [0] * len(ref.v)
+    for i, c in enumerate(matvec(ref.u, b)):
+        c = c if k is None else c % k
+        if i < ref.rank:
+            di = ref.d[i][i]
+            if k is None:
+                q, rem = divmod(c, di)
+                if rem:
+                    return None
+                y[i] = q
+                continue
+            g = math.gcd(di, k)
+            if c % g:
+                return None
+            kk = k // g
+            y[i] = ((c // g) * pow((di // g) % kk, -1, kk)) % kk if kk > 1 else 0
+        elif c:
+            return None
+    x = matvec(ref.v, y)
+    return x if k is None else [v % k for v in x]
+
+
+@pytest.fixture
+def widened():
+    r = np.random.default_rng(0)
+    a = r.integers(-9, 10, (r.integers(1, 12), r.integers(1, 12))).tolist()
+    res = smith.smith_normal_form(a)
+    assert res.u.dtype == object and res.bound is None
+    return a, res, oracle_smith_normal_form(a)
+
+
+def test_cocycle_quotient_on_widened_result(widened):
+    _, res, ref = widened
+    r = np.random.default_rng(1)
+    down = r.integers(-1, 2, (len(ref.v), 6)).tolist()
+    got = res.times(res.vinv[res.rank:], down, 1)
+    assert got.dtype == object and is_exact_int_array(got)
+    assert got.tolist() == matmul(ref.vinv[ref.rank:], down)
+
+
+@pytest.mark.parametrize("k", [None, 2, 6, 7, 2 ** 70 + 1])
+def test_solves_on_widened_result(widened, k):
+    a, res, ref = widened
+    r = np.random.default_rng(2)
+    for trial in range(6):
+        if trial % 2:
+            b = r.integers(-50, 51, len(a)).tolist()
+        else:
+            b = matvec(a, [int(x) * 2 ** 40 for x in r.integers(-5, 6, len(a[0]))])
+        expected = oracle_solve(ref, b, k)
+        got = res.solve(b) if k is None else res.solve_mod(b, k)
+        assert got == expected
+        assert got is None or all(type(x) is int for x in got)
+
+
+def test_int64_products_widen_when_the_bound_says_so():
+    a = np.array([[2 ** 40, -(2 ** 40)], [3, 1]], dtype=np.int64)
+    b = [[2 ** 21, 5], [-(2 ** 21), 7]]
+    fits = smith.dot(a, b, 2 ** 41, 2 ** 21)  # 2**62: past the int64 guard
+    assert fits.dtype == object and is_exact_int_array(fits)
+    assert fits.tolist() == matmul(a.tolist(), b)
+    small = smith.dot(a, [[1, 0], [0, 1]], 2 ** 41, 1)
+    assert small.dtype == np.int64 and small.tolist() == a.tolist()
+    assert smith.dot(a, [[1], [1]], None).dtype == object
