@@ -6,9 +6,10 @@ Cochains take values in Z or in Z_k written additively; all cohomology is
 computed exactly via integer Smith normal form, so torsion is exact, not a
 floating-point byproduct.  Each coboundary matrix is built once per nerve as
 a read-only int64 array and factored once; both are cached on the nerve.
-Products with these matrices and with the Smith transforms go through
-`smith.dot`, so they run in int64 only when a bound proves the result fits;
-cochain values and every reported number stay Python ints.
+Every product with these matrices or the Smith transforms goes through
+`smith.dot`, and every reduction of such a product by the modulus through
+`smith.divmod_by`, so `smith` alone decides when int64 is exact; cochain
+values and every reported number stay Python ints.
 """
 
 from __future__ import annotations
@@ -181,8 +182,7 @@ def _delta(c, nerve):
     if c.degree >= MAX_DEGREE:
         raise ValueError("coboundary of a degree-3 cochain is not represented")
     # a row of delta_q has q + 2 entries +-1
-    top = max(map(abs, c.values), default=0)
-    return smith.dot(delta_matrix(nerve, c.degree), c.values, c.degree + 2, top)
+    return smith.dot(delta_matrix(nerve, c.degree), c.values, c.degree + 2)
 
 
 def coboundary(c, nerve):
@@ -194,7 +194,7 @@ def is_cocycle(c, nerve):
     if c.degree == MAX_DEGREE:
         return True  # no degree-4 simplices are represented
     d = _delta(c, nerve)
-    return not (d if c.ring == "Z" else d % c.ring).any()
+    return not np.count_nonzero(d if c.ring == "Z" else smith.divmod_by(d, c.ring)[1])
 
 
 def solve_coboundary(c, nerve):
@@ -261,7 +261,7 @@ def _cocycle_quotient(nerve, q):
             down = delta_matrix(nerve, q - 1)
         else:
             down = np.zeros((nerve.n_simplices(0), 0), dtype=np.int64)
-        return smith.smith_normal_form(up.times(up.vinv[up.rank:], down, 1))
+        return smith.smith_normal_form(up.times(up.vinv[up.rank:], down))
 
     return nerve._cached(("cocycles", q), build)
 
@@ -301,7 +301,7 @@ def _cohomology(nerve, degree, ring):
     cyclic = [j for j, o in enumerate(e) if (o if k is None else math.gcd(o, k)) != 1]
     gens = quotient.uinv[:, cyclic]
     if up is not None:
-        gens = up.times(up.v[:, rank:], gens, quotient.bound)
+        gens = up.times(up.v[:, rank:], gens)
     gens = gens.T.tolist()
 
     # one (order, generator) per cyclic piece; pieces of order 1 are dropped
@@ -332,7 +332,7 @@ def _invariant_factors(pieces, k):
     orders = relations.diagonal()
     kept = [j for j, o in enumerate(orders) if o != 1]
     residues = [[x % k for x in g] for _, g in pieces]
-    gens = relations.times(relations.uinv[:, kept].T, residues, k) % k
+    _, gens = smith.divmod_by(relations.times(relations.uinv[:, kept].T, residues), k)
     return list(zip((orders[j] for j in kept), gens.tolist()))
 
 
@@ -354,10 +354,10 @@ def bockstein(c, nerve):
         raise ValueError("bockstein expects a degree-2 cochain over Z_k")
     k = c.ring
     # the values in [0, k) are the integer lift; one product gives delta(lift)
-    delta = _delta(c, nerve)
-    if (delta % k).any():
+    quotient, remainder = smith.divmod_by(_delta(c, nerve), k)
+    if remainder.any():
         raise ValueError("bockstein input must be a cocycle mod k")
-    beta = Cochain(3, "Z", tuple((delta // k).tolist()))
+    beta = Cochain(3, "Z", tuple(quotient.tolist()))
     witness = solve_coboundary(beta, nerve) if any(beta.values) else zero_cochain(nerve, 2)
     return BocksteinResult(beta=beta, trivial=witness is not None, witness=witness)
 

@@ -7,9 +7,14 @@ both transforms and their inverses; its cost grows with the cube of the
 matrix side, so callers factor each matrix once and keep the `SmithResult`.
 That holds the elimination's own arrays, with a bound on their entries, and
 answers linear solves over Z and Z_k in its own coordinates
-(`SmithResult.solve`, `SmithResult.solve_mod`).  `dot` is the one exact
-product: it runs in int64 only when a bound from the caller proves every
-|entry| of the result below 2**62, and on Python ints otherwise.
+(`SmithResult.solve`, `SmithResult.solve_mod`).  This module alone decides
+between int64 and Python ints.  Every integer input enters through one
+exact conversion, which casts nothing to int64 that does not fit (so an
+unsigned array goes through Python ints).  `dot` is the one exact product:
+the caller bounds the row weight of its left factor (the largest sum of
+|entries| in a row), `dot` measures the right one, and the product runs in
+int64 only when those two bounds prove every |entry| of the result below
+2**62.  `divmod_by` is the one exact reduction by a modulus of any size.
 
 During the elimination D, U and V share one int64 array [[D, U], [V, 0]], so
 each row or column op is one update, and U^-1 is kept transposed next to
@@ -38,30 +43,49 @@ _LIMIT = 1 << 62
 
 
 def _max_abs(x):
-    # max |entry| of an array, without abs() overflowing at -2**63
-    return max(-int(x.min(initial=0)), int(x.max(initial=0)))
+    # max |entry|; in int64 abs(-2**63) wraps, but read as uint64 it is 2**63
+    if x.dtype == object:
+        return max(map(abs, x.flat), default=0)
+    return int(np.abs(x).view(np.uint64).max(initial=0))
 
 
-def _as_array(a, m, n):
-    """A fresh m x n array of a's entries: int64 when they fit, else object."""
+def _as_array(a):
+    """a's integer entries as an array: int64 when they all fit, else dtype=object
+    holding Python ints.  Only exact casts reach int64, so an unsigned array
+    goes through Python ints instead of wrapping."""
+    if isinstance(a, np.ndarray) and not np.can_cast(a.dtype, np.int64):
+        a = a.astype(object)
     try:
-        return np.array(a, dtype=np.int64).reshape(m, n)
+        return np.asarray(a, dtype=np.int64)
     except OverflowError:
-        rows = [list(map(int, row)) for row in a]  # Python ints, not numpy scalars
-        return np.array(rows, dtype=object).reshape(m, n)
+        return _python_ints(np.asarray(a, dtype=object))
 
 
-def dot(a, b, *factors):
-    """Exact integer product a @ b of an integer array a and an array or list b.
+_python_ints = np.frompyfunc(int, 1, 1)  # Python ints, not numpy scalars
 
-    The product of `factors` must bound every |entry| of the result; a None
-    factor means no bound is known.  Below 2**62 b is taken as int64 (an
-    object a keeps the product on Python ints), otherwise both factors are
-    object arrays of Python ints, so the product is exact at any size.
+
+def dot(a, b, weight):
+    """Exact integer product a @ b of an integer array a and integers b.
+
+    `weight` must bound the row weight of a, the largest sum of |entries| in
+    one of its rows, or be None when no bound is known.  When weight times
+    max |b| is below 2**62 the product runs in int64, otherwise on object
+    arrays of Python ints, so it is exact at any size.
     """
-    if None not in factors and math.prod(factors) < _LIMIT:
-        return a @ np.asarray(b, dtype=np.int64)
-    return a.astype(object) @ np.asarray(b, dtype=object)
+    b = _as_array(b)
+    if (weight is None or a.dtype == object or b.dtype == object
+            or weight * _max_abs(b) >= _LIMIT):
+        return a.astype(object) @ b.astype(object)
+    return a @ b
+
+
+def divmod_by(x, k):
+    """(x // k, x % k) for an integer array x from `dot` and an int k >= 1,
+    exact at any size of k."""
+    if x.dtype == object or k >= _LIMIT:
+        x = x.astype(object)
+        return x // k, x % k
+    return np.divmod(x, k)
 
 
 @dataclass
@@ -85,14 +109,13 @@ class SmithResult:
     def diagonal(self):
         return np.diagonal(self.d).tolist()
 
-    def times(self, a, x, top):
-        """a @ x, exact, for one of this result's matrices a and |x| <= top."""
-        return dot(a, x, self.bound, a.shape[1], top)
+    def times(self, a, x):
+        """a @ x, exact, for one of this result's matrices a."""
+        return dot(a, x, None if self.bound is None else self.bound * a.shape[1])
 
     def _coordinates(self, b):
         # U b with its diagonal, in Python ints
-        top = max(map(abs, b), default=0)
-        return self.times(self.u, b, top).tolist(), self.diagonal()
+        return self.times(self.u, b).tolist(), self.diagonal()
 
     def solve(self, b):
         """One integer solution x of A x = b, or None if none exists."""
@@ -106,7 +129,7 @@ class SmithResult:
                 y[i] = q
             elif ci:
                 return None
-        return self.times(self.v, y, max(map(abs, y), default=0)).tolist()
+        return self.times(self.v, y).tolist()
 
     def solve_mod(self, b, k):
         """One solution x (entries in [0, k)) of A x = b (mod k), or None."""
@@ -126,7 +149,7 @@ class SmithResult:
                 y[i] = ((ci // g) * pow((di // g) % kk, -1, kk)) % kk if kk > 1 else 0
             elif ci:
                 return None
-        return [x % k for x in self.times(self.v, y, k).tolist()]
+        return [x % k for x in self.times(self.v, y).tolist()]
 
 
 def _bezout(a, b):
@@ -164,7 +187,7 @@ class _Elimination:
     """
 
     def __init__(self, a, m, n):
-        d = _as_array(a, m, n)
+        d = _as_array(a).reshape(m, n)
         self.a = np.zeros((m + n, n + m), dtype=d.dtype)
         self.a[:m, :n] = d
         self.a[:m, n:] = np.eye(m, dtype=np.int64)

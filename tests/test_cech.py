@@ -257,8 +257,8 @@ def product_dtypes(monkeypatch):
     dtypes = []
     real = smith.dot
 
-    def recording(a, b, *factors):
-        out = real(a, b, *factors)
+    def recording(a, b, weight):
+        out = real(a, b, weight)
         dtypes.append(out.dtype)
         return out
 
@@ -286,6 +286,48 @@ def test_coboundary_below_the_guard_stays_int64(product_dtypes):
             got = cech.coboundary(cech.Cochain(q, "Z", values), nerve).values
             assert list(got) == oracle_coboundary(nerve, q, values)
     assert product_dtypes == [np.int64] * 6
+
+
+def test_coboundary_at_the_guard_widens(product_dtypes):
+    nerve = relabelled(cech.lens_complex(3), 1)
+    for q in range(3):
+        top = -(-(2 ** 62) // (q + 2))  # the least top with (q + 2) * top >= 2**62
+        values = [top - i % 5 for i in range(nerve.n_simplices(q))]
+        got = cech.coboundary(cech.Cochain(q, "Z", values), nerve).values
+        assert list(got) == oracle_coboundary(nerve, q, values)
+    assert product_dtypes == [object] * 3
+
+
+@pytest.mark.parametrize("k", [2 ** 63 + 1, 2 ** 64, 2 ** 70 + 1])
+def test_free_classes_mod_a_large_ring_have_order_k(k):
+    # H^0 and H^2 of the sphere are Z, so mod k each is Z_k: order k at any size
+    nerve = cech.tetrahedron_sphere()
+    for q in (0, 2):
+        h = cech.cohomology(nerve, q, k)
+        assert h.orders == (k,)
+        assert cech.is_cocycle(h.generators[0], nerve)
+        if q:
+            assert cech.solve_coboundary(h.generators[0], nerve) is None
+
+
+@pytest.mark.parametrize("k", [2 ** 63, 2 ** 70 + 1])
+def test_small_cochains_mod_a_large_ring(k):
+    nerve = relabelled(cech.lens_complex(3), 2)
+    zero = cech.zero_cochain(nerve, 2, k)
+    assert cech.is_cocycle(zero, nerve)
+    assert not any(cech.solve_coboundary(zero, nerve).values)
+    res = cech.bockstein(zero, nerve)
+    assert res.trivial and not any(res.beta.values)
+    bump = cech.Cochain(2, k, (1,) + zero.values[1:])  # delta(bump) = +-1 somewhere
+    assert not cech.is_cocycle(bump, nerve)
+    with pytest.raises(ValueError, match="not a cocycle"):
+        cech.solve_coboundary(bump, nerve)
+    with pytest.raises(ValueError, match="bockstein input must be a cocycle mod k"):
+        cech.bockstein(bump, nerve)
+    b = cech.Cochain(1, k, [i % 3 for i in range(nerve.n_simplices(1))])
+    c = cech.coboundary(b, nerve)
+    assert list(c.values) == [v % k for v in oracle_coboundary(nerve, 1, list(b.values))]
+    assert cech.coboundary(cech.solve_coboundary(c, nerve), nerve) == c
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +422,9 @@ def test_bockstein_makes_one_coboundary_product(monkeypatch):
     with_delta = []
     real = smith.dot
 
-    def counting(a, b, *factors):
+    def counting(a, b, weight):
         with_delta.append(a is delta2)
-        return real(a, b, *factors)
+        return real(a, b, weight)
 
     monkeypatch.setattr(smith, "dot", counting)
     assert not cech.bockstein(gen, nerve).trivial

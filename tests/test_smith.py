@@ -255,6 +255,16 @@ def test_entries_past_int64_are_exact(a):
     assert_exact(a, res)
 
 
+@pytest.mark.parametrize("a, dtype", [
+    ([[2 ** 63 + 1, 3], [5, 2 ** 64 - 1]], object),  # would wrap if cast to int64
+    ([[2 ** 63, 6, 10], [4, 9, 2 ** 63 + 7]], object),
+    ([[6, 4], [10, 9]], np.int64),  # fits: the arrays stay int64
+])
+def test_unsigned_arrays_are_read_exactly(a, dtype):
+    res = assert_matches_oracle(np.array(a, dtype=np.uint64), oracle_smith_normal_form(a))
+    assert res.u.dtype == dtype
+    assert_exact(a, res)
+
 
 # ---------------------------------------------------------------------------
 # products and solves on the array results, against the list code
@@ -297,7 +307,7 @@ def test_cocycle_quotient_on_widened_result(widened):
     _, res, ref = widened
     r = np.random.default_rng(1)
     down = r.integers(-1, 2, (len(ref.v), 6)).tolist()
-    got = res.times(res.vinv[res.rank:], down, 1)
+    got = res.times(res.vinv[res.rank:], down)
     assert got.dtype == object and is_exact_int_array(got)
     assert got.tolist() == matmul(ref.vinv[ref.rank:], down)
 
@@ -318,11 +328,31 @@ def test_solves_on_widened_result(widened, k):
 
 
 def test_int64_products_widen_when_the_bound_says_so():
-    a = np.array([[2 ** 40, -(2 ** 40)], [3, 1]], dtype=np.int64)
-    b = [[2 ** 21, 5], [-(2 ** 21), 7]]
-    fits = smith.dot(a, b, 2 ** 41, 2 ** 21)  # 2**62: past the int64 guard
-    assert fits.dtype == object and is_exact_int_array(fits)
-    assert fits.tolist() == matmul(a.tolist(), b)
-    small = smith.dot(a, [[1, 0], [0, 1]], 2 ** 41, 1)
-    assert small.dtype == np.int64 and small.tolist() == a.tolist()
+    a = np.array([[2 ** 40, -(2 ** 40)], [3, 1]], dtype=np.int64)  # row weight 2**41
+    for top, dtype in ((2 ** 21, object), (2 ** 21 - 1, np.int64)):
+        b = [[top, 5], [-top, 7]]  # dot reads max |b| = top itself
+        got = smith.dot(a, b, 2 ** 41)
+        assert got.dtype == dtype and is_exact_int_array(got)
+        assert got.tolist() == matmul(a.tolist(), b)
     assert smith.dot(a, [[1], [1]], None).dtype == object
+
+
+@pytest.mark.parametrize("b", [
+    [2 ** 63, 1], [-(2 ** 63), 1], np.array([2 ** 63 + 1, 1], dtype=np.uint64),
+    np.array([2 ** 70, -3], dtype=object),
+])
+def test_products_with_large_right_factors_are_exact(b):
+    a = np.array([[1, 1], [2, -1]], dtype=np.int64)
+    got = smith.dot(a, b, 3)
+    assert got.dtype == object and is_exact_int_array(got)
+    assert got.tolist() == matvec(a.tolist(), [int(x) for x in b])
+
+
+@pytest.mark.parametrize("k", [2, 7, 2 ** 62 - 1, 2 ** 62, 2 ** 63, 2 ** 70 + 1])
+def test_divmod_by_any_modulus_is_exact(k):
+    values = [0, 1, -1, 5, -(2 ** 40), 2 ** 61]
+    for x in (np.array(values, dtype=np.int64), np.array(values + [2 ** 90], dtype=object)):
+        q, r = smith.divmod_by(x, k)
+        assert q.tolist() == [v // k for v in x.tolist()]
+        assert r.tolist() == [v % k for v in x.tolist()]
+        assert is_exact_int_array(q) and is_exact_int_array(r)
