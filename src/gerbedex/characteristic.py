@@ -255,6 +255,20 @@ def clifford_commutant_residual(field, fiber):
     return worst
 
 
+def _check_commutant(field, fiber, tol, message):
+    """Raise ValueError(message, residual) unless the field commutes.
+
+    The commutant residual is compared with `tol` times the largest
+    coefficient magnitude, floored at 1.
+    """
+    residual = clifford_commutant_residual(field, fiber)
+    magnitude = max(1.0, max(
+        (float(np.abs(arr).max()) for cc in field.comps.values()
+         for arr in cc.values() if arr.size), default=1.0))
+    if residual > tol * magnitude:
+        raise ValueError(f"{message} {residual:.3e}")
+
+
 def twisting_curvature(module_curvature, tangent_curvature, fiber, tol=1e-8):
     """Split off the Clifford part: F_E minus the curvature insertion c(R).
 
@@ -286,14 +300,8 @@ def twisting_curvature(module_curvature, tangent_curvature, fiber, tol=1e-8):
             out[key] = module_curvature.comps[cname][key] - inserted
         comps[cname] = out
     relative = FormField(module_curvature.atlas, 2, comps, rank=fiber.dim)
-    residual = clifford_commutant_residual(relative, fiber)
-    magnitude = max(1.0, max(
-        (float(np.abs(arr).max()) for cc in comps.values()
-         for arr in cc.values() if arr.size), default=1.0))
-    if residual > tol * magnitude:
-        raise ValueError(
-            f"relative curvature is not Clifford-compatible: commutant "
-            f"residual {residual:.3e}")
+    _check_commutant(relative, fiber, tol, "relative curvature is not "
+                     "Clifford-compatible: commutant residual")
     return relative
 
 
@@ -308,14 +316,13 @@ def relative_chern_character(relative, fiber, tol=1e-8, reality_tol=1e-9):
     if not isinstance(relative, FormField) or relative.degree != 2 \
             or relative.rank != fiber.dim:
         raise ValueError("expected a fiber-sized relative curvature 2-form")
-    residual = clifford_commutant_residual(relative, fiber)
-    magnitude = max(1.0, max(
-        (float(np.abs(arr).max()) for cc in relative.comps.values()
-         for arr in cc.values() if arr.size), default=1.0))
-    if residual > tol * magnitude:
-        raise ValueError(
-            f"relative curvature does not commute with the Clifford action: "
-            f"residual {residual:.3e}")
+    _check_commutant(relative, fiber, tol, "relative curvature does not "
+                     "commute with the Clifford action: residual")
+    return _supertrace_character(relative, fiber, reality_tol)
+
+
+def _supertrace_character(relative, fiber, reality_tol=1e-9):
+    """relative_chern_character of a field whose commutant check has passed."""
     kernel = fiber.grading @ fiber.volume_chirality() / spinor_rep(fiber.n).dim
 
     def supertraced(field):
@@ -353,7 +360,7 @@ def relative_character_of_module(module_source, tangent_curvature, fiber,
         raise TypeError("expected a ModuleConnection or curvature FormField")
     relative = twisting_curvature(-field, -tangent_curvature, fiber,
                                   tol=commutant_tol)
-    return relative_chern_character(relative, fiber, tol=commutant_tol)
+    return _supertrace_character(relative, fiber)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,11 @@
-"""Disk formats: line-text nerve files and JSON manifests of sampled data.
+"""Disk formats: line-text nerve files and JSON manifests of frame transitions.
 
-Manifests bundle a nerve, sampled bundle transitions, module blocks, and
-named connection references into one JSON document (UTF-8, sorted keys on
-write) so check suites run from diff-able artifacts.  The `tasks` list names
-the checks that run_tasks performs, each from MANIFEST_TASKS.  Matrix data
-serializes as row-major nested lists whose innermost entries are
-[real, imaginary] pairs; nerve files are plain text with one simplex per
-line.
+A manifest carries exactly what run_tasks reads: a nerve, the sampled SO(n)
+transitions over its overlaps, and a `tasks` list naming the checks to run,
+each from MANIFEST_TASKS.  It is one JSON document (UTF-8, sorted keys on
+write), so check suites run from diff-able artifacts.  Transition samples
+serialize as row-major nested lists of real numbers; nerve files are plain
+text with one simplex per line.
 """
 
 import json
@@ -18,38 +17,17 @@ import numpy as np
 from . import cech
 from .gerbe import (
     EdgeSampleGraph,
-    GerbeModuleData,
     TransitionData,
     lift_transitions,
     spin_module,
     verify_module,
 )
-from .registry import _BENCHMARKS, SphereBenchmark, benchmark_registry
+from .registry import SphereBenchmark
 
-MANIFEST_FORMAT = 1
-
-
-# ----------------------------------------------------------- matrix encoding
+MANIFEST_FORMAT = 2
 
 
-def encode_matrices(matrices):
-    """Nested lists with [real, imaginary] innermost pairs."""
-    arr = np.asarray(matrices, dtype=complex)
-    paired = np.stack([arr.real, arr.imag], axis=-1)
-    return paired.tolist()
-
-
-def decode_matrices(data, real_only=False):
-    """Inverse of encode_matrices; optionally insist on real entries."""
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim < 1 or arr.shape[-1] != 2:
-        raise ValueError("matrix entries must be [real, imaginary] pairs")
-    out = arr[..., 0] + 1j * arr[..., 1]
-    if real_only:
-        if np.abs(out.imag).max(initial=0.0) > 1e-12:
-            raise ValueError("expected real matrix entries")
-        return out.real
-    return out
+# ------------------------------------------------------------- simplex keys
 
 
 def _encode_simplex(simplex):
@@ -127,7 +105,7 @@ def transitions_to_block(data):
         edges[_encode_simplex(edge)] = {
             "basepoint": int(graph.basepoint),
             "adjacency": [list(pair) for pair in graph.adjacency],
-            "matrices": encode_matrices(graph.matrices),
+            "matrices": graph.matrices.tolist(),
         }
     triples = {_encode_simplex(s): [list(t) for t in entries]
                for s, entries in sorted(data.triples.items())}
@@ -135,10 +113,13 @@ def transitions_to_block(data):
 
 
 def transitions_from_block(block, nerve):
+    """Decode a transitions block; EdgeSampleGraph checks each sample stack."""
+    if not isinstance(block, dict):
+        raise ValueError("manifest transitions block must be a JSON object")
     edges = {}
     for key, entry in block["edges"].items():
         edges[_decode_simplex(key)] = EdgeSampleGraph(
-            matrices=decode_matrices(entry["matrices"], real_only=True),
+            matrices=entry["matrices"],
             adjacency=tuple(tuple(p) for p in entry["adjacency"]),
             basepoint=entry["basepoint"],
         )
@@ -148,87 +129,38 @@ def transitions_from_block(block, nerve):
                           edges=edges, triples=triples)
 
 
-def module_to_block(module):
-    return {
-        "band_order": int(module.band_order),
-        "weight": None if module.weight is None else int(module.weight),
-        "rank": int(module.rank),
-        "unitary": bool(module.unitary),
-        "transitions": {_encode_simplex(edge): encode_matrices(arr)
-                        for edge, arr in sorted(module.transitions.items())},
-        "triples": {_encode_simplex(s): [list(t) for t in entries]
-                    for s, entries in sorted(module.triples.items())},
-    }
-
-
-def module_from_block(block, nerve):
-    return GerbeModuleData(
-        nerve=nerve,
-        band_order=int(block["band_order"]),
-        weight=block["weight"],
-        rank=int(block["rank"]),
-        transitions={_decode_simplex(key): decode_matrices(data)
-                     for key, data in block["transitions"].items()},
-        triples={_decode_simplex(key): tuple(tuple(t) for t in entries)
-                 for key, entries in block["triples"].items()},
-        unitary=block.get("unitary", True),
-    )
-
-
-def resolve_connection(block, benchmark=None):
-    """Construct the ModuleConnection a connection block refers to."""
-    name = block["benchmark"]
-    if name not in _BENCHMARKS:
-        raise ValueError(f"unknown benchmark {name!r} in connection block")
-    builder = block["builder"]
-    if not callable(getattr(_BENCHMARKS[name], builder, None)):
-        raise ValueError(f"benchmark {name} has no builder {builder!r}")
-    bench = benchmark if benchmark is not None else benchmark_registry(name)
-    return getattr(bench, builder)(*block.get("args", []))
-
-
 # ---------------------------------------------------------- whole manifests
 
 
 @dataclass(frozen=True)
 class ParsedManifest:
-    """Decoded manifest: live nerve and data objects plus raw task list."""
+    """Decoded manifest: live nerve and transition data plus the task list."""
 
     name: str
     nerve: cech.Nerve
     transitions: TransitionData
-    modules: dict
-    connections: dict
     tasks: tuple
 
 
-def build_manifest(name, nerve=None, transitions=None, modules=None,
-                   connections=None, tasks=()):
-    """Assemble a JSON-ready manifest document from live objects."""
-    if transitions is not None:
-        if nerve is not None and nerve != transitions.nerve:
-            raise ValueError("explicit nerve disagrees with transition data")
-        nerve = transitions.nerve
-    if nerve is None:
-        raise ValueError("a manifest needs a nerve or transition data")
-    doc = {
+def _checked_tasks(tasks):
+    """Task names as a tuple of strings, each one a key of MANIFEST_TASKS."""
+    tasks = tuple(str(t) for t in tasks)
+    unknown = [t for t in tasks if t not in MANIFEST_TASKS]
+    if unknown:
+        raise ValueError(f"unknown manifest task {unknown[0]!r}; "
+                         f"known tasks are {sorted(MANIFEST_TASKS)}")
+    return tasks
+
+
+def build_manifest(name, transitions, tasks):
+    """Assemble a JSON-ready manifest document from live transition data."""
+    return {
         "format": MANIFEST_FORMAT,
         "name": str(name),
-        "nerve": nerve_to_block(nerve),
-        "transitions": None if transitions is None
-        else transitions_to_block(transitions),
-        "modules": {},
-        "connections": {},
-        "tasks": [str(t) for t in tasks],
+        "nerve": nerve_to_block(transitions.nerve),
+        "transitions": transitions_to_block(transitions),
+        "tasks": list(_checked_tasks(tasks)),
     }
-    for mod_name, module in (modules or {}).items():
-        if module.nerve != nerve:
-            raise ValueError(f"module {mod_name!r} lives on a different nerve")
-        doc["modules"][str(mod_name)] = module_to_block(module)
-    for conn_name, block in (connections or {}).items():
-        doc["connections"][str(conn_name)] = dict(block)
-    parse_manifest(doc)
-    return doc
 
 
 def parse_manifest(doc):
@@ -237,35 +169,14 @@ def parse_manifest(doc):
         raise ValueError("manifest must be a JSON object")
     if doc.get("format") != MANIFEST_FORMAT:
         raise ValueError(f"unsupported manifest format {doc.get('format')!r}")
-    missing = {"name", "nerve", "transitions", "modules", "connections",
-               "tasks"} - set(doc)
+    missing = {"name", "nerve", "transitions", "tasks"} - set(doc)
     if missing:
         raise ValueError(f"manifest lacks blocks {sorted(missing)}")
     nerve = nerve_from_block(doc["nerve"])
-    transitions = None
-    if doc["transitions"] is not None:
-        transitions = transitions_from_block(doc["transitions"], nerve)
-    modules = {mod_name: module_from_block(block, nerve)
-               for mod_name, block in doc["modules"].items()}
-    for conn_name, block in doc["connections"].items():
-        bench_name = block.get("benchmark")
-        if bench_name not in _BENCHMARKS:
-            raise ValueError(
-                f"connection {conn_name!r} references unknown benchmark "
-                f"{bench_name!r}")
-        if not callable(getattr(_BENCHMARKS[bench_name],
-                                block.get("builder", ""), None)):
-            raise ValueError(
-                f"connection {conn_name!r} references unknown builder "
-                f"{block.get('builder')!r}")
-    tasks = tuple(str(t) for t in doc["tasks"])
-    unknown = [t for t in tasks if t not in MANIFEST_TASKS]
-    if unknown:
-        raise ValueError(f"unknown manifest task {unknown[0]!r}; "
-                         f"known tasks are {sorted(MANIFEST_TASKS)}")
-    return ParsedManifest(name=doc["name"], nerve=nerve,
-                          transitions=transitions, modules=modules,
-                          connections=dict(doc["connections"]), tasks=tasks)
+    return ParsedManifest(
+        name=doc["name"], nerve=nerve,
+        transitions=transitions_from_block(doc["transitions"], nerve),
+        tasks=_checked_tasks(doc["tasks"]))
 
 
 # ------------------------------------------------------------ manifest tasks
@@ -284,8 +195,8 @@ def _task_lift(data, lifted, cocycle, seed):
         flips = [e for e in edges if rng.random() < 0.5]
         basepoints = {e: int(rng.integers(0, data.edges[e].count))
                       for e in edges}
-        _, other = lift_transitions(data, seed=int(rng.integers(1 << 30)),
-                                    sign_flips=flips, basepoints=basepoints)
+        _, other = lift_transitions(data, sign_flips=flips,
+                                    basepoints=basepoints)
         diff = cech.Cochain(2, 2, tuple(
             a + b for a, b in zip(cocycle.cochain.values,
                                   other.cochain.values)))
@@ -327,8 +238,6 @@ def run_tasks(parsed, seed=0):
     Returns the report (the manifest name, each task's fields, and "pass")
     and whether every task passed.
     """
-    if parsed.transitions is None:
-        raise ValueError(f"manifest {parsed.name!r} has no transitions to lift")
     data = parsed.transitions
     lifted, cocycle = lift_transitions(data)
     report, ok = {"manifest": parsed.name}, True

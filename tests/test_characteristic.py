@@ -344,6 +344,27 @@ def test_relative_ch_matches_twist_character_rank12(flat4):
     assert ch_rel.max_difference(ch_w) < 1e-8
 
 
+def test_relative_character_of_module_checks_the_commutant_once(flat4, monkeypatch):
+    from gerbedex import characteristic
+
+    fiber, _, r_field, w_field, e_field = conjugated_setup(flat4, seed=42)
+    checked = []
+    original = characteristic.clifford_commutant_residual
+
+    def counting_residual(field, fiber):
+        checked.append(field)
+        return original(field, fiber)
+
+    monkeypatch.setattr(characteristic, "clifford_commutant_residual",
+                        counting_residual)
+    ch_rel = relative_character_of_module(e_field, r_field, fiber)
+    assert len(checked) == 1
+    assert ch_rel.max_difference(twisted_chern_character(w_field)) < 1e-8
+    # the public character of an already split field still runs its check
+    relative_chern_character(checked[0], fiber)
+    assert len(checked) == 2
+
+
 def test_relative_ch_conjugation_invariance(flat4):
     fiber1, _, r1, w1, e1 = conjugated_setup(flat4, seed=9)
     base = CliffordModuleFiber.from_tensor(4, 3)

@@ -7,19 +7,14 @@ import pytest
 
 from gerbedex import cech
 from gerbedex.gerbe import lift_transitions, spin_module, verify_module
-from gerbedex.geometry import ModuleConnection
 from gerbedex.manifest import (
+    MANIFEST_FORMAT,
     build_manifest,
-    decode_matrices,
-    encode_matrices,
-    module_from_block,
-    module_to_block,
     nerve_from_text,
     nerve_to_text,
     parse_manifest,
     read_manifest,
     read_nerve,
-    resolve_connection,
     run_tasks,
     sphere_frame_manifest,
     transitions_from_block,
@@ -27,7 +22,7 @@ from gerbedex.manifest import (
     write_manifest,
     write_nerve,
 )
-from gerbedex.registry import SphereBenchmark, TorusBenchmark
+from gerbedex.registry import SphereBenchmark
 
 
 @pytest.fixture(scope="module")
@@ -35,22 +30,16 @@ def frame_bench():
     return SphereBenchmark(order=8, panels=2)
 
 
-def test_matrix_encoding_round_trip():
-    rng = np.random.default_rng(0)
-    arr = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
-    assert np.array_equal(decode_matrices(encode_matrices(arr)), arr)
-    # exact through an actual JSON round trip as well
-    revived = decode_matrices(json.loads(json.dumps(encode_matrices(arr))))
-    assert np.array_equal(revived, arr)
-
-
-def test_decode_matrices_validation():
-    with pytest.raises(ValueError):
-        decode_matrices([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        decode_matrices(encode_matrices(1j * np.eye(2)), real_only=True)
-    real = decode_matrices(encode_matrices(np.eye(2)), real_only=True)
-    assert real.dtype.kind == "f"
+def test_decode_matrices_validation(frame_bench):
+    data = frame_bench.frame_transitions()
+    block = json.loads(json.dumps(transitions_to_block(data)))
+    entry = next(iter(block["edges"].values()))
+    assert all(isinstance(x, float) for x in entry["matrices"][0][0])
+    back = transitions_from_block(block, data.nerve)
+    assert all(g.matrices.dtype.kind == "f" for g in back.edges.values())
+    entry["matrices"] = [1.0, 2.0, 3.0]
+    with pytest.raises(ValueError, match=r"shape \(count, n, n\)"):
+        transitions_from_block(block, data.nerve)
 
 
 def test_nerve_text_round_trip():
@@ -108,17 +97,6 @@ def test_transition_block_round_trip(frame_bench):
     assert back.triples == data.triples
 
 
-def test_module_block_round_trip(frame_bench):
-    lifted, cocycle = frame_bench.frame_gerbe()
-    module = spin_module(lifted)
-    block = json.loads(json.dumps(module_to_block(module)))
-    back = module_from_block(block, module.nerve)
-    assert back.weight == 1 and back.rank == module.rank
-    for edge, arr in module.transitions.items():
-        assert np.array_equal(arr, back.transitions[edge])
-    assert verify_module(back, cocycle).ok
-
-
 def test_sphere_frame_manifest_runs_its_tasks(tmp_path):
     doc = sphere_frame_manifest()
     path = tmp_path / "sphere.json"
@@ -140,38 +118,65 @@ def test_manifest_write_is_deterministic(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_connection_block_resolution():
-    torus = TorusBenchmark(order=8, panels=2)
-    block = {"benchmark": "T2", "builder": "flux_connection", "args": [2]}
-    conn = resolve_connection(block, benchmark=torus)
-    assert isinstance(conn, ModuleConnection)
-    assert conn.module.rank == 1
-
-
 def test_manifest_validation_rejections():
     doc = sphere_frame_manifest()
+    assert doc["format"] == MANIFEST_FORMAT == 2
     wrong_format = dict(doc)
-    wrong_format["format"] = 2
-    with pytest.raises(ValueError):
+    wrong_format["format"] = 1
+    with pytest.raises(ValueError, match="unsupported manifest format 1"):
         parse_manifest(wrong_format)
     with pytest.raises(ValueError):
         parse_manifest({k: v for k, v in doc.items() if k != "nerve"})
-    bad_benchmark = json.loads(json.dumps(doc))
-    bad_benchmark["connections"]["x"] = {"benchmark": "X9", "builder": "f"}
-    with pytest.raises(ValueError):
-        parse_manifest(bad_benchmark)
-    bad_builder = json.loads(json.dumps(doc))
-    bad_builder["connections"]["x"] = {"benchmark": "T2",
-                                       "builder": "not_there"}
-    with pytest.raises(ValueError):
-        parse_manifest(bad_builder)
 
 
-def test_build_manifest_rejects_mismatched_nerve(frame_bench):
-    nerve = cech.tetrahedron_sphere()
+def test_manifest_document_carries_only_what_run_tasks_reads():
+    doc = sphere_frame_manifest()
+    assert set(doc) == {"format", "name", "nerve", "transitions", "tasks"}
+
+
+def _shipped_json():
+    """The shipped manifest after a real JSON round trip."""
+    return json.loads(json.dumps(sphere_frame_manifest()))
+
+
+def _first_edge(doc):
+    return next(iter(doc["transitions"]["edges"].values()))
+
+
+def test_null_transitions_block_is_rejected():
+    doc = _shipped_json()
+    doc["transitions"] = None
+    with pytest.raises(ValueError, match="transitions block"):
+        parse_manifest(doc)
+
+
+def test_ragged_matrices_are_rejected():
+    doc = _shipped_json()
+    _first_edge(doc)["matrices"][0][1].pop()
     with pytest.raises(ValueError):
-        build_manifest("clash", nerve=nerve,
-                       transitions=frame_bench.frame_transitions())
+        parse_manifest(doc)
+
+
+def test_real_imaginary_pair_entries_are_rejected():
+    doc = _shipped_json()
+    entry = _first_edge(doc)
+    entry["matrices"] = [[[[x, 0.0] for x in row] for row in mat]
+                         for mat in entry["matrices"]]
+    with pytest.raises(ValueError, match=r"shape \(count, n, n\)"):
+        parse_manifest(doc)
+
+
+def test_matrix_size_must_match_the_declared_dimension():
+    doc = _shipped_json()
+    doc["transitions"]["dimension"] += 1
+    with pytest.raises(ValueError, match="wrong matrix size"):
+        parse_manifest(doc)
+
+
+def test_build_manifest_rejects_unknown_task(frame_bench):
+    with pytest.raises(ValueError, match="unknown manifest task 'lfit'"):
+        build_manifest("typo", frame_bench.frame_transitions(),
+                       tasks=("lift", "lfit"))
 
 
 def test_unknown_task_name_is_rejected():
