@@ -12,13 +12,18 @@ Conventions:
     panel (exact on each panel's polynomial space, one-sided at panel edges).
   - Each overlap (a, b) is sampled once per atlas, up to the cap
     MAX_OVERLAP_SAMPLES, and every descent check (form pullback, connection
-    gluing, curvature and difference conjugation) shares that sample.
+    gluing, curvature and difference conjugation) shares that sample. Each
+    transition is evaluated once per sample: its values and derivatives at
+    the sampled nodes are cached on the sample while the callable lives.
+  - Real matrices (differentiation, interpolation bases) apply to complex
+    grid data as one real product over the (re, im) float view.
   - Form components are stored as true chart-coordinate coefficients on
     strictly increasing index tuples; orientation signs enter only in
     integrate_top.
   - Connection 1-forms A are anti-Hermitian; gluing across charts follows
     A_a = phi A_b phi^-1 - (d phi) phi^-1 and curvature is F = dA + A ^ A.
 """
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -215,12 +220,26 @@ class Chart:
         ax = self.axes[axis]
         moved = np.moveaxis(np.asarray(values), axis, 0)
         panels = moved.reshape((ax.panels, ax.order, -1))
-        out = np.matmul(ax.diff, panels).reshape(moved.shape)
+        out = _real_product(ax.diff, panels).reshape(moved.shape)
         return np.moveaxis(out, 0, axis)
 
     def interpolate(self, values, points):
         """Barycentric tensor interpolation of grid data at arbitrary points."""
         return _CellPlan(self, points)(values)
+
+
+def _real_product(matrix, values):
+    """np.matmul(matrix, values) for a real matrix.
+
+    NumPy would promote the real factor to complex and do twice the
+    arithmetic, so complex values multiply as one real product over the
+    (re, im) float view of a contiguous copy. Real values keep the plain
+    product.
+    """
+    if not np.iscomplexobj(values):
+        return np.matmul(matrix, values)
+    pairs = np.ascontiguousarray(values, dtype=complex).view(float)
+    return np.matmul(matrix, pairs).view(complex)
 
 
 class _CellPlan:
@@ -254,9 +273,10 @@ class _CellPlan:
         out = np.empty((self.count,) + trail,
                        dtype=np.result_type(values.dtype, float))
         for block, rows, bases in self.groups:
-            acc = bases[0] @ values[block].reshape(bases[0].shape[1], -1)
+            acc = _real_product(
+                bases[0], values[block].reshape(bases[0].shape[1], -1))
             for basis in bases[1:]:
-                acc = np.matmul(basis[:, None, :], acc.reshape(
+                acc = _real_product(basis[:, None, :], acc.reshape(
                     rows.size, basis.shape[1], -1))[:, 0]
             out[rows] = acc.reshape((rows.size,) + trail)
         return out
@@ -309,7 +329,7 @@ class ChartAtlas:
         """The sample of overlap (a, b), built on first use."""
         if (a, b) not in self._samples:
             self._samples[(a, b)] = _OverlapSample(
-                self.charts[a], self.charts[b], self.overlaps[(a, b)])
+                (a, b), self.charts[a], self.charts[b], self.overlaps[(a, b)])
         return self._samples[(a, b)]
 
     def _foreign_log_bumps(self, cname, coord_arrays):
@@ -531,10 +551,14 @@ class _OverlapSample:
     `idx` are their flat chart-a indices, `coords` their a-coordinates,
     `points` their b-coordinates and `jacobian` the transition Jacobians;
     `plan` interpolates chart-b grid data at `points`, and `minors` holds
-    the Jacobian minors that pull forms of every degree back.
+    the Jacobian minors that pull forms of every degree back. `transition`
+    caches each transition's sampled values, weakly keyed by its callable.
     """
 
-    def __init__(self, chart_a, chart_b, overlap):
+    def __init__(self, key, chart_a, chart_b, overlap):
+        self.key = key
+        self.chart = chart_a
+        self._transitions = weakref.WeakKeyDictionary()
         coords = chart_a.coords()
         idx = np.flatnonzero(np.asarray(overlap.mask(*coords), dtype=bool).ravel())
         idx = idx[::max(1, idx.size // MAX_OVERLAP_SAMPLES)]
@@ -556,6 +580,35 @@ class _OverlapSample:
         trail = grid_array.shape[len(self.coords):]
         return grid_array.reshape((-1,) + trail)[self.idx]
 
+    def transition(self, fn, rank):
+        """phi and (d phi along each axis) at the sampled nodes, for the
+        transition callable `fn` of a rank-`rank` module.
+
+        `fn` is evaluated once on chart a's grid and differentiated there;
+        the gathered values are kept until `fn` is garbage collected. A
+        callable that cannot be weakly referenced is evaluated every time.
+        """
+        try:
+            entry = self._transitions.get(fn)
+        except TypeError:
+            entry = None
+        if entry is None:
+            grid = np.asarray(fn(*self.chart.coords()), dtype=complex)
+            if grid.shape != self.chart.shape + (rank, rank):
+                raise ValueError(f"transition on {self.key} has wrong shape")
+            entry = (self.gather(grid),
+                     tuple(self.gather(self.chart.differentiate(grid, axis))
+                           for axis in range(self.chart.dim)))
+            for arr in (entry[0],) + entry[1]:
+                arr.flags.writeable = False
+            try:
+                self._transitions[fn] = entry
+            except TypeError:
+                pass
+        if entry[0].shape[1:] != (rank, rank):
+            raise ValueError(f"transition on {self.key} has wrong shape")
+        return entry
+
     def pullback(self, comps_b, degree):
         """Pull chart-b form components back to the sampled a-nodes."""
         keys = _form_keys(len(self.coords), degree)
@@ -575,26 +628,18 @@ def _descent_residual(atlas, degree, comps, conn=None, shifted=False):
     """
     worst = 0.0
     for a, b in atlas.overlaps:
-        transition = None if conn is None else conn.transitions[(a, b)]
-        if shifted:
-            chart_a = atlas.charts[a]
-            phi_grid = np.asarray(transition(*chart_a.coords()), dtype=complex)
-            if phi_grid.shape != chart_a.shape + (conn.module.rank,) * 2:
-                raise ValueError(f"transition on {(a, b)} has wrong shape")
-            dphi = [chart_a.differentiate(phi_grid, axis)
-                    for axis in range(chart_a.dim)]
         sample = atlas.overlap_sample(a, b)
+        if conn is not None:
+            phi, dphi = sample.transition(conn.transitions[(a, b)],
+                                          conn.module.rank)
+            phi_inv = conn._inverse(phi)
         if sample.idx.size == 0:
             continue
-        if conn is not None:
-            phi = (sample.gather(phi_grid) if shifted else
-                   np.asarray(transition(*sample.coords), dtype=complex))
-            phi_inv = conn._inverse(phi)
         for key, rhs in sample.pullback(comps[b], degree).items():
             if conn is not None:
                 rhs = phi @ rhs @ phi_inv
             if shifted:
-                rhs = rhs - sample.gather(dphi[key[0]]) @ phi_inv
+                rhs = rhs - dphi[key[0]] @ phi_inv
             stored = sample.gather(comps[a][key])
             worst = max(worst, float(np.max(np.abs(stored - rhs))))
     return worst

@@ -94,7 +94,18 @@ def nerve_to_block(nerve):
     }
 
 
+def _checked_block(block, name, keys):
+    """The block, once it is a JSON object holding every key in `keys`."""
+    if not isinstance(block, dict):
+        raise ValueError(f"manifest {name} must be a JSON object")
+    missing = set(keys) - set(block)
+    if missing:
+        raise ValueError(f"manifest {name} lacks keys {sorted(missing)}")
+    return block
+
+
 def nerve_from_block(block):
+    _checked_block(block, "nerve block", ("vertex_count", "simplices"))
     return cech.Nerve.from_simplices(block["simplices"],
                                      vertex_count=block["vertex_count"])
 
@@ -114,17 +125,20 @@ def transitions_to_block(data):
 
 def transitions_from_block(block, nerve):
     """Decode a transitions block; EdgeSampleGraph checks each sample stack."""
-    if not isinstance(block, dict):
-        raise ValueError("manifest transitions block must be a JSON object")
+    _checked_block(block, "transitions block", ("dimension", "edges", "triples"))
     edges = {}
-    for key, entry in block["edges"].items():
+    for key, entry in _checked_block(block["edges"], "transitions edges",
+                                     ()).items():
+        _checked_block(entry, f"transitions edge {key!r}",
+                       ("basepoint", "adjacency", "matrices"))
         edges[_decode_simplex(key)] = EdgeSampleGraph(
             matrices=entry["matrices"],
             adjacency=tuple(tuple(p) for p in entry["adjacency"]),
             basepoint=entry["basepoint"],
         )
     triples = {_decode_simplex(key): tuple(tuple(t) for t in entries)
-               for key, entries in block["triples"].items()}
+               for key, entries in _checked_block(
+                   block["triples"], "transitions triples", ()).items()}
     return TransitionData(nerve=nerve, dimension=int(block["dimension"]),
                           edges=edges, triples=triples)
 
@@ -256,9 +270,8 @@ def write_manifest(path, doc):
 
 
 def read_manifest(path):
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    parse_manifest(doc)
-    return doc
+    """Read and parse a manifest file into a ParsedManifest."""
+    return parse_manifest(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def sphere_frame_manifest(frame_samples=64):

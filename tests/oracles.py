@@ -1,9 +1,13 @@
-"""Oracles shared by the Smith and Cech tests.
+"""Oracles shared by the Smith, Cech and geometry tests.
 
 `gerbedex.smith` and `gerbedex.cech` keep integer matrices as int64 or object
 arrays; the list helpers here work on lists of Python ints one entry at a
 time, so every array product can be compared with a computation that shares
 none of its code.
+
+`descent_residual` is the whole-grid descent check: it evaluates and
+differentiates each transition on all of chart a's grid on every call, where
+`gerbedex.geometry` reads the values cached on the overlap sample.
 """
 
 import numpy as np
@@ -52,3 +56,34 @@ def relabelled(nerve, seed):
     return cech.Nerve.from_simplices(
         [tuple(int(perm[v]) for v in s) for level in nerve.simplices for s in level],
         vertex_count=nerve.vertex_count)
+
+
+def descent_residual(atlas, degree, comps, conn=None, shifted=False):
+    """Max over overlaps (a, b) of |X_a - phi (pullback X_b) phi^-1 - shift|,
+    with phi evaluated afresh: on the whole chart-a grid (and differentiated
+    there) for the gluing check, at the sampled coordinates otherwise."""
+    worst = 0.0
+    for a, b in atlas.overlaps:
+        transition = None if conn is None else conn.transitions[(a, b)]
+        if shifted:
+            chart_a = atlas.charts[a]
+            phi_grid = np.asarray(transition(*chart_a.coords()), dtype=complex)
+            if phi_grid.shape != chart_a.shape + (conn.module.rank,) * 2:
+                raise ValueError(f"transition on {(a, b)} has wrong shape")
+            dphi = [chart_a.differentiate(phi_grid, axis)
+                    for axis in range(chart_a.dim)]
+        sample = atlas.overlap_sample(a, b)
+        if sample.idx.size == 0:
+            continue
+        if conn is not None:
+            phi = (sample.gather(phi_grid) if shifted else
+                   np.asarray(transition(*sample.coords), dtype=complex))
+            phi_inv = conn._inverse(phi)
+        for key, rhs in sample.pullback(comps[b], degree).items():
+            if conn is not None:
+                rhs = phi @ rhs @ phi_inv
+            if shifted:
+                rhs = rhs - sample.gather(dphi[key[0]]) @ phi_inv
+            stored = sample.gather(comps[a][key])
+            worst = max(worst, float(np.max(np.abs(stored - rhs))))
+    return worst

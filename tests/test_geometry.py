@@ -1,7 +1,12 @@
 """Tests for chart atlases, quadrature, differential forms, and connections."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from oracles import descent_residual
+from gerbedex import geometry
 from gerbedex.cech import Nerve
 from gerbedex.gerbe import GerbeModuleData
 from gerbedex.geometry import (
@@ -17,6 +22,7 @@ from gerbedex.geometry import (
     integrate_top,
     tensor_connection,
 )
+from gerbedex.registry import SphereBenchmark, perturbed_connection
 
 
 # ---------------------------------------------------------------- helpers
@@ -883,3 +889,234 @@ def test_integrate_top_rejects_matrix_valued():
     form = FormField(atlas, 2, {"main": {(0, 1): comp}}, rank=2)
     with pytest.raises(TypeError):
         integrate_top(form)
+
+
+# ------------------------------------------- cached transitions, real products
+
+@pytest.fixture(scope="module")
+def sphere_bench():
+    return SphereBenchmark()
+
+
+def gluing_comps(conn):
+    return {cname: {(axis,): arr for axis, arr in enumerate(forms)}
+            for cname, forms in conn.forms.items()}
+
+
+def assert_descent_matches_oracle(atlas, degree, comps, conn=None,
+                                  shifted=False):
+    new = geometry._descent_residual(atlas, degree, comps, conn, shifted)
+    old = descent_residual(atlas, degree, comps, conn, shifted)
+    assert abs(new - old) <= 1e-14 * max(1.0, old)
+    return new
+
+
+def assert_connection_matches_oracle(conn):
+    assert_descent_matches_oracle(conn.atlas, 1, gluing_comps(conn), conn,
+                                  shifted=True)
+    field = curvature(conn, tol=np.inf)
+    assert_descent_matches_oracle(conn.atlas, 2, field.comps, conn)
+
+
+@pytest.mark.parametrize("m", range(-3, 4))
+def test_monopole_descent_matches_the_whole_grid_oracle(sphere_bench, m):
+    assert_connection_matches_oracle(sphere_bench.monopole_connection(m))
+
+
+def test_spin_descent_matches_the_whole_grid_oracle(sphere_bench):
+    assert_connection_matches_oracle(sphere_bench.spin_connection())
+
+
+@pytest.mark.parametrize("m", [-2, 0, 3])
+def test_twisted_descent_matches_the_whole_grid_oracle(sphere_bench, m):
+    assert_connection_matches_oracle(sphere_bench.twisted_connection(m))
+
+
+def test_perturbed_descent_and_difference_match_the_oracle(sphere_bench):
+    base = sphere_bench.twisted_connection(1)
+    shifted = perturbed_connection(
+        base, sphere_bench.perturbation_form(base.module.rank, seed=3))
+    assert_connection_matches_oracle(shifted)
+    diff = connection_difference(shifted, base)
+    assert assert_descent_matches_oracle(
+        base.atlas, 1, diff.comps, shifted) < 1e-8
+
+
+def test_non_gluing_descent_matches_the_oracle():
+    conn = loose_strip_connection(scalar_module(), lambda x, y: 1j * x * y)
+    gluing = assert_descent_matches_oracle(
+        conn.atlas, 1, gluing_comps(conn), conn, shifted=True)
+    assert gluing == conn.gluing_residual() > 1.0
+    field = curvature(conn, tol=np.inf)
+    assert assert_descent_matches_oracle(conn.atlas, 2, field.comps, conn) > 0.1
+    flat = loose_strip_connection(conn.module, lambda x, y: 0.0 * x)
+    shifted = ModuleConnection(
+        flat.atlas, flat.module,
+        {name: [forms[0] + (1j if name == "left" else 0.0), forms[1]]
+         for name, forms in flat.forms.items()},
+        flat.transitions, tol=10.0)
+    diff = connection_difference(shifted, flat, tol=np.inf)
+    assert assert_descent_matches_oracle(
+        flat.atlas, 1, diff.comps, shifted) == pytest.approx(1.0)
+
+
+def counting(fn, calls):
+    def counted(*coords):
+        calls.append(fn)
+        return fn(*coords)
+    return counted
+
+
+def test_each_transition_is_evaluated_once_per_overlap():
+    bench = SphereBenchmark(order=16)
+    base = bench.monopole_connection(2)
+    calls = []
+    counted = {key: counting(fn, calls) for key, fn in base.transitions.items()}
+    conn = ModuleConnection(bench.atlas, base.module, base.forms, counted)
+    assert len(calls) == len(bench.atlas.overlaps)
+    shifted = perturbed_connection(conn, bench.perturbation_form(1, seed=5))
+    assert conn.gluing_residual() < 1e-8 and shifted.gluing_residual() < 1e-8
+    curvature(conn)
+    curvature(shifted)
+    connection_difference(shifted, conn)
+    assert len(calls) == len(bench.atlas.overlaps)
+
+
+def test_wrong_shape_transition_is_rejected_on_every_construction():
+    atlas = flat_pair_atlas(order=8, panels=2)
+    forms = {name: [np.zeros(chart.shape + (1, 1), dtype=complex)] * 2
+             for name, chart in atlas.charts.items()}
+    calls = []
+
+    def wrong(x, y):
+        calls.append(1)
+        return np.ones(x.shape + (2, 2), dtype=complex)
+
+    for attempt in (1, 2):
+        with pytest.raises(ValueError, match=r"\('left', 'right'\) has wrong shape"):
+            ModuleConnection(atlas, scalar_module(), forms,
+                             {key: wrong for key in atlas.overlaps})
+        assert len(calls) == attempt
+    assert wrong not in atlas.overlap_sample("left", "right")._transitions
+
+
+def test_a_failing_transition_is_never_cached():
+    atlas = flat_pair_atlas(order=8, panels=2)
+    forms = {name: [np.zeros(chart.shape + (1, 1), dtype=complex)] * 2
+             for name, chart in atlas.charts.items()}
+    calls = []
+
+    def flaky(x, y):
+        calls.append(1)
+        if len(calls) == 1:
+            raise RuntimeError("transition failed")
+        return np.ones(x.shape + (1, 1), dtype=complex)
+
+    transitions = {key: flaky for key in atlas.overlaps}
+    sample = atlas.overlap_sample("left", "right")
+    with pytest.raises(RuntimeError, match="transition failed"):
+        ModuleConnection(atlas, scalar_module(), forms, transitions)
+    assert flaky not in sample._transitions
+    conn = ModuleConnection(atlas, scalar_module(), forms, transitions)
+    assert len(calls) == 1 + len(atlas.overlaps)
+    assert conn.gluing_residual() < 1e-12
+    assert flaky in sample._transitions
+
+
+def test_a_transition_without_weak_references_is_evaluated_every_time():
+    class Identity:
+        __slots__ = ("calls",)
+
+        def __call__(self, x, y):
+            self.calls += 1
+            return np.ones(x.shape + (1, 1), dtype=complex)
+
+    fn = Identity()
+    fn.calls = 0
+    conn = loose_strip_connection(scalar_module(), lambda x, y: 0.0 * x)
+    conn = ModuleConnection(conn.atlas, conn.module, conn.forms,
+                            {key: fn for key in conn.atlas.overlaps})
+    assert fn.calls == len(conn.atlas.overlaps)
+    assert conn.gluing_residual() < 1e-12
+    assert fn.calls == 2 * len(conn.atlas.overlaps)
+
+
+def test_cached_transitions_die_with_their_connection():
+    atlas = sphere_atlas(order=16)
+    conn = monopole_connection(atlas, 1)
+    caches = {key: atlas.overlap_sample(*key)._transitions
+              for key in atlas.overlaps}
+    assert all(conn.transitions[key] in cache for key, cache in caches.items())
+    refs = [weakref.ref(fn) for fn in conn.transitions.values()]
+    del conn
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert all(len(cache) == 0 for cache in caches.values())
+
+
+def test_cached_transition_values_are_read_only():
+    atlas = sphere_atlas(order=16)
+    conn = monopole_connection(atlas, 1)
+    phi, dphi = atlas.overlap_sample("north", "south").transition(
+        conn.transitions[("north", "south")], 1)
+    for arr in (phi,) + dphi:
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+
+
+def complex_product(matrix, values):
+    """The product NumPy forms by promoting the real matrix to complex."""
+    return np.matmul(matrix.astype(complex), values)
+
+
+def assert_relative(out, expect):
+    assert out.shape == expect.shape and out.dtype == expect.dtype
+    scale = max(np.abs(expect).max(), 1.0)
+    assert np.abs(out - expect).max() <= 1e-14 * scale
+
+
+def test_real_product_matches_the_complex_product():
+    rng = np.random.default_rng(23)
+    matrix = rng.standard_normal((5, 7))
+    wide = rng.standard_normal((7, 12)) + 1j * rng.standard_normal((7, 12))
+    inputs = [wide, wide[:, ::2], np.moveaxis(wide.reshape(7, 3, 4), 1, 2)
+              .reshape(7, 12), wide.T.copy().T, wide.real]
+    for values in inputs:
+        expect = (np.matmul(matrix, values) if values.dtype.kind == "f"
+                  else complex_product(matrix, values))
+        assert_relative(geometry._real_product(matrix, values), expect)
+    stacked = rng.standard_normal((4, 1, 7))
+    values = rng.standard_normal((4, 7, 6)) + 1j * rng.standard_normal((4, 7, 6))
+    assert_relative(geometry._real_product(stacked, values),
+                    complex_product(stacked, values))
+
+
+def grid_fields(chart, seed):
+    """Scalar and rank-2 complex, real, moveaxis-view and sliced grid data."""
+    rng = np.random.default_rng(seed)
+    shape = chart.shape
+    scalar = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    matrix = (rng.standard_normal(shape + (2, 2))
+              + 1j * rng.standard_normal(shape + (2, 2)))
+    leading = np.ascontiguousarray(np.moveaxis(matrix, (-2, -1), (0, 1)))
+    wide = rng.standard_normal((shape[0], 2 * shape[1])) * (1 + 2j)
+    return {"scalar": scalar, "rank2": matrix, "real": scalar.real,
+            "moveaxis": np.moveaxis(leading, (0, 1), (-2, -1)),
+            "slice": wide[:, ::2]}
+
+
+@pytest.mark.parametrize("field", ["scalar", "rank2", "real", "moveaxis",
+                                   "slice"])
+def test_real_products_at_both_call_sites_match_complex_products(
+        field, monkeypatch):
+    chart = Chart("c", (0.0, -1.0), (1.0, 2.0), 1, order=7, panels=3)
+    values = grid_fields(chart, seed=29)[field]
+    pts = probe_points(chart, seed=31)
+    out = [chart.differentiate(values, 0), chart.differentiate(values, 1),
+           chart.interpolate(values, pts)]
+    monkeypatch.setattr(geometry, "_real_product", complex_product)
+    values = values.astype(complex)
+    expect = [chart.differentiate(values, 0), chart.differentiate(values, 1),
+              chart.interpolate(values, pts)]
+    for got, want in zip(out, expect):
+        assert_relative(got, want.real if field == "real" else want)

@@ -9,6 +9,7 @@ from gerbedex import cech
 from gerbedex.gerbe import lift_transitions, spin_module, verify_module
 from gerbedex.manifest import (
     MANIFEST_FORMAT,
+    ParsedManifest,
     build_manifest,
     nerve_from_text,
     nerve_to_text,
@@ -101,7 +102,8 @@ def test_sphere_frame_manifest_runs_its_tasks(tmp_path):
     doc = sphere_frame_manifest()
     path = tmp_path / "sphere.json"
     write_manifest(path, doc)
-    parsed = parse_manifest(read_manifest(path))
+    parsed = read_manifest(path)
+    assert isinstance(parsed, ParsedManifest)
     assert parsed.name == "sphere-frame-bundle"
     assert "lift" in parsed.tasks
     lifted, cocycle = lift_transitions(parsed.transitions.validate())
@@ -148,6 +150,58 @@ def test_null_transitions_block_is_rejected():
     doc["transitions"] = None
     with pytest.raises(ValueError, match="transitions block"):
         parse_manifest(doc)
+
+
+@pytest.mark.parametrize("block, value, message", [
+    ("nerve", None, "nerve block must be a JSON object"),
+    ("nerve", [], "nerve block must be a JSON object"),
+    ("nerve", {"simplices": [[0]]}, r"nerve block lacks keys \['vertex_count'\]"),
+    ("transitions", {}, r"transitions block lacks keys "
+                        r"\['dimension', 'edges', 'triples'\]"),
+    ("transitions", [], "transitions block must be a JSON object"),
+])
+def test_malformed_blocks_are_rejected(block, value, message):
+    doc = _shipped_json()
+    doc[block] = value
+    with pytest.raises(ValueError, match=message):
+        parse_manifest(doc)
+
+
+@pytest.mark.parametrize("field", ["edges", "triples"])
+def test_transition_tables_must_be_objects(field):
+    doc = _shipped_json()
+    doc["transitions"][field] = list(doc["transitions"][field].values())
+    with pytest.raises(ValueError,
+                       match=f"transitions {field} must be a JSON object"):
+        parse_manifest(doc)
+
+
+@pytest.mark.parametrize("key", ["basepoint", "adjacency", "matrices"])
+def test_edge_entries_must_carry_every_key(key):
+    doc = _shipped_json()
+    name, entry = next(iter(doc["transitions"]["edges"].items()))
+    del entry[key]
+    with pytest.raises(ValueError, match=f"transitions edge '{name}' lacks "
+                                         rf"keys \['{key}'\]"):
+        parse_manifest(doc)
+
+
+def test_edge_entries_must_be_objects():
+    doc = _shipped_json()
+    name = next(iter(doc["transitions"]["edges"]))
+    doc["transitions"]["edges"][name] = None
+    with pytest.raises(ValueError, match=f"transitions edge '{name}' must be "
+                                         "a JSON object"):
+        parse_manifest(doc)
+
+
+def test_read_manifest_rejects_what_parse_manifest_rejects(tmp_path):
+    doc = _shipped_json()
+    doc["transitions"] = {}
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="transitions block lacks keys"):
+        read_manifest(path)
 
 
 def test_ragged_matrices_are_rejected():
