@@ -1,10 +1,11 @@
 """Characteristic forms, relative characters, and the topological index.
 
-A `MixedForm` collects the even-degree pieces of a character, either as
-numeric scalar fields over a chart atlas or as an element of a truncated
-polynomial ring when the benchmark is handled symbolically.  The index
-pairing multiplies the genus of the tangent curvature against a twist
-character and integrates the top piece.
+A `MixedForm` collects the even-degree pieces of a character as numeric
+scalar fields over a chart atlas.  A benchmark handled symbolically ships
+its characters as `RingElement`s of a truncated polynomial ring instead,
+whose power-k coefficient is the degree-2k piece.  The index pairing
+multiplies the genus of the tangent data against a twist character and
+integrates the top piece.
 
 Sign conventions.  `twisted_chern_character` consumes geometric curvature
 (`F = dA + A ^ A` of an anti-Hermitian connection) and normalizes so that
@@ -53,24 +54,13 @@ def _realized(field, tol, label):
 
 
 class MixedForm:
-    """Inhomogeneous even-degree form, numeric per-chart or symbolic.
+    """Inhomogeneous even-degree form over a chart atlas.
 
-    Numeric instances hold one scalar `FormField` per even degree up to
-    the atlas dimension, with absent degrees filled by zero; symbolic
-    instances wrap a truncated-ring element whose power-k coefficient is
-    the degree-2k piece.
+    Holds one scalar `FormField` per even degree up to the atlas
+    dimension, with absent degrees filled by zero.
     """
 
-    def __init__(self, parts=None, ring=None):
-        if (parts is None) == (ring is None):
-            raise ValueError("provide exactly one of parts or ring")
-        if ring is not None:
-            if not isinstance(ring, RingElement):
-                raise TypeError("symbolic mixed forms wrap a RingElement")
-            self.ring = ring
-            self.parts = None
-            self.atlas = None
-            return
+    def __init__(self, parts):
         if not parts:
             raise ValueError("parts must contain at least one field")
         atlas = None
@@ -90,7 +80,6 @@ class MixedForm:
         if extra:
             raise ValueError(
                 f"part degrees {sorted(extra)} exceed the atlas dimension")
-        self.ring = None
         self.atlas = atlas
         self.parts = {degree: parts[degree] if degree in parts
                       else _zero_scalar_field(atlas, degree)
@@ -103,19 +92,10 @@ class MixedForm:
         return cls(parts={0: FormField(atlas, 0, comps)})
 
     @property
-    def symbolic(self):
-        return self.ring is not None
-
-    @property
     def dim(self):
-        if self.symbolic:
-            return 2 * self.ring.top
         return self.atlas.dim
 
     def part(self, degree):
-        if self.symbolic:
-            raise ValueError(
-                "symbolic mixed forms expose .ring, not graded parts")
         if degree % 2 != 0 or not 0 <= degree <= self.dim:
             raise ValueError(f"no part in degree {degree}")
         return self.parts[degree]
@@ -123,10 +103,6 @@ class MixedForm:
     def __mul__(self, other):
         if not isinstance(other, MixedForm):
             raise TypeError("expected a MixedForm")
-        if self.symbolic != other.symbolic:
-            raise TypeError("cannot mix symbolic and numeric mixed forms")
-        if self.symbolic:
-            return MixedForm(ring=self.ring * other.ring)
         if self.atlas is not other.atlas:
             raise ValueError("mixed forms live on different atlases")
         out = {}
@@ -140,16 +116,12 @@ class MixedForm:
 
     def integrate(self):
         """Pair with the fundamental class: top piece integrated."""
-        if self.symbolic:
-            return self.ring.integrate()
         return integrate_top(self.parts[self.dim])
 
     def max_difference(self, other):
         """Largest pointwise coefficient deviation across degrees and charts."""
         if not isinstance(other, MixedForm):
             raise TypeError("expected a MixedForm")
-        if self.symbolic or other.symbolic:
-            raise TypeError("pointwise comparison needs numeric mixed forms")
         if self.atlas is not other.atlas:
             raise ValueError("mixed forms live on different atlases")
         worst = 0.0
@@ -166,20 +138,16 @@ class MixedForm:
 def twisted_chern_character(source, tol=1e-6, reality_tol=1e-9):
     """Character of a twist module: rank, tr(F)/2 pi i, tr(F ^ F)/2(2 pi i)^2.
 
-    Accepts a `ModuleConnection` (curvature computed and descent-checked),
-    a matrix-valued curvature 2-form, or a symbolic ring element shipped as
-    an exact character.  Numeric pieces are checked to be real and to glue
-    across overlaps after tracing.
+    Accepts a `ModuleConnection` (curvature computed and descent-checked)
+    or a matrix-valued curvature 2-form.  The pieces are checked to be real
+    and to glue across overlaps after tracing.
     """
-    if isinstance(source, RingElement):
-        return MixedForm(ring=source)
     if isinstance(source, ModuleConnection):
         field = curvature(source, tol=tol)
     elif isinstance(source, FormField):
         field = source
     else:
-        raise TypeError(
-            "expected a ModuleConnection, curvature FormField, or RingElement")
+        raise TypeError("expected a ModuleConnection or curvature FormField")
     if field.degree != 2 or field.rank is None:
         raise ValueError("curvature must be a matrix-valued 2-form")
     atlas = field.atlas
@@ -204,15 +172,14 @@ def twisted_chern_character(source, tol=1e-6, reality_tol=1e-9):
 def a_hat(source, tol=1e-6, reality_tol=1e-9):
     """Genus of the tangent curvature, truncated as 1 - p1/24.
 
-    Numeric mode takes the tangent curvature 2-form; symbolic mode takes
-    the first Pontryagin class directly.  Dimensions above four would need
-    higher genus terms and are rejected.
+    Given the tangent curvature 2-form it returns a `MixedForm`; given the
+    first Pontryagin class as a `RingElement` it returns the `RingElement`.
+    Dimensions above four would need higher genus terms and are rejected.
     """
     if isinstance(source, RingElement):
         if 2 * source.top > 4:
             raise ValueError("genus truncation only covers dimension up to 4")
-        one = RingElement.constant(source.top, 1)
-        return MixedForm(ring=one - source * Fraction(1, 24))
+        return RingElement.constant(source.top, 1) - source * Fraction(1, 24)
     if not isinstance(source, FormField):
         raise TypeError("expected a tangent curvature FormField or RingElement")
     if source.degree != 2 or source.rank is None:
@@ -380,26 +347,18 @@ def topological_index(manifold, twist, tol=1e-6):
     fields go through quadrature.  The report carries the raw value, the
     nearest integer, and the integrality gap.
     """
-    if isinstance(twist, MixedForm):
-        character = twist
-    elif isinstance(twist, RingElement):
-        character = MixedForm(ring=twist)
-    elif isinstance(twist, (ModuleConnection, FormField)):
-        character = twisted_chern_character(twist, tol=tol)
-    else:
-        raise TypeError(
-            "expected a ModuleConnection, FormField, RingElement, or MixedForm")
-    if character.symbolic:
+    if isinstance(twist, RingElement):
         if not hasattr(manifold, "p1_class"):
             raise ValueError(
                 "symbolic twist needs a benchmark with a symbolic tangent class")
-        genus = a_hat(manifold.p1_class())
-        value = (genus * character).integrate()
-        nearest = int(round(value))
-        gap = abs(float(value - nearest))
-    else:
+        value = (a_hat(manifold.p1_class()) * twist).integrate()
+    elif isinstance(twist, (MixedForm, ModuleConnection, FormField)):
+        character = (twist if isinstance(twist, MixedForm)
+                     else twisted_chern_character(twist, tol=tol))
         genus = a_hat(manifold.tangent_curvature(), tol=tol)
         value = float((genus * character).integrate())
-        nearest = int(round(value))
-        gap = abs(value - nearest)
-    return IndexReport(value, nearest, gap)
+    else:
+        raise TypeError(
+            "expected a ModuleConnection, FormField, RingElement, or MixedForm")
+    nearest = int(round(value))
+    return IndexReport(value, nearest, abs(float(value - nearest)))

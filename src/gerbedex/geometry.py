@@ -1,5 +1,5 @@
 """Chart atlases with composite Gauss-Legendre quadrature and bump partitions
-of unity, matrix-valued differential forms on grids, and module connections.
+of unity, matrix-valued differential forms on grids, and rank-r connections.
 
 Conventions:
   - Each chart is a coordinate box with an orientation sign; its quadrature
@@ -27,8 +27,6 @@ import weakref
 from itertools import combinations
 
 import numpy as np
-
-from .gerbe import tensor_modules
 
 __all__ = [
     "bump",
@@ -582,7 +580,7 @@ class _OverlapSample:
 
     def transition(self, fn, rank):
         """phi and (d phi along each axis) at the sampled nodes, for the
-        transition callable `fn` of a rank-`rank` module.
+        transition callable `fn` of a rank-`rank` bundle.
 
         `fn` is evaluated once on chart a's grid and differentiated there;
         the gathered values are kept until `fn` is garbage collected. A
@@ -630,9 +628,8 @@ def _descent_residual(atlas, degree, comps, conn=None, shifted=False):
     for a, b in atlas.overlaps:
         sample = atlas.overlap_sample(a, b)
         if conn is not None:
-            phi, dphi = sample.transition(conn.transitions[(a, b)],
-                                          conn.module.rank)
-            phi_inv = conn._inverse(phi)
+            phi, dphi = sample.transition(conn.transitions[(a, b)], conn.rank)
+            phi_inv = phi.conj().swapaxes(-1, -2)
         if sample.idx.size == 0:
             continue
         for key, rhs in sample.pullback(comps[b], degree).items():
@@ -665,18 +662,20 @@ def integrate_top(form):
 
 
 class ModuleConnection:
-    """Per-chart anti-Hermitian connection 1-forms over a gerbe module.
+    """Per-chart anti-Hermitian connection 1-forms of a rank-r bundle.
 
     `forms[chart]` lists one (grid + rank x rank) array per coordinate axis;
-    `transitions[(a, b)]` evaluates the module transition phi_ab at points
+    `transitions[(a, b)]` evaluates the unitary transition phi_ab at points
     given in a-chart coordinates. Gluing is validated on construction.
     """
 
-    def __init__(self, atlas, module, forms, transitions, tol=1e-6):
+    def __init__(self, atlas, rank, forms, transitions, tol=1e-6):
+        if (isinstance(rank, bool) or not isinstance(rank, (int, np.integer))
+                or rank < 1):
+            raise ValueError(f"rank must be a positive integer, got {rank!r}")
         self.atlas = atlas
-        self.module = module
+        self.rank = rank = int(rank)
         self.tol = float(tol)
-        rank = module.rank
         self.forms = {}
         for cname, chart in atlas.charts.items():
             if cname not in forms:
@@ -708,11 +707,6 @@ class ModuleConnection:
                 f"connection gluing residual {residual:.3e} exceeds "
                 f"{self.tol:.1e}; connection rejected")
 
-    def _inverse(self, mats):
-        if self.module.unitary:
-            return mats.conj().swapaxes(-1, -2)
-        return np.linalg.inv(mats)
-
     def gluing_residual(self):
         """Max residual of A_a = phi A_b phi^-1 - (d phi) phi^-1 on overlaps."""
         comps = {cname: {(axis,): arr for axis, arr in enumerate(forms)}
@@ -723,7 +717,6 @@ class ModuleConnection:
 def curvature(conn, tol=1e-6):
     """F = dA + A ^ A per chart, with the descent check on overlaps."""
     atlas = conn.atlas
-    rank = conn.module.rank
     comps = {}
     for cname, chart in atlas.charts.items():
         forms = conn.forms[cname]
@@ -734,7 +727,7 @@ def curvature(conn, tol=1e-6):
                                - chart.differentiate(forms[i], j)
                                + forms[i] @ forms[j] - forms[j] @ forms[i])
         comps[cname] = out
-    field = FormField(atlas, 2, comps, rank=rank)
+    field = FormField(atlas, 2, comps, rank=conn.rank)
     residual = _descent_residual(atlas, 2, field.comps, conn)
     if residual > tol:
         raise ValueError(
@@ -744,17 +737,17 @@ def curvature(conn, tol=1e-6):
 
 
 def connection_difference(c1, c2, tol=1e-6):
-    """Difference of two connections on the same module, as a global 1-form."""
+    """Difference of two connections with the same transitions, a global 1-form."""
     if c1.atlas is not c2.atlas:
         raise ValueError("connections live on different atlases")
-    if c1.module is not c2.module:
+    if c1.rank != c2.rank or c1.transitions != c2.transitions:
         raise ValueError("connection difference requires the same module")
     atlas = c1.atlas
     comps = {}
     for cname, chart in atlas.charts.items():
         comps[cname] = {(axis,): c1.forms[cname][axis] - c2.forms[cname][axis]
                         for axis in range(chart.dim)}
-    field = FormField(atlas, 1, comps, rank=c1.module.rank)
+    field = FormField(atlas, 1, comps, rank=c1.rank)
     residual = _descent_residual(atlas, 1, field.comps, c1)
     if residual > tol:
         raise ValueError(
@@ -763,13 +756,12 @@ def connection_difference(c1, c2, tol=1e-6):
 
 
 def tensor_connection(c1, c2):
-    """Product connection A_1 x 1 + 1 x A_2 on the tensor-product module."""
+    """Product connection A_1 x 1 + 1 x A_2 on the tensor-product bundle."""
     if c1.atlas is not c2.atlas:
         raise ValueError("tensor product requires a common atlas")
     atlas = c1.atlas
-    module = tensor_modules(c1.module, c2.module)
-    r1 = c1.module.rank
-    r2 = c2.module.rank
+    r1 = c1.rank
+    r2 = c2.rank
     eye1 = np.eye(r1, dtype=complex)
     eye2 = np.eye(r2, dtype=complex)
     forms = {}
@@ -785,7 +777,7 @@ def tensor_connection(c1, c2):
     transitions = {key: _kron_transition(c1.transitions[key],
                                          c2.transitions[key], r1, r2)
                    for key in atlas.overlaps}
-    return ModuleConnection(atlas, module, forms, transitions,
+    return ModuleConnection(atlas, r1 * r2, forms, transitions,
                             tol=max(c1.tol, c2.tol))
 
 

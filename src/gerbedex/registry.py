@@ -8,8 +8,7 @@ Three entries, selected by name through `benchmark_registry`:
   connection, tangent curvature with Gauss curvature 1, and a three-chart
   frame cover sampled along the equator for the lifting machinery.
 * "T2"  - the flat unit torus. One periodic chart, constant-curvature flux
-  connections, zero tangent curvature, and a parallelizing four-chart frame
-  cover with identity transitions.
+  connections and zero tangent curvature; it ships no frame cover.
 * "CP2" - the complex projective plane in exact cohomology-ring mode
   (one degree-2 generator x, relation x^3 = 0, x^2 integrating to 1), with
   the Fubini-Study metric of the dense affine chart available for a numeric
@@ -29,8 +28,7 @@ from . import cech
 from .clifford import CliffordModuleFiber
 from .geometry import (Chart, ChartAtlas, FormField, ModuleConnection,
                        OverlapMap, composite_gauss_legendre, tensor_connection)
-from .gerbe import (EdgeSampleGraph, GerbeModuleData, TransitionData,
-                    lift_transitions)
+from .gerbe import EdgeSampleGraph, TransitionData
 from .symbolic import RingElement
 
 
@@ -87,7 +85,6 @@ class SphereBenchmark:
         self.box = float(box)
         self.frame_samples = int(frame_samples)
         self.atlas = _sphere_atlas(self.order, self.panels, self.box)
-        self.atlas_nerve = cech.Nerve.from_simplices([(0, 1)])
         self._loop = (2.0 * np.pi * np.arange(self.frame_samples)
                       / self.frame_samples)
         self._frame = None
@@ -137,22 +134,6 @@ class SphereBenchmark:
                                          edges=edges, triples=triples)
         return self._frame
 
-    def frame_gerbe(self, seed=None, sign_flips=None, basepoints=None):
-        return lift_transitions(self.frame_transitions(), seed=seed,
-                                sign_flips=sign_flips, basepoints=basepoints)
-
-    def spin_module(self):
-        """Rank-2 weight-1 module: the canonical lift of the frame change."""
-        phase = np.exp(1j * self._loop)
-        phi = _diag_phases(-1j * phase, 1j * phase.conj())
-        return GerbeModuleData(nerve=self.atlas_nerve, band_order=2, weight=1,
-                               rank=2, transitions={(0, 1): phi}, triples={})
-
-    def monopole_module(self, m):
-        phase = np.exp(-1j * int(m) * self._loop)[:, None, None]
-        return GerbeModuleData(nerve=self.atlas_nerve, band_order=2, weight=0,
-                               rank=1, transitions={(0, 1): phase}, triples={})
-
     def spin_connection(self):
         """Levi-Civita connection on the spinor bundle.
 
@@ -184,7 +165,7 @@ class SphereBenchmark:
                 return _diag_phases(1j * p.conj(), -1j * p)
 
             self._spin_conn = ModuleConnection(
-                self.atlas, self.spin_module(), forms,
+                self.atlas, 2, forms,
                 {("north", "south"): phi_ns, ("south", "north"): phi_sn})
         return self._spin_conn
 
@@ -211,7 +192,7 @@ class SphereBenchmark:
                 return (p ** m)[..., None, None]
 
             self._monopole_conns[m] = ModuleConnection(
-                self.atlas, self.monopole_module(m), forms,
+                self.atlas, 1, forms,
                 {("north", "south"): phi_ns, ("south", "north"): phi_sn})
         return self._monopole_conns[m]
 
@@ -246,11 +227,12 @@ class SphereBenchmark:
                        2.0 * a / (1.0 + rho), 2.0 * b / (1.0 + rho)]
             denom = (1.0 + rho) ** 2
             base = [-b / denom, a / denom]
+            weights = [sum(c[k] * s for c, s in zip(coeff, scalars))
+                       for k in range(rank)]
             entry = {}
             for axis in range(2):
                 arr = np.zeros(chart.shape + (rank, rank), dtype=complex)
-                for k in range(rank):
-                    weight = sum(c[k] * s for c, s in zip(coeff, scalars))
+                for k, weight in enumerate(weights):
                     arr[..., k, k] = 1j * weight * base[axis]
                 entry[(axis,)] = arr
             comps[cname] = entry
@@ -268,8 +250,6 @@ class TorusBenchmark:
         self.panels = int(panels)
         chart = Chart("torus", (0.0, 0.0), (1.0, 1.0), 1, self.order, self.panels)
         self.atlas = ChartAtlas("torus", 2, [chart], {})
-        self.atlas_nerve = cech.Nerve.from_simplices([(0,)])
-        self._frame = None
 
     def volume_form(self):
         chart = self.atlas.charts["torus"]
@@ -282,11 +262,6 @@ class TorusBenchmark:
                          {"torus": {(0, 1): np.zeros(chart.shape + (2, 2))}},
                          rank=2)
 
-    def flux_module(self, m):
-        del m  # every flux bundle restricts to the same trivial chart data
-        return GerbeModuleData(nerve=self.atlas_nerve, band_order=2, weight=0,
-                               rank=1, transitions={}, triples={})
-
     def flux_connection(self, m):
         """Connection with constant curvature 2 pi i m dx dy."""
         m = int(m)
@@ -294,23 +269,7 @@ class TorusBenchmark:
         x, _ = chart.coords()
         forms = {"torus": [np.zeros(chart.shape + (1, 1), dtype=complex),
                            (2j * np.pi * m * x)[..., None, None]]}
-        return ModuleConnection(self.atlas, self.flux_module(m), forms, {})
-
-    def frame_transitions(self):
-        """Parallelizing frame data: identity transitions on a 2x2 block cover."""
-        if self._frame is None:
-            nerve = cech.Nerve.from_simplices([(0, 1, 2, 3)])
-            eye = np.broadcast_to(np.eye(2), (8, 2, 2)).copy()
-            edges = {edge: EdgeSampleGraph(eye.copy())
-                     for edge in nerve.simplices[1]}
-            triples = {tri: ((0, 0, 0),) for tri in nerve.simplices[2]}
-            self._frame = TransitionData(nerve=nerve, dimension=2,
-                                         edges=edges, triples=triples)
-        return self._frame
-
-    def frame_gerbe(self, seed=None, sign_flips=None, basepoints=None):
-        return lift_transitions(self.frame_transitions(), seed=seed,
-                                sign_flips=sign_flips, basepoints=basepoints)
+        return ModuleConnection(self.atlas, 1, forms, {})
 
     def clifford_fiber(self, multiplicity=1):
         return CliffordModuleFiber.from_tensor(2, multiplicity)
@@ -386,12 +345,12 @@ def perturbed_connection(conn, one_form):
     """Shift a connection by a matrix 1-form that glues by conjugation."""
     if one_form.degree != 1:
         raise ValueError("perturbation must be a 1-form")
-    if one_form.rank != conn.module.rank:
+    if one_form.rank != conn.rank:
         raise ValueError("perturbation rank must match the module rank")
     forms = {cname: [conn.forms[cname][axis] + one_form.comps[cname][(axis,)]
                      for axis in range(chart.dim)]
              for cname, chart in conn.atlas.charts.items()}
-    return ModuleConnection(conn.atlas, conn.module, forms,
+    return ModuleConnection(conn.atlas, conn.rank, forms,
                             conn.transitions, tol=conn.tol)
 
 

@@ -68,7 +68,7 @@ def descent_residual(atlas, degree, comps, conn=None, shifted=False):
         if shifted:
             chart_a = atlas.charts[a]
             phi_grid = np.asarray(transition(*chart_a.coords()), dtype=complex)
-            if phi_grid.shape != chart_a.shape + (conn.module.rank,) * 2:
+            if phi_grid.shape != chart_a.shape + (conn.rank,) * 2:
                 raise ValueError(f"transition on {(a, b)} has wrong shape")
             dphi = [chart_a.differentiate(phi_grid, axis)
                     for axis in range(chart_a.dim)]
@@ -78,7 +78,7 @@ def descent_residual(atlas, degree, comps, conn=None, shifted=False):
         if conn is not None:
             phi = (sample.gather(phi_grid) if shifted else
                    np.asarray(transition(*sample.coords), dtype=complex))
-            phi_inv = conn._inverse(phi)
+            phi_inv = phi.conj().swapaxes(-1, -2)
         for key, rhs in sample.pullback(comps[b], degree).items():
             if conn is not None:
                 rhs = phi @ rhs @ phi_inv

@@ -92,15 +92,17 @@ def conjugated_setup(flat4, seed):
 
 
 def test_mixed_form_requires_exactly_one_mode(torus):
+    # numeric parts are the only mode: a ring element is not a mixed form
     with pytest.raises(ValueError):
-        MixedForm()
-    with pytest.raises(ValueError):
+        MixedForm({})
+    with pytest.raises(TypeError):
         MixedForm(parts={}, ring=RingElement.constant(2, 1))
+    form = MixedForm.constant(torus.atlas, 1.0)
+    assert not hasattr(form, "ring") and not hasattr(form, "symbolic")
 
 
 def test_mixed_form_constant_parts(torus):
     form = MixedForm.constant(torus.atlas, 3.0)
-    assert not form.symbolic
     chart = torus.atlas.charts["torus"]
     assert np.max(np.abs(form.part(0).comps["torus"][()] - 3.0)) == 0.0
     assert np.max(np.abs(form.part(2).comps["torus"][(0, 1)])) == 0.0
@@ -121,14 +123,6 @@ def test_mixed_form_product_numeric(torus):
     prod = m1 * m2
     assert np.max(np.abs(prod.part(0).comps["torus"][()] - x * x)) < 1e-14
     assert np.max(np.abs(prod.part(2).comps["torus"][(0, 1)] - x * y)) < 1e-14
-
-
-def test_mixed_form_symbolic_product_and_integrate():
-    x = RingElement.generator(2)
-    ahat = MixedForm(ring=RingElement.constant(2, 1) - x * x * Fraction(1, 8))
-    ch = MixedForm(ring=(x * Fraction(3, 2)).exp())
-    paired = (ahat * ch).integrate()
-    assert paired == Fraction(9, 8) - Fraction(1, 8) == 1
 
 
 def test_mixed_form_max_difference(torus):
@@ -152,8 +146,11 @@ def test_a_hat_torus_and_sphere_trivial(torus, sphere):
 
 def test_a_hat_symbolic_cp2(proj):
     genus = a_hat(proj.p1_class())
-    assert genus.symbolic
-    assert genus.ring.coeffs == (Fraction(1), Fraction(0), Fraction(-1, 8))
+    assert isinstance(genus, RingElement)
+    assert genus.coeffs == (Fraction(1), Fraction(0), Fraction(-1, 8))
+    x = proj.generator()
+    paired = (genus * (x * Fraction(3, 2)).exp()).integrate()
+    assert paired == Fraction(9, 8) - Fraction(1, 8) == 1
 
 
 def test_a_hat_symbolic_dimension_cap():
@@ -211,10 +208,12 @@ def test_ch_rejects_non_descending_field(sphere):
         twisted_chern_character(bad)
 
 
-def test_ch_symbolic_passthrough(proj):
-    ch = twisted_chern_character(proj.module_character(1))
-    assert ch.symbolic
-    assert ch.ring.coeffs == (Fraction(1), Fraction(5, 2), Fraction(25, 8))
+def test_ch_rejects_a_ring_element(proj):
+    character = proj.module_character(1)
+    assert character.coeffs == (Fraction(1), Fraction(5, 2), Fraction(25, 8))
+    with pytest.raises(TypeError, match="expected a ModuleConnection or "
+                                        "curvature FormField"):
+        twisted_chern_character(character)
 
 
 # ----------------------------------------------------------- twisting side
@@ -426,9 +425,10 @@ def test_topological_index_sphere(sphere, m):
 def test_topological_index_cp2_symbolic(proj, k):
     report = topological_index(proj, proj.module_character(k))
     expected = Fraction((k + 1) * (k + 2), 2)
-    assert report.value == expected
+    assert type(report.value) is Fraction and report.value == expected
+    assert report.value == (1, 3, 6, 10, 15)[k]
     assert report.nearest == proj.section_count(k)
-    assert report.gap < 1e-9
+    assert report.gap == 0.0
 
 
 def test_topological_index_connection_independence(sphere):
@@ -441,7 +441,9 @@ def test_topological_index_connection_independence(sphere):
 
 
 def test_topological_index_rejects_unknown_twist(sphere, proj):
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="expected a ModuleConnection, "
+                                        "FormField, RingElement, or MixedForm"):
         topological_index(sphere, "bogus")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="symbolic twist needs a benchmark "
+                                         "with a symbolic tangent class"):
         topological_index(sphere, proj.module_character(0))

@@ -7,8 +7,6 @@ import pytest
 
 from oracles import descent_residual
 from gerbedex import geometry
-from gerbedex.cech import Nerve
-from gerbedex.gerbe import GerbeModuleData
 from gerbedex.geometry import (
     Chart,
     ChartAtlas,
@@ -90,7 +88,7 @@ def area_form(atlas):
                                        "south": {(0, 1): south}})
 
 
-def monopole_connection(atlas, m, module=None):
+def monopole_connection(atlas, m):
     """Charge-m monopole: A_N = -im(x dy - y dx)/(1+r^2), opposite sign south."""
     def a_x_north(x, y):
         return (1j * m * y / (1.0 + x * x + y * y))[..., None, None]
@@ -112,8 +110,6 @@ def monopole_connection(atlas, m, module=None):
         w = u + 1j * v
         return ((w / np.abs(w)) ** (-m))[..., None, None]
 
-    if module is None:
-        module = scalar_module()
     forms = {
         "north": [_sample_on(atlas.charts["north"], a_x_north),
                   _sample_on(atlas.charts["north"], a_y_north)],
@@ -121,19 +117,12 @@ def monopole_connection(atlas, m, module=None):
                   _sample_on(atlas.charts["south"], a_y_south)],
     }
     transitions = {("north", "south"): phase_north, ("south", "north"): phase_south}
-    return ModuleConnection(atlas, module, forms, transitions)
+    return ModuleConnection(atlas, 1, forms, transitions)
 
 
 def _sample_on(chart, fn):
     coords = chart.coords()
     return np.asarray(fn(*coords), dtype=complex)
-
-
-def scalar_module(weight=0):
-    nerve = Nerve.from_simplices([(0,), (1,), (0, 1)])
-    return GerbeModuleData(nerve, band_order=2, weight=weight, rank=1,
-                           transitions={(0, 1): np.ones((2, 1, 1), dtype=complex)},
-                           triples={})
 
 
 # ---------------------------------------------------------------- bump
@@ -576,13 +565,12 @@ def test_overlap_residual_one_form_jacobian():
 
 def test_flat_connection_zero_curvature():
     atlas = flat_pair_atlas(order=12, panels=3)
-    module = scalar_module()
     forms = {name: [np.zeros(chart.shape + (1, 1), dtype=complex)
                     for _ in range(2)]
              for name, chart in atlas.charts.items()}
     ident = {key: (lambda x, y: np.ones(x.shape + (1, 1), dtype=complex))
              for key in atlas.overlaps}
-    conn = ModuleConnection(atlas, module, forms, ident)
+    conn = ModuleConnection(atlas, 1, forms, ident)
     assert conn.gluing_residual() < 1e-12
     f = curvature(conn)
     for name in atlas.charts:
@@ -591,7 +579,6 @@ def test_flat_connection_zero_curvature():
 
 def test_phase_gauge_gluing():
     atlas = flat_pair_atlas(order=16, panels=4)
-    module = scalar_module()
 
     def theta(x):
         return np.sin(np.pi * x / 3.0)
@@ -611,7 +598,7 @@ def test_phase_gauge_gluing():
         ("left", "right"): lambda x, y: np.exp(1j * theta(x))[..., None, None],
         ("right", "left"): lambda x, y: np.exp(-1j * theta(x))[..., None, None],
     }
-    conn = ModuleConnection(atlas, module, forms, transitions)
+    conn = ModuleConnection(atlas, 1, forms, transitions)
     assert conn.gluing_residual() < 1e-8
     f = curvature(conn)
     for name in atlas.charts:
@@ -620,7 +607,6 @@ def test_phase_gauge_gluing():
 
 def test_connection_rejects_bad_gluing():
     atlas = flat_pair_atlas(order=12, panels=3)
-    module = scalar_module()
     forms = {}
     for name, chart in atlas.charts.items():
         x, y = chart.coords()
@@ -631,10 +617,10 @@ def test_connection_rejects_bad_gluing():
     ident = {key: (lambda x, y: np.ones(x.shape + (1, 1), dtype=complex))
              for key in atlas.overlaps}
     with pytest.raises(ValueError):
-        ModuleConnection(atlas, module, forms, ident)
+        ModuleConnection(atlas, 1, forms, ident)
 
 
-def loose_strip_connection(module, left_ax):
+def loose_strip_connection(left_ax):
     """Identity-glued strip connection with A_x = left_ax on the left chart only,
     accepted under a loose gluing tolerance."""
     atlas = flat_pair_atlas(order=12, panels=3)
@@ -647,21 +633,20 @@ def loose_strip_connection(module, left_ax):
         forms[name] = [ax, np.zeros(chart.shape + (1, 1), dtype=complex)]
     ident = {key: (lambda x, y: np.ones(x.shape + (1, 1), dtype=complex))
              for key in atlas.overlaps}
-    return ModuleConnection(atlas, module, forms, ident, tol=10.0)
+    return ModuleConnection(atlas, 1, forms, ident, tol=10.0)
 
 
 def test_curvature_rejects_a_field_that_does_not_descend():
-    conn = loose_strip_connection(scalar_module(), lambda x, y: 1j * x * y)
+    conn = loose_strip_connection(lambda x, y: 1j * x * y)
     assert conn.gluing_residual() > 1.0
     with pytest.raises(ValueError, match="curvature fails to descend"):
         curvature(conn)
 
 
 def test_connection_difference_rejects_a_form_that_does_not_glue():
-    module = scalar_module()
-    flat = loose_strip_connection(module, lambda x, y: 0.0 * x)
+    flat = loose_strip_connection(lambda x, y: 0.0 * x)
     shifted = ModuleConnection(
-        flat.atlas, module,
+        flat.atlas, 1,
         {name: [forms[0] + (1j if name == "left" else 0.0), forms[1]]
          for name, forms in flat.forms.items()},
         flat.transitions, tol=10.0)
@@ -671,9 +656,6 @@ def test_connection_difference_rejects_a_form_that_does_not_glue():
 
 def test_non_abelian_constant_transition_glues_by_conjugation():
     atlas = flat_pair_atlas(order=12, panels=3)
-    nerve = Nerve.from_simplices([(0,), (1,), (0, 1)])
-    module = GerbeModuleData(nerve, band_order=2, weight=0, rank=2,
-                             transitions={(0, 1): np.eye(2)[None]}, triples={})
     u = np.array([[0.6, -0.8j], [-0.8j, 0.6]])
 
     def right_forms(x, y):
@@ -692,7 +674,7 @@ def test_non_abelian_constant_transition_glues_by_conjugation():
         ("right", "left"): lambda x, y: np.broadcast_to(u.conj().T,
                                                         x.shape + (2, 2)),
     }
-    conn = ModuleConnection(atlas, module, forms, transitions)
+    conn = ModuleConnection(atlas, 2, forms, transitions)
     assert conn.gluing_residual() < 1e-10
     f = curvature(conn)
     assert np.abs(f.comps["left"][(0, 1)]).max() > 0.1
@@ -717,12 +699,11 @@ def test_each_overlap_is_sampled_once_for_every_check():
 
 def test_connection_rejects_non_antihermitian():
     atlas = single_chart_atlas(order=6, panels=2)
-    module = scalar_module()
     chart = atlas.charts["main"]
     forms = {"main": [np.ones(chart.shape + (1, 1), dtype=complex),
                       np.zeros(chart.shape + (1, 1), dtype=complex)]}
     with pytest.raises(ValueError):
-        ModuleConnection(atlas, module, forms, {})
+        ModuleConnection(atlas, 1, forms, {})
 
 
 @pytest.mark.parametrize("m", [-2, -1, 1, 3])
@@ -750,9 +731,8 @@ def test_monopole_first_chern_number(m):
 
 def test_connection_difference_global_form():
     atlas = sphere_atlas(order=16)
-    module = scalar_module()
-    c1 = monopole_connection(atlas, 1, module)
-    # same module, shifted by the global 1-form i(x dy - y dx)/(1+r^2)^2
+    c1 = monopole_connection(atlas, 1)
+    # same transitions, shifted by the global 1-form i(x dy - y dx)/(1+r^2)^2
     forms = {}
     for name, chart in atlas.charts.items():
         x, y = chart.coords()
@@ -760,7 +740,7 @@ def test_connection_difference_global_form():
         base = c1.forms[name]
         forms[name] = [base[0] + (-1j * y / denom)[..., None, None],
                        base[1] + (1j * x / denom)[..., None, None]]
-    c2 = ModuleConnection(atlas, module, forms, c1.transitions)
+    c2 = ModuleConnection(atlas, 1, forms, c1.transitions)
     diff = connection_difference(c2, c1)
     assert diff.degree == 1
     for name, chart in atlas.charts.items():
@@ -776,15 +756,52 @@ def test_connection_difference_requires_same_module():
     atlas = sphere_atlas(order=16)
     c1 = monopole_connection(atlas, 1)
     c2 = monopole_connection(atlas, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires the same module"):
         connection_difference(c1, c2)
+
+
+def test_connection_difference_requires_the_same_transition_callables():
+    atlas = sphere_atlas(order=16)
+    c1 = monopole_connection(atlas, 1)
+    twin = monopole_connection(atlas, 1)
+    assert twin.transitions.keys() == c1.transitions.keys()
+    with pytest.raises(ValueError, match="requires the same module"):
+        connection_difference(twin, c1)
+    shared = ModuleConnection(atlas, 1, twin.forms, c1.transitions)
+    assert np.abs(connection_difference(shared, c1).comps["north"][(0,)]).max() == 0.0
+
+
+def test_connection_difference_accepts_a_perturbed_connection(sphere_bench):
+    base = sphere_bench.monopole_connection(-1)
+    shifted = perturbed_connection(
+        base, sphere_bench.perturbation_form(base.rank, seed=2))
+    assert shifted.transitions == base.transitions
+    diff = connection_difference(shifted, base)
+    assert diff.rank == 1 and diff.overlap_residual() < 1e-8
+
+
+@pytest.mark.parametrize("rank", [0, -1, 1.5, "1", True])
+def test_connection_rank_must_be_a_positive_integer(rank):
+    atlas = single_chart_atlas(order=4, panels=1)
+    chart = atlas.charts["main"]
+    forms = {"main": [np.zeros(chart.shape + (1, 1), dtype=complex)] * 2}
+    with pytest.raises(ValueError, match="rank must be a positive integer"):
+        ModuleConnection(atlas, rank, forms, {})
+
+
+def test_connection_rank_is_stored_as_an_int():
+    atlas = single_chart_atlas(order=4, panels=1)
+    chart = atlas.charts["main"]
+    forms = {"main": [np.zeros(chart.shape + (2, 2), dtype=complex)] * 2}
+    conn = ModuleConnection(atlas, np.int64(2), forms, {})
+    assert conn.rank == 2 and type(conn.rank) is int
+    assert not hasattr(conn, "module")
 
 
 def test_curvature_change_identity():
     # F' - F = da + A^a + a^A + a^a for A' = A + a
     atlas = sphere_atlas(order=16)
-    module = scalar_module()
-    c1 = monopole_connection(atlas, 2, module)
+    c1 = monopole_connection(atlas, 2)
     forms = {}
     a_comps = {}
     for name, chart in atlas.charts.items():
@@ -795,7 +812,7 @@ def test_curvature_change_identity():
         a_comps[name] = {(0,): ax, (1,): ay}
         base = c1.forms[name]
         forms[name] = [base[0] + ax, base[1] + ay]
-    c2 = ModuleConnection(atlas, module, forms, c1.transitions)
+    c2 = ModuleConnection(atlas, 1, forms, c1.transitions)
     a = FormField(atlas, 1, a_comps, rank=1)
     lhs = curvature(c2) - curvature(c1)
     rhs = a.exterior_derivative()
@@ -806,10 +823,10 @@ def test_curvature_change_identity():
 
 def test_tensor_connection_curvature_additivity():
     atlas = sphere_atlas(order=16)
-    c1 = monopole_connection(atlas, 1, scalar_module())
-    c2 = monopole_connection(atlas, 2, scalar_module())
+    c1 = monopole_connection(atlas, 1)
+    c2 = monopole_connection(atlas, 2)
     both = tensor_connection(c1, c2)
-    assert both.module.rank == 1
+    assert both.rank == 1
     f = curvature(both)
     f1 = curvature(c1)
     f2 = curvature(c2)
@@ -820,8 +837,8 @@ def test_tensor_connection_curvature_additivity():
 
 def test_tensor_connection_total_chern_number():
     atlas = sphere_atlas(order=32)
-    c1 = monopole_connection(atlas, 1, scalar_module())
-    c2 = monopole_connection(atlas, 2, scalar_module())
+    c1 = monopole_connection(atlas, 1)
+    c2 = monopole_connection(atlas, 2)
     both = tensor_connection(c1, c2)
     integrand = (1j / (2.0 * np.pi)) * curvature(both).trace()
     assert integrate_top(integrand) == pytest.approx(3.0, abs=1e-6)
@@ -833,11 +850,6 @@ def test_tensor_connection_rank2_case():
     q = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q = 0.5 * (q - q.conj().T)
 
-    nerve = Nerve.from_simplices([(0,), (1,), (0, 1)])
-    eye_samples = np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2)).copy()
-    module2 = GerbeModuleData(nerve, band_order=2, weight=0, rank=2,
-                              transitions={(0, 1): eye_samples}, triples={})
-
     forms2 = {}
     for name, chart in atlas.charts.items():
         x, _ = chart.coords()
@@ -847,17 +859,17 @@ def test_tensor_connection_rank2_case():
     ident2 = {key: (lambda x, y: np.broadcast_to(
         np.eye(2, dtype=complex), x.shape + (2, 2)))
         for key in atlas.overlaps}
-    c2 = ModuleConnection(atlas, module2, forms2, ident2)
+    c2 = ModuleConnection(atlas, 2, forms2, ident2)
 
     c1 = ModuleConnection(
-        atlas, scalar_module(),
+        atlas, 1,
         {name: [np.zeros(chart.shape + (1, 1), dtype=complex) for _ in range(2)]
          for name, chart in atlas.charts.items()},
         {key: (lambda x, y: np.ones(x.shape + (1, 1), dtype=complex))
          for key in atlas.overlaps})
 
     both = tensor_connection(c1, c2)
-    assert both.module.rank == 2
+    assert both.rank == 2
     f = curvature(both)
     f2 = curvature(c2)
     for name in atlas.charts:
@@ -935,7 +947,7 @@ def test_twisted_descent_matches_the_whole_grid_oracle(sphere_bench, m):
 def test_perturbed_descent_and_difference_match_the_oracle(sphere_bench):
     base = sphere_bench.twisted_connection(1)
     shifted = perturbed_connection(
-        base, sphere_bench.perturbation_form(base.module.rank, seed=3))
+        base, sphere_bench.perturbation_form(base.rank, seed=3))
     assert_connection_matches_oracle(shifted)
     diff = connection_difference(shifted, base)
     assert assert_descent_matches_oracle(
@@ -943,15 +955,15 @@ def test_perturbed_descent_and_difference_match_the_oracle(sphere_bench):
 
 
 def test_non_gluing_descent_matches_the_oracle():
-    conn = loose_strip_connection(scalar_module(), lambda x, y: 1j * x * y)
+    conn = loose_strip_connection(lambda x, y: 1j * x * y)
     gluing = assert_descent_matches_oracle(
         conn.atlas, 1, gluing_comps(conn), conn, shifted=True)
     assert gluing == conn.gluing_residual() > 1.0
     field = curvature(conn, tol=np.inf)
     assert assert_descent_matches_oracle(conn.atlas, 2, field.comps, conn) > 0.1
-    flat = loose_strip_connection(conn.module, lambda x, y: 0.0 * x)
+    flat = loose_strip_connection(lambda x, y: 0.0 * x)
     shifted = ModuleConnection(
-        flat.atlas, flat.module,
+        flat.atlas, 1,
         {name: [forms[0] + (1j if name == "left" else 0.0), forms[1]]
          for name, forms in flat.forms.items()},
         flat.transitions, tol=10.0)
@@ -972,7 +984,7 @@ def test_each_transition_is_evaluated_once_per_overlap():
     base = bench.monopole_connection(2)
     calls = []
     counted = {key: counting(fn, calls) for key, fn in base.transitions.items()}
-    conn = ModuleConnection(bench.atlas, base.module, base.forms, counted)
+    conn = ModuleConnection(bench.atlas, base.rank, base.forms, counted)
     assert len(calls) == len(bench.atlas.overlaps)
     shifted = perturbed_connection(conn, bench.perturbation_form(1, seed=5))
     assert conn.gluing_residual() < 1e-8 and shifted.gluing_residual() < 1e-8
@@ -994,7 +1006,7 @@ def test_wrong_shape_transition_is_rejected_on_every_construction():
 
     for attempt in (1, 2):
         with pytest.raises(ValueError, match=r"\('left', 'right'\) has wrong shape"):
-            ModuleConnection(atlas, scalar_module(), forms,
+            ModuleConnection(atlas, 1, forms,
                              {key: wrong for key in atlas.overlaps})
         assert len(calls) == attempt
     assert wrong not in atlas.overlap_sample("left", "right")._transitions
@@ -1015,9 +1027,9 @@ def test_a_failing_transition_is_never_cached():
     transitions = {key: flaky for key in atlas.overlaps}
     sample = atlas.overlap_sample("left", "right")
     with pytest.raises(RuntimeError, match="transition failed"):
-        ModuleConnection(atlas, scalar_module(), forms, transitions)
+        ModuleConnection(atlas, 1, forms, transitions)
     assert flaky not in sample._transitions
-    conn = ModuleConnection(atlas, scalar_module(), forms, transitions)
+    conn = ModuleConnection(atlas, 1, forms, transitions)
     assert len(calls) == 1 + len(atlas.overlaps)
     assert conn.gluing_residual() < 1e-12
     assert flaky in sample._transitions
@@ -1033,8 +1045,8 @@ def test_a_transition_without_weak_references_is_evaluated_every_time():
 
     fn = Identity()
     fn.calls = 0
-    conn = loose_strip_connection(scalar_module(), lambda x, y: 0.0 * x)
-    conn = ModuleConnection(conn.atlas, conn.module, conn.forms,
+    conn = loose_strip_connection(lambda x, y: 0.0 * x)
+    conn = ModuleConnection(conn.atlas, conn.rank, conn.forms,
                             {key: fn for key in conn.atlas.overlaps})
     assert fn.calls == len(conn.atlas.overlaps)
     assert conn.gluing_residual() < 1e-12

@@ -13,7 +13,6 @@ from gerbedex.clifford import (
     spinor_rep,
 )
 from gerbedex.manifest import parse_manifest, sphere_frame_manifest
-from gerbedex.registry import TorusBenchmark
 
 
 def rot(theta):
@@ -509,7 +508,13 @@ def test_stacked_lift_matches_the_oracle_on_path_data(seed):
 
 
 def test_stacked_lift_matches_the_oracle_on_the_torus_frames():
-    data = TorusBenchmark(order=4, panels=1).frame_transitions()
+    # a parallelized torus: identity frame changes on a 2x2 block cover,
+    # whose nerve is one filled tetrahedron
+    nerve = cech.Nerve.from_simplices([(0, 1, 2, 3)])
+    edges = {edge: gerbe.EdgeSampleGraph(np.broadcast_to(np.eye(2), (8, 2, 2)).copy())
+             for edge in nerve.simplices[1]}
+    triples = {tri: ((0, 0, 0),) for tri in nerve.simplices[2]}
+    data = gerbe.TransitionData(nerve=nerve, dimension=2, edges=edges, triples=triples)
     assert_lift_matches_oracle(data)
     rng = np.random.default_rng(1320)
     for _ in range(8):

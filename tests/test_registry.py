@@ -9,7 +9,7 @@ import pytest
 from gerbedex import cech
 from gerbedex.clifford import clifford_of_curvature, represent, spinor_rep
 from gerbedex.geometry import FormField, connection_difference, curvature, integrate_top
-from gerbedex.gerbe import descend_weight_zero, spin_module, tensor_modules, verify_module
+from gerbedex.gerbe import lift_transitions, spin_module, verify_module
 from gerbedex.registry import (
     ProjectivePlaneBenchmark,
     SphereBenchmark,
@@ -158,7 +158,7 @@ def test_frame_windings(sphere):
 
 
 def test_frame_gerbe_default_lift(sphere):
-    lifted, cocycle = sphere.frame_gerbe()
+    lifted, cocycle = lift_transitions(sphere.frame_transitions())
     assert cocycle.cochain.values == (0,)
     assert cocycle.trivial
     check = verify_module(spin_module(lifted), cocycle)
@@ -167,38 +167,19 @@ def test_frame_gerbe_default_lift(sphere):
 
 def test_frame_gerbe_randomized_class_invariance(sphere):
     data = sphere.frame_transitions()
-    base = sphere.frame_gerbe()[1]
+    base = lift_transitions(data)[1]
     edges = list(data.edges)
     rng = np.random.default_rng(2026)
     for _ in range(10):
         flips = [e for e in edges if rng.random() < 0.5]
         bps = {e: int(rng.integers(0, 64)) for e in edges}
-        cocycle = sphere.frame_gerbe(seed=int(rng.integers(1 << 30)),
-                                     sign_flips=flips, basepoints=bps)[1]
+        cocycle = lift_transitions(data, seed=int(rng.integers(1 << 30)),
+                                   sign_flips=flips, basepoints=bps)[1]
         diff = cech.Cochain(2, 2, tuple(
             (a - b) % 2 for a, b in zip(cocycle.cochain.values,
                                         base.cochain.values)))
         assert cech.solve_coboundary(diff, data.nerve) is not None
         assert cocycle.trivial
-
-
-def test_spin_module_frozen_samples(sphere):
-    module = sphere.spin_module()
-    assert module.rank == 2 and module.weight == 1 and module.unitary
-    phi = module.transitions[(0, 1)]
-    assert phi.shape == (64, 2, 2)
-    assert np.max(np.abs(phi[0] - np.diag([-1j, 1j]))) < 1e-12
-    assert np.max(np.abs(phi[16] - np.eye(2))) < 1e-12
-    eye = np.einsum("kab,kcb->kac", phi, phi.conj())
-    assert np.max(np.abs(eye - np.eye(2))) < 1e-12
-
-
-def test_weight_arithmetic_of_tensor_modules(sphere):
-    spin = sphere.spin_module()
-    mono = sphere.monopole_module(2)
-    assert tensor_modules(spin, spin).weight == 0
-    assert tensor_modules(spin, mono).weight == 1
-    assert mono.weight == 0
 
 
 def test_spin_connection_blocks_match_monopoles(sphere):
@@ -268,7 +249,7 @@ def test_monopole_chern_integral(sphere, m):
 @pytest.mark.parametrize("m", [-2, 1])
 def test_twisted_connection_sum_formula(sphere, m):
     twisted = sphere.twisted_connection(m)
-    assert twisted.module.rank == 2 and twisted.module.weight == 1
+    assert twisted.rank == 2
     f_t = curvature(twisted)
     f_s = curvature(sphere.spin_connection())
     f_m = curvature(sphere.monopole_connection(m))
@@ -292,6 +273,42 @@ def test_perturbation_form_properties(sphere):
     delta = max(np.max(np.abs(pert.comps["north"][k] - other.comps["north"][k]))
                 for k in ((0,), (1,)))
     assert delta > 1e-4
+
+
+def reference_perturbation_comps(sphere, rank, seed):
+    """perturbation_form's coefficients with each weight summed once per axis."""
+    coeff = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(4, rank))
+    comps = {}
+    for cname, chart in sphere.atlas.charts.items():
+        a, b = chart.coords()
+        rho = a * a + b * b
+        height = (1.0 - rho) / (1.0 + rho)
+        if cname == "south":
+            height = -height
+        scalars = [np.ones_like(a), height,
+                   2.0 * a / (1.0 + rho), 2.0 * b / (1.0 + rho)]
+        denom = (1.0 + rho) ** 2
+        base = [-b / denom, a / denom]
+        entry = {}
+        for axis in range(2):
+            arr = np.zeros(chart.shape + (rank, rank), dtype=complex)
+            for k in range(rank):
+                weight = sum(c[k] * s for c, s in zip(coeff, scalars))
+                arr[..., k, k] = 1j * weight * base[axis]
+            entry[(axis,)] = arr
+        comps[cname] = entry
+    return comps
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("seed", [0, 7, 100])
+def test_perturbation_form_is_bitwise_the_per_axis_formula(sphere, rank, seed):
+    form = sphere.perturbation_form(rank, seed)
+    expect = reference_perturbation_comps(sphere, rank, seed)
+    for cname, comps in expect.items():
+        assert set(form.comps[cname]) == set(comps)
+        for key, arr in comps.items():
+            assert np.array_equal(form.comps[cname][key], arr)
 
 
 def test_perturbed_connection_difference_recovers_form(sphere):
@@ -327,23 +344,13 @@ def test_torus_flux_integral_exact(torus, m):
     assert abs(total - m) < 1e-10
 
 
-def test_torus_frame_parallelizable(torus):
-    data = torus.frame_transitions()
-    data.validate()
-    assert len(data.nerve.simplices[2]) == 4
-    lifted, cocycle = torus.frame_gerbe()
-    assert cocycle.cochain.values == (0, 0, 0, 0)
-    assert cocycle.trivial
-    check = verify_module(spin_module(lifted), cocycle)
-    assert check.ok and check.max_residual < 1e-12
-
-
 def test_torus_tangent_zero_and_flux_module_descends(torus):
     field = torus.tangent_curvature()
     assert field.rank == 2
     assert np.max(np.abs(field.comps["torus"][(0, 1)])) == 0.0
-    bundle = descend_weight_zero(torus.flux_module(2))
-    assert bundle.rank == 1
+    flux = torus.flux_connection(2)
+    assert flux.rank == 1 and flux.transitions == {}
+    assert curvature(flux).overlap_residual() == 0.0
 
 
 # ------------------------------------------------------------------------- cp2
