@@ -227,14 +227,12 @@ class SphereBenchmark:
                        2.0 * a / (1.0 + rho), 2.0 * b / (1.0 + rho)]
             denom = (1.0 + rho) ** 2
             base = [-b / denom, a / denom]
-            weights = [sum(c[k] * s for c, s in zip(coeff, scalars))
-                       for k in range(rank)]
-            entry = {}
-            for axis in range(2):
-                arr = np.zeros(chart.shape + (rank, rank), dtype=complex)
-                for k, weight in enumerate(weights):
-                    arr[..., k, k] = 1j * weight * base[axis]
-                entry[(axis,)] = arr
+            entry = {(axis,): np.zeros(chart.shape + (rank, rank), dtype=complex)
+                     for axis in range(2)}
+            for k in range(rank):
+                weight = sum(c[k] * s for c, s in zip(coeff, scalars))
+                for axis in range(2):
+                    entry[(axis,)][..., k, k] = 1j * weight * base[axis]
             comps[cname] = entry
         return FormField(self.atlas, 1, comps, rank=rank)
 
