@@ -755,20 +755,10 @@ def test_connection_difference_global_form():
 def test_connection_difference_requires_same_module():
     atlas = sphere_atlas(order=16)
     c1 = monopole_connection(atlas, 1)
-    c2 = monopole_connection(atlas, 2)
-    with pytest.raises(ValueError, match="requires the same module"):
-        connection_difference(c1, c2)
-
-
-def test_connection_difference_requires_the_same_transition_callables():
-    atlas = sphere_atlas(order=16)
-    c1 = monopole_connection(atlas, 1)
-    twin = monopole_connection(atlas, 1)
-    assert twin.transitions.keys() == c1.transitions.keys()
-    with pytest.raises(ValueError, match="requires the same module"):
-        connection_difference(twin, c1)
-    shared = ModuleConnection(atlas, 1, twin.forms, c1.transitions)
-    assert np.abs(connection_difference(shared, c1).comps["north"][(0,)]).max() == 0.0
+    # other transitions, then equal transitions given by other callables
+    for c2 in (monopole_connection(atlas, 2), monopole_connection(atlas, 1)):
+        with pytest.raises(ValueError, match="requires the same module"):
+            connection_difference(c1, c2)
 
 
 def test_connection_difference_accepts_a_perturbed_connection(sphere_bench):
