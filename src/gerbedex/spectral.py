@@ -1,9 +1,10 @@
 """Spectral side of the index pairing: lattice torus and closed-form sphere.
 
-The torus side assembles a Wilson-regularized lattice Dirac operator on a
-uniform-flux U(1) background, column block by column block, and reads the
-index off the spectral asymmetry of its Hermitian form as an inertia
-count over those blocks; the dense operator is built only as a test
+The torus side holds a Wilson-regularized lattice Dirac operator on a
+uniform-flux U(1) background as a band stencil of per-site couplings,
+and reads the index off the spectral asymmetry of its Hermitian form as
+an inertia count over lattice-column blocks built from that stencil one
+at a time, in O(N^2) memory; the dense operator is built only as a test
 oracle.  The sphere side enumerates the exact
 spectrum of the charged Dirac operator on the round sphere, whose kernel
 is chiral and carries the index directly.  `index_compare` runs either
@@ -11,6 +12,7 @@ spectral computation against the quadrature topological pairing.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +38,22 @@ PIVOT_TOL = 1e-2
 # Half-width of the window around zero that must hold no eigenvalue of
 # the Hermitian form for its sign count to be trusted.
 ZERO_MODE_EPS = 1e-10
+
+
+class NearZeroModeError(ValueError):
+    """Raised when the Hermitian form has an eigenvalue within `eps` of zero.
+
+    Carries the two window counts: `below_minus` eigenvalues lie below
+    -eps and `below_plus` below +eps, so their difference is the number
+    of eigenvalues inside the window.
+    """
+
+    def __init__(self, below_minus, below_plus, eps):
+        super().__init__(
+            "ill-conditioned background: Hermitian form has a near-zero mode")
+        self.below_minus = below_minus
+        self.below_plus = below_plus
+        self.eps = eps
 
 
 @dataclass(frozen=True)
@@ -125,19 +143,72 @@ class LatticeDiracOperator:
         return self.chirality[:, None] * self.matrix
 
 
-def _column_blocks(gauge, wilson_r, bare_mass):
-    """The Wilson operator cut into 2N x 2N blocks over the x-columns.
+@dataclass(frozen=True)
+class _Stencil:
+    """Per-site 2 x 2 couplings of the Hermitian Wilson form H = chirality * D.
 
     D = (2r - m0) + sum_mu [ T_mu (gamma_mu - r)/2 - T_mu* (gamma_mu
     + r)/2 ] with forward covariant translations T_mu (T_mu* the adjoint,
     equal to the backward translation); the second-order Wilson term
     removes the doubler species and the bare mass m0 places the physical
-    species at negative mass.  Returns the diagonal blocks D[x, x], the
-    forward couplings D[x, x+1] and the backward couplings D[x+1, x]
-    (column indices mod N), each stacked over x; the two couplings are
-    built independently from the links so that gamma-Hermiticity can be
-    checked on them.  Within a column, entries are ordered site-major in
-    ny with the two spin components innermost.
+    species at negative mass.  `mass` is the on-site block, the same at
+    every site.  For site (x, y), `up[x, y]` couples it to (x, y+1) and
+    `down[x, y]` couples (x, y+1) back to it; `forward[x, y]` couples it
+    to (x+1, y) and `backward[x, y]` couples (x+1, y) back to it (indices
+    mod N).  Each coupling and its partner are built independently from
+    the links, so that gamma-Hermiticity can be checked on them; `scale`
+    is max(1, largest |entry|) of H.
+    """
+
+    mass: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
+    forward: np.ndarray
+    backward: np.ndarray
+    scale: float
+
+    @property
+    def size(self):
+        return len(self.up)
+
+
+@lru_cache(maxsize=None)
+def _site_blocks(n, row_step=0, col_step=0):
+    """Index arrays of the 2 x 2 blocks (y + row_step, y + col_step), y =
+    0..n-1, of a 2N x 2N column block, whose entries are ordered
+    site-major in y with the two spin components innermost."""
+    y = np.arange(n)[:, None, None]
+    spin = np.arange(2)
+    rows = 2 * ((y + row_step) % n) + spin[:, None]
+    cols = 2 * ((y + col_step) % n) + spin
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
+def _site_diagonal(couplings):
+    """The 2N x 2N block holding per-site 2 x 2 couplings on its diagonal."""
+    block = np.zeros((2 * len(couplings),) * 2, dtype=complex)
+    block[_site_blocks(len(couplings))] = couplings
+    return block
+
+
+def _column_block(stencil, x, shift=0.0):
+    """The diagonal block H[x, x] - shift of lattice column x."""
+    n = stencil.size
+    block = _site_diagonal(np.broadcast_to(stencil.mass - shift * np.eye(2),
+                                           (n, 2, 2)))
+    block[_site_blocks(n, 0, 1)] = stencil.up[x]
+    block[_site_blocks(n, 1, 0)] = stencil.down[x]
+    return block
+
+
+def _hermitian_blocks(gauge, wilson_r, bare_mass):
+    """The stencil of chirality times the Wilson operator, and its scale.
+
+    Gamma-Hermiticity, checked on the couplings: each backward coupling
+    must be the adjoint of its forward one, and the on-site block
+    Hermitian.
     """
     n = gauge.size
     if n < 3:
@@ -145,67 +216,48 @@ def _column_blocks(gauge, wilson_r, bare_mass):
     r = float(wilson_r)
     m0 = float(bare_mass)
     eye2 = np.eye(2, dtype=complex)
-    ny = np.arange(n)
+    chirality = np.array([[1.0], [-1.0]])
 
-    def spin_kron(sites, spin):
-        return np.einsum("xij,ab->xiajb", sites, spin).reshape(n, 2 * n, 2 * n)
+    def hop(links, spin):
+        return chirality * (np.asarray(links)[:, :, None, None] * spin)
 
-    hop_y = np.zeros((n, n, n), dtype=complex)
-    hop_y[:, ny, (ny + 1) % n] = gauge.links_y
-    hop_x = np.zeros((n, n, n), dtype=complex)
-    hop_x[:, ny, ny] = gauge.links_x
-    diag = ((2.0 * r - m0) * np.eye(2 * n)
-            + spin_kron(hop_y, 0.5 * (_SIGMA2 - r * eye2))
-            - spin_kron(hop_y.conj().transpose(0, 2, 1),
-                        0.5 * (_SIGMA2 + r * eye2)))
-    forward = spin_kron(hop_x, 0.5 * (_SIGMA1 - r * eye2))
-    backward = -spin_kron(hop_x.conj(), 0.5 * (_SIGMA1 + r * eye2))
-    return diag, forward, backward
+    mass = chirality * ((2.0 * r - m0) * eye2)
+    up = hop(gauge.links_y, 0.5 * (_SIGMA2 - r * eye2))
+    down = -hop(np.conj(gauge.links_y), 0.5 * (_SIGMA2 + r * eye2))
+    forward = hop(gauge.links_x, 0.5 * (_SIGMA1 - r * eye2))
+    backward = -hop(np.conj(gauge.links_x), 0.5 * (_SIGMA1 + r * eye2))
+    scale = max(1.0, *(float(np.abs(c).max())
+                       for c in (mass, up, down, forward, backward)))
+    tol = 1e-12 * scale
+    for there, back in ((mass, mass), (up, down), (forward, backward)):
+        if np.abs(back - there.conj().swapaxes(-1, -2)).max() > tol:
+            raise ValueError("operator is not gamma-Hermitian")
+    return _Stencil(mass, up, down, forward, backward, scale)
 
 
 def wilson_dirac(gauge, wilson_r=1.0, bare_mass=1.0):
     """Assemble the dense Wilson operator on the given background.
 
-    Scatters the column blocks of `_column_blocks` (which documents the
-    stencil) into one 2N^2 x 2N^2 matrix.  The index never builds it; it
-    is kept as the reference the column-block inertia count is tested
-    against.
+    Scatters the couplings of the stencil (see `_Stencil`) into one
+    2N^2 x 2N^2 matrix.  The index never builds it; it is kept as the
+    reference the column-block inertia count is tested against.
     """
-    diag, forward, backward = _column_blocks(gauge, wilson_r, bare_mass)
+    stencil = _hermitian_blocks(gauge, wilson_r, bare_mass)
     n = gauge.size
     width = 2 * n
-    matrix = np.zeros((n * width, n * width), dtype=complex)
-    cols = np.arange(n)
-    nxt = (cols + 1) % n
-    grid = matrix.reshape(n, width, n, width)
-    grid[cols, :, cols, :] = diag
-    grid[cols, :, nxt, :] = forward
-    grid[nxt, :, cols, :] = backward
+    form = np.zeros((n * width, n * width), dtype=complex)
+    grid = form.reshape(n, width, n, width)
+    for x in range(n):
+        nxt = (x + 1) % n
+        grid[x, :, x, :] = _column_block(stencil, x)
+        grid[x, :, nxt, :] = _site_diagonal(stencil.forward[x])
+        grid[nxt, :, x, :] = _site_diagonal(stencil.backward[x])
     chirality = np.tile([1.0, -1.0], n * n)
-    return LatticeDiracOperator(matrix, chirality, float(wilson_r),
-                                float(bare_mass), n)
+    return LatticeDiracOperator(chirality[:, None] * form, chirality,
+                                float(wilson_r), float(bare_mass), n)
 
 
-def _hermitian_blocks(gauge, wilson_r, bare_mass):
-    """Column blocks of chirality times the Wilson operator, and their scale.
-
-    Gamma-Hermiticity, checked blockwise: the backward coupling must be
-    the adjoint of the forward one and every diagonal block Hermitian.
-    """
-    diag, forward, backward = _column_blocks(gauge, wilson_r, bare_mass)
-    chirality = np.tile([1.0, -1.0], gauge.size)[:, None]
-    diag, forward, backward = (chirality * diag, chirality * forward,
-                               chirality * backward)
-    scale = max(1.0, *(float(np.abs(b).max())
-                       for b in (diag, forward, backward)))
-    tol = 1e-12 * scale
-    if (np.abs(backward - forward.conj().transpose(0, 2, 1)).max() > tol
-            or np.abs(diag - diag.conj().transpose(0, 2, 1)).max() > tol):
-        raise ValueError("operator is not gamma-Hermitian")
-    return diag, forward, backward, scale
-
-
-def _negative_count(blocks, shift):
+def _negative_count(stencil, shift):
     """Number of eigenvalues below `shift` of the Hermitian form.
 
     Sylvester inertia of H - shift, counted by block elimination over the
@@ -219,14 +271,17 @@ def _negative_count(blocks, shift):
     border, the others are delayed into the next front (Duff & Reid
     delayed pivots).  A plain block LDL^T would fail: at m0 = r the 1-D
     Wilson block of a column with zero holonomy is exactly singular.  The
-    last front and the border are counted by one dense eigvalsh.
+    last front and the border are counted by one dense eigvalsh.  Each
+    column block is built from the stencil when its front needs it, so
+    the count holds O(N^2) numbers at a time.
     """
-    diag, forward, backward, scale = blocks
-    n, width = diag.shape[0], diag.shape[1]
-    shifted = diag - shift * np.eye(width)
-    tiny = PIVOT_TOL * scale
-    border = shifted[-1]
-    front, to_border = shifted[0], backward[-1]
+    n = stencil.size
+    width = 2 * n
+    rows, cols = _site_blocks(n)
+    tiny = PIVOT_TOL * stencil.scale
+    border = _column_block(stencil, n - 1, shift)
+    front = _column_block(stencil, 0, shift)
+    to_border = _site_diagonal(stencil.backward[-1])
     negative = 0
     for x in range(n - 1):
         last = x == n - 2
@@ -236,7 +291,7 @@ def _negative_count(blocks, shift):
         coupling = np.zeros((size, width if last else 2 * width),
                             dtype=complex)
         coupling[:, -width:] = to_border
-        coupling[size - width:, :width] += forward[x]
+        coupling[size - width + rows, cols] += stencil.forward[x]
         lam, vec = np.linalg.eigh(front)
         pivot = np.abs(lam) > tiny
         negative += int(np.count_nonzero(lam[pivot] < 0.0))
@@ -249,7 +304,8 @@ def _negative_count(blocks, shift):
             break
         front = np.block([[kept, delayed[:, :width]],
                           [delayed[:, :width].conj().T,
-                           shifted[x + 1] + update[:width, :width]]])
+                           _column_block(stencil, x + 1, shift)
+                           + update[:width, :width]]])
         to_border = np.vstack([delayed[:, width:], update[:width, width:]])
     final = np.block([[kept, delayed], [delayed.conj().T, border]])
     return negative + int(np.count_nonzero(np.linalg.eigvalsh(final) < 0.0))
@@ -262,10 +318,11 @@ def overlap_index(gauge, wilson_r=1.0, bare_mass=1.0):
     operator; in the single-species mass branch this counts the graded
     zero modes of the continuum operator the background descends from.
     The count is an inertia count over the 2N x 2N column blocks of the
-    lattice (see `_negative_count`), in O(N^4) time and O(N^3) memory;
+    lattice (see `_negative_count`), in O(N^4) time and O(N^2) memory;
     the dense operator of `wilson_dirac` is kept only as the test oracle.
     Counting below -ZERO_MODE_EPS and below +ZERO_MODE_EPS brackets the
-    window that must hold no eigenvalue.  The overall sign is pinned by
+    window that must hold no eigenvalue; `NearZeroModeError` reports
+    both counts when it does not.  The overall sign is pinned by
     CHIRALITY_SIGN so that flux m on the torus reports index m, matching
     the quadrature side.
     """
@@ -274,11 +331,11 @@ def overlap_index(gauge, wilson_r=1.0, bare_mass=1.0):
     if not 0.0 < m0 < 2.0 * r:
         raise ValueError(
             "bare mass outside the single-species branch (need 0 < mass < 2r)")
-    blocks = _hermitian_blocks(gauge, r, m0)
-    negative = _negative_count(blocks, -ZERO_MODE_EPS)
-    if _negative_count(blocks, ZERO_MODE_EPS) != negative:
-        raise ValueError(
-            "ill-conditioned background: Hermitian form has a near-zero mode")
+    stencil = _hermitian_blocks(gauge, r, m0)
+    negative = _negative_count(stencil, -ZERO_MODE_EPS)
+    below_plus = _negative_count(stencil, ZERO_MODE_EPS)
+    if below_plus != negative:
+        raise NearZeroModeError(negative, below_plus, ZERO_MODE_EPS)
     positive = 2 * gauge.size ** 2 - negative
     raw = -0.5 * float(positive - negative) * CHIRALITY_SIGN
     nearest = round(raw)

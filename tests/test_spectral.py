@@ -1,15 +1,20 @@
 """Oracle tests for the lattice torus index and the sphere kernel spectrum."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gerbedex import NearZeroModeError
 from gerbedex.registry import SphereBenchmark, TorusBenchmark
 from gerbedex.spectral import (
     CHIRALITY_SIGN,
     ZERO_MODE_EPS,
     LatticeGauge,
+    _column_block,
     _hermitian_blocks,
     _negative_count,
+    _site_diagonal,
     build_flux_background,
     index_compare,
     monopole_kernel,
@@ -180,6 +185,84 @@ def test_zero_mode_window_counts_eigenvalue_multiplicity():
     assert {1, 4} <= multiplicities
     for lower, upper in zip(distinct[:-1], distinct[1:]):
         assert window(0.5 * (lower + upper)) == 0
+
+
+def _translation_form(gauge, wilson_r, bare_mass):
+    """Chirality times D = (2r - m0) + sum_mu [T_mu (gamma_mu - r)/2
+    - T_mu* (gamma_mu + r)/2], built from whole-lattice translations."""
+    n = gauge.size
+    site = np.arange(n * n).reshape(n, n)
+    eye2 = np.eye(2)
+    sigma1 = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sigma2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    dirac = (2.0 * wilson_r - bare_mass) * np.eye(2 * n * n, dtype=complex)
+    for axis, links, gamma in ((0, gauge.links_x, sigma1),
+                               (1, gauge.links_y, sigma2)):
+        hop = np.zeros((n * n, n * n), dtype=complex)
+        hop[site.ravel(), np.roll(site, -1, axis=axis).ravel()] = links.ravel()
+        dirac += (np.kron(hop, 0.5 * (gamma - wilson_r * eye2))
+                  - np.kron(hop.conj().T, 0.5 * (gamma + wilson_r * eye2)))
+    return np.tile([1.0, -1.0], n * n)[:, None] * dirac
+
+
+@pytest.mark.parametrize("wilson_r", [0.8, 1.0, 1.2])
+def test_stencil_blocks_match_dense_oracle(wilson_r):
+    gauge = _gauge_transform(build_flux_background(8, 2), seed=5)
+    stencil = _hermitian_blocks(gauge, wilson_r, 1.0)
+    form = wilson_dirac(gauge, wilson_r=wilson_r).hermitian_form()
+    n = gauge.size
+    grid = form.reshape(n, 2 * n, n, 2 * n)
+    for x in range(n):
+        nxt = (x + 1) % n
+        assert np.array_equal(_column_block(stencil, x), grid[x, :, x, :])
+        assert np.array_equal(_site_diagonal(stencil.forward[x]),
+                              grid[x, :, nxt, :])
+        assert np.array_equal(_site_diagonal(stencil.backward[x]),
+                              grid[nxt, :, x, :])
+    assert stencil.scale == max(1.0, float(np.abs(form).max()))
+    assert np.max(np.abs(form - _translation_form(gauge, wilson_r, 1.0))) \
+        < 1e-14
+
+
+def test_near_zero_mode_raises_typed_error_with_window_counts():
+    gauge = build_flux_background(8, 1)
+
+    def dense_negative(mass):
+        form = wilson_dirac(gauge, bare_mass=mass).hermitian_form()
+        return int(np.count_nonzero(np.linalg.eigvalsh(form) < 0.0))
+
+    # an eigenvalue of the dense oracle crosses zero between these masses
+    low, high = 0.046, 0.052
+    below = dense_negative(low)
+    assert dense_negative(high) != below
+    while high - low > 1e-13:
+        mid = 0.5 * (low + high)
+        if dense_negative(mid) == below:
+            low = mid
+        else:
+            high = mid
+    with pytest.raises(NearZeroModeError) as raised:
+        overlap_index(gauge, bare_mass=low)
+    error = raised.value
+    assert isinstance(error, ValueError)
+    assert str(error) == (
+        "ill-conditioned background: Hermitian form has a near-zero mode")
+    assert error.below_plus - error.below_minus == 1
+    assert error.eps == ZERO_MODE_EPS
+    assert overlap_index(gauge, bare_mass=0.03) == 0
+    assert overlap_index(gauge, bare_mass=0.08) == 1
+
+
+def test_overlap_index_memory_is_quadratic_in_size():
+    gauge = build_flux_background(32, 8)
+    tracemalloc.start()
+    try:
+        assert overlap_index(gauge) == 8
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense (N, 2N, 2N) block stacks alone took 12.7 MB here
+    assert peak < 3_000_000
 
 
 @pytest.mark.parametrize("size", [48, 64])
