@@ -261,7 +261,7 @@ def test_overlap_index_memory_is_quadratic_in_size():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the dense (N, 2N, 2N) block stacks alone took 12.7 MB here
+    # dense (N, 2N, 2N) block stacks of this lattice peak at 12.7 MB
     assert peak < 3_000_000
 
 
