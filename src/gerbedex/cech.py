@@ -224,10 +224,6 @@ class CohomologyResult:
     orders: tuple  # cyclic factor orders, 0 meaning an infinite factor
     generators: tuple = field(default=())  # one representative Cochain per order
 
-    @property
-    def trivial(self):
-        return not self.orders
-
 
 def _factor(nerve, q):
     """Smith normal form of delta_q, computed once per nerve.

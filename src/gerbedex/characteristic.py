@@ -118,22 +118,6 @@ class MixedForm:
         """Pair with the fundamental class: top piece integrated."""
         return integrate_top(self.parts[self.dim])
 
-    def max_difference(self, other):
-        """Largest pointwise coefficient deviation across degrees and charts."""
-        if not isinstance(other, MixedForm):
-            raise TypeError("expected a MixedForm")
-        if self.atlas is not other.atlas:
-            raise ValueError("mixed forms live on different atlases")
-        worst = 0.0
-        for degree, field in self.parts.items():
-            mate = other.parts[degree]
-            for cname, chart_comps in field.comps.items():
-                for key, arr in chart_comps.items():
-                    gap = np.abs(arr - mate.comps[cname][key])
-                    if gap.size:
-                        worst = max(worst, float(gap.max()))
-        return worst
-
 
 def twisted_chern_character(source, tol=1e-6, reality_tol=1e-9):
     """Character of a twist module: rank, tr(F)/2 pi i, tr(F ^ F)/2(2 pi i)^2.

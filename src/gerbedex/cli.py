@@ -8,9 +8,9 @@ errors.  Reports are deterministic for fixed flags and seed.
 """
 
 import argparse
+import functools
 import itertools
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -19,17 +19,13 @@ import numpy as np
 
 from . import cech
 from .characteristic import topological_index, twisted_chern_character
-from .clifford import CliffordElement, SpinElement, plane_rotation, represent, spinor_rep
+from .clifford import SpinElement, plane_rotation, spinor_rep
 from .geometry import integrate_top
 from .manifest import parse_manifest, read_nerve, run_tasks, sphere_frame_manifest
 from .registry import benchmark_registry
 from .spectral import index_compare
 
 DEFAULT_QUAD_ORDER = 32
-
-
-def _default_order():
-    return int(os.environ.get("GERBEDEX_QUAD_ORDER", str(DEFAULT_QUAD_ORDER)))
 
 
 def _jsonable(value):
@@ -75,10 +71,11 @@ def _clifford_suite(args):
             for j, gj in enumerate(rep.gamma):
                 target = -2.0 * np.eye(rep.dim) if i == j else np.zeros(rep.dim)
                 anti = max(anti, float(np.abs(gi @ gj + gj @ gi - target).max()))
-        blades = [CliffordElement(n, {blade: 1.0})
-                  for size in range(n + 1)
-                  for blade in itertools.combinations(range(n), size)]
-        stacked = np.stack([represent(b, rep).ravel() for b in blades])
+        eye = np.eye(rep.dim, dtype=complex)
+        stacked = np.stack([
+            functools.reduce(np.matmul, (rep.gamma[i] for i in blade), eye).ravel()
+            for size in range(n + 1)
+            for blade in itertools.combinations(range(n), size)])
         span = int(np.linalg.matrix_rank(stacked))
         adjoint = 0.0
         for _ in range(pair_counts[n]):
@@ -257,9 +254,8 @@ def build_parser():
         cmd.add_argument("--out", default=None,
                          help="write the JSON report to this path")
         cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--grid-order", type=int, default=None,
-                         help="quadrature order per panel (default env "
-                              "GERBEDEX_QUAD_ORDER or 32)")
+        cmd.add_argument("--grid-order", type=int, default=DEFAULT_QUAD_ORDER,
+                         help="quadrature order per panel (default 32)")
         cmd.add_argument("--manifold", choices=("S2", "T2", "CP2"),
                          default=None)
         cmd.add_argument("--flux", type=int, default=None)
@@ -272,8 +268,6 @@ def build_parser():
 
 def run(argv=None):
     args = build_parser().parse_args(argv)
-    if args.grid_order is None:
-        args.grid_order = _default_order()
     try:
         report, ok = _SUITES[args.command](args)
         payload = {"command": args.command, "pass": bool(ok),

@@ -1,5 +1,5 @@
-"""Clifford algebra with negative-definite generators, spinor representations,
-and two-to-one lifts of special orthogonal matrices.
+"""Spinor representations of the Clifford algebra with negative-definite
+generators, and two-to-one lifts of special orthogonal matrices.
 
 Conventions fixed here and relied on everywhere else:
   * generators square to -1 and anticommute: e_i e_j + e_j e_i = -2 delta_ij
@@ -10,10 +10,12 @@ Conventions fixed here and relied on everywhere else:
   * a spin element g acts on vectors by v -> g v reverse(g); the lift of a
     rotation by theta in the (i, j) plane is cos(theta/2) + sin(theta/2) e_i e_j
   * a spin element is stored as its spinor matrix, so reverse(g) is the adjoint
+
+The algebra itself is met only through its spinor matrices: no blade
+coefficients are stored or multiplied here.
 """
 
 import functools
-import itertools
 import math
 from typing import NamedTuple
 
@@ -37,147 +39,6 @@ class LiftAmbiguityError(ValueError):
         self.d_minus = d_minus
         self.ambiguity_gap = ambiguity_gap
         self.pair = pair
-
-
-def blade_product(b1, b2):
-    """Product of two basis blades (strictly increasing index tuples).
-
-    Returns (sign, blade). Concatenate, bubble-sort counting transpositions,
-    then cancel equal neighbours; each cancellation contributes e_i e_i = -1.
-    """
-    seq = list(b1) + list(b2)
-    sign = 1
-    swapped = True
-    while swapped:
-        swapped = False
-        for i in range(len(seq) - 1):
-            if seq[i] > seq[i + 1]:
-                seq[i], seq[i + 1] = seq[i + 1], seq[i]
-                sign = -sign
-                swapped = True
-    out = []
-    i = 0
-    while i < len(seq):
-        if i + 1 < len(seq) and seq[i] == seq[i + 1]:
-            sign = -sign
-            i += 2
-        else:
-            out.append(seq[i])
-            i += 1
-    return sign, tuple(out)
-
-
-class CliffordElement:
-    """Sparse element of the Clifford algebra on n anticommuting generators.
-
-    Stored as a dict mapping strictly increasing index tuples to complex
-    coefficients. The empty tuple is the scalar blade.
-    """
-
-    __slots__ = ("dimension", "coefficients")
-
-    def __init__(self, dimension, coefficients=None):
-        self.dimension = int(dimension)
-        coeffs = {}
-        for blade, value in (coefficients or {}).items():
-            blade = tuple(int(i) for i in blade)
-            if any(i < 0 or i >= self.dimension for i in blade):
-                raise ValueError(f"blade {blade} out of range for dimension {self.dimension}")
-            if list(blade) != sorted(set(blade)):
-                raise ValueError(f"blade {blade} must be strictly increasing")
-            if value != 0:
-                coeffs[blade] = complex(value)
-        self.coefficients = coeffs
-
-    @classmethod
-    def scalar(cls, dimension, value):
-        return cls(dimension, {(): value})
-
-    @classmethod
-    def generator(cls, dimension, index):
-        return cls(dimension, {(index,): 1.0})
-
-    @classmethod
-    def vector(cls, components):
-        components = np.asarray(components)
-        return cls(len(components), {(i,): components[i] for i in range(len(components))})
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        coeffs = dict(self.coefficients)
-        for blade, value in other.coefficients.items():
-            coeffs[blade] = coeffs.get(blade, 0.0) + value
-        return CliffordElement(self.dimension, coeffs)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __neg__(self):
-        return CliffordElement(self.dimension, {b: -v for b, v in self.coefficients.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return CliffordElement(
-                self.dimension, {b: v * other for b, v in self.coefficients.items()}
-            )
-        other = self._coerce(other)
-        coeffs = {}
-        for b1, v1 in self.coefficients.items():
-            for b2, v2 in other.coefficients.items():
-                sign, blade = blade_product(b1, b2)
-                coeffs[blade] = coeffs.get(blade, 0.0) + sign * v1 * v2
-        return CliffordElement(self.dimension, coeffs)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self * other
-        return NotImplemented
-
-    def _coerce(self, other):
-        if isinstance(other, CliffordElement):
-            if other.dimension != self.dimension:
-                raise ValueError("dimension mismatch")
-            return other
-        if isinstance(other, (int, float, complex)):
-            return CliffordElement.scalar(self.dimension, other)
-        raise TypeError(f"cannot combine CliffordElement with {type(other)!r}")
-
-    def reverse(self):
-        """Anti-automorphism reversing the order of generators in each blade."""
-        coeffs = {}
-        for blade, value in self.coefficients.items():
-            k = len(blade)
-            sign = -1 if (k * (k - 1) // 2) % 2 else 1
-            coeffs[blade] = sign * value
-        return CliffordElement(self.dimension, coeffs)
-
-    def grade(self, k):
-        return CliffordElement(
-            self.dimension, {b: v for b, v in self.coefficients.items() if len(b) == k}
-        )
-
-    def grades(self):
-        return sorted({len(b) for b in self.coefficients})
-
-    def scalar_part(self):
-        return self.coefficients.get((), 0.0 + 0.0j)
-
-    def norm(self):
-        """Euclidean norm of the blade-coefficient vector."""
-        return math.sqrt(sum(abs(v) ** 2 for v in self.coefficients.values()))
-
-    def is_real(self, tol=1e-10):
-        return all(abs(v.imag) <= tol for v in self.coefficients.values())
-
-    def __repr__(self):
-        if not self.coefficients:
-            return f"CliffordElement({self.dimension}, 0)"
-        terms = []
-        for blade in sorted(self.coefficients, key=lambda b: (len(b), b)):
-            v = self.coefficients[blade]
-            label = "".join(f"e{i + 1}" for i in blade) or "1"
-            terms.append(f"({v:.6g})*{label}")
-        return f"CliffordElement({self.dimension}, {' + '.join(terms)})"
 
 
 class SpinorRep:
@@ -215,21 +76,6 @@ def spinor_rep(n):
     return SpinorRep(n, tuple(gammas), chirality)
 
 
-def represent(element, rep=None):
-    """Matrix of a CliffordElement in the spinor representation."""
-    rep = rep if rep is not None else spinor_rep(element.dimension)
-    if rep.n != element.dimension:
-        raise ValueError("representation dimension mismatch")
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    eye = np.eye(rep.dim, dtype=complex)
-    for blade, value in element.coefficients.items():
-        mat = eye
-        for i in blade:
-            mat = mat @ rep.gamma[i]
-        out += value * mat
-    return out
-
-
 class _SpinTables(NamedTuple):
     """Fixed matrices of the representation that carries Spin(n)."""
 
@@ -237,8 +83,6 @@ class _SpinTables(NamedTuple):
     eye: np.ndarray  # identity of the spinor space
     gamma: np.ndarray  # (n, dim, dim): the first n generators
     pairs: np.ndarray  # (n, n, dim, dim): gamma_i gamma_j
-    blades: tuple  # even blades of the first n generators
-    blade_matrices: np.ndarray  # (len(blades), dim, dim)
 
 
 def _frozen(array):
@@ -254,13 +98,7 @@ def _spin_tables(n):
     rep = spinor_rep(n + n % 2)
     eye = _frozen(np.eye(rep.dim, dtype=complex))
     gamma = _frozen(np.stack(rep.gamma[:n]))
-    blades = tuple(blade for size in range(0, n + 1, 2)
-                   for blade in itertools.combinations(range(n), size))
-    blade_matrices = np.stack(
-        [functools.reduce(np.matmul, (gamma[i] for i in blade), eye) for blade in blades]
-    )
-    return _SpinTables(rep, eye, gamma, _frozen(gamma[:, None] @ gamma[None, :]),
-                       blades, _frozen(blade_matrices))
+    return _SpinTables(rep, eye, gamma, _frozen(gamma[:, None] @ gamma[None, :]))
 
 
 def _adjoint_matrices(n, unitaries):
@@ -275,71 +113,36 @@ class SpinElement:
 
     Spin(n) is the group of unit even real Clifford elements whose adjoint
     action preserves vectors; odd n goes through Spin(n) inside Spin(n + 1),
-    so n <= 8. Membership is checked only at construction from outside input,
-    SpinElement(CliffordElement). Plane rotations are built as matrices, and
-    products, inverses and negation stay in the group by construction, so
-    none of them is checked again. `element` recovers the blade coefficients.
+    so n <= 8. Elements are built only as plane rotations, canonical lifts
+    and their products and negations, which stay in the group by
+    construction, so the constructor takes the unitary unchecked. The
+    reverse of an element is the adjoint of its unitary. Blade coefficients
+    are not kept: the blade algebra is the independent test oracle.
     """
 
     __slots__ = ("dimension", "_unitary")
 
-    def __init__(self, element, tol=1e-8):
-        if not isinstance(element, CliffordElement):
-            raise TypeError("SpinElement wraps a CliffordElement")
-        rep = _spin_tables(element.dimension).rep
-        if any(g % 2 for g in element.grades()):
-            raise ValueError("spin element must be even")
-        if not element.is_real(tol):
-            raise ValueError("spin element must have real coefficients")
-        unit = element * element.reverse()
-        defect = (unit - CliffordElement.scalar(element.dimension, 1.0)).norm()
-        if defect > tol:
-            raise ValueError(f"g * reverse(g) differs from 1 by {defect:.3e}")
-        for k in range(element.dimension):
-            image = element * CliffordElement.generator(element.dimension, k) * element.reverse()
-            junk = (image - image.grade(1)).norm()
-            if junk > tol:
-                raise ValueError(f"adjoint action does not preserve vectors (defect {junk:.3e})")
-        self.dimension = element.dimension
-        self._unitary = _frozen(represent(CliffordElement(rep.n, element.coefficients), rep))
-
-    @classmethod
-    def _from_unitary(cls, n, unitary):
-        g = object.__new__(cls)
-        g.dimension = n
-        g._unitary = _frozen(unitary)
-        return g
+    def __init__(self, n, unitary):
+        self.dimension = n
+        self._unitary = _frozen(unitary)
 
     @classmethod
     def identity(cls, n):
         """The unit of Spin(n)."""
-        return cls._from_unitary(n, _spin_tables(n).eye)
-
-    @property
-    def element(self):
-        """Blade coefficients, by Hilbert-Schmidt projection onto the even blades."""
-        tables = _spin_tables(self.dimension)
-        coeffs = np.einsum("bij,ij->b", tables.blade_matrices.conj(), self._unitary)
-        coeffs = coeffs.real / tables.rep.dim
-        return CliffordElement(self.dimension, dict(zip(tables.blades, coeffs)))
+        return cls(n, _spin_tables(n).eye)
 
     def _check_dimension(self, other):
         if other.dimension != self.dimension:
             raise ValueError("dimension mismatch")
 
-    def reverse(self):
-        return SpinElement._from_unitary(self.dimension, self._unitary.conj().T)
-
-    inverse = reverse
-
     def __mul__(self, other):
         if isinstance(other, SpinElement):
             self._check_dimension(other)
-            return SpinElement._from_unitary(self.dimension, self._unitary @ other._unitary)
+            return SpinElement(self.dimension, self._unitary @ other._unitary)
         return NotImplemented
 
     def __neg__(self):
-        return SpinElement._from_unitary(self.dimension, -self._unitary)
+        return SpinElement(self.dimension, -self._unitary)
 
     def matrix(self, rep=None):
         """The stored unitary; `rep`, if given, must be the representation it lives in."""
@@ -359,9 +162,6 @@ class SpinElement:
         diff = self._unitary - other._unitary
         return math.sqrt(np.vdot(diff, diff).real / diff.shape[0])
 
-    def __repr__(self):
-        return f"SpinElement({self.element!r})"
-
 
 def plane_rotation(n, i, j, theta):
     """Lift of the rotation by theta in the oriented (i, j) coordinate plane."""
@@ -371,7 +171,7 @@ def plane_rotation(n, i, j, theta):
         raise ValueError(f"plane ({i}, {j}) out of range for dimension {n}")
     tables = _spin_tables(n)
     half = 0.5 * theta
-    return SpinElement._from_unitary(
+    return SpinElement(
         n, math.cos(half) * tables.eye + math.sin(half) * tables.pairs[i, j]
     )
 
@@ -445,7 +245,7 @@ def canonical_lifts(matrices, tol=1e-8):
 def canonical_lift(matrix, tol=1e-8):
     """Deterministic lift of one special orthogonal matrix; see canonical_lifts."""
     matrix = np.asarray(matrix, dtype=float)
-    return SpinElement._from_unitary(matrix.shape[-1], canonical_lifts(matrix[None], tol)[0])
+    return SpinElement(matrix.shape[-1], canonical_lifts(matrix[None], tol)[0])
 
 
 def lift_signs(candidates, references, ambiguity_gap=0.5):
@@ -486,24 +286,6 @@ def nearest_lift(matrix, reference, ambiguity_gap=0.5, tol=1e-8):
     reference._check_dimension(cand)
     sign = lift_signs(cand.matrix()[None], reference.matrix()[None], ambiguity_gap)[0]
     return cand if sign > 0 else -cand
-
-
-def clifford_of_curvature(omega, tol=1e-10):
-    """Quarter-contraction (1/4) sum omega_ij e_i e_j of an antisymmetric matrix.
-
-    Satisfies [clifford_of_curvature(omega), v] = -omega v on vectors v, i.e.
-    it generates the rotation with matrix exp applied to -omega.
-    """
-    omega = np.asarray(omega)
-    n = omega.shape[0]
-    if np.abs(omega + omega.T).max() > tol * max(1.0, np.abs(omega).max()):
-        raise ValueError("curvature matrix must be antisymmetric")
-    coeffs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            # omega_ij e_i e_j + omega_ji e_j e_i = 2 omega_ij e_i e_j
-            coeffs[(i, j)] = 0.5 * omega[i, j]
-    return CliffordElement(n, coeffs)
 
 
 class CliffordModuleFiber:

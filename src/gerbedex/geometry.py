@@ -5,9 +5,11 @@ Conventions:
   - Each chart is a coordinate box with an orientation sign; its quadrature
     grid is a product Gauss-Legendre rule of the configured order on each of
     `panels` equal subdivisions per axis (composite rule).
-  - The partition of unity is built from bump(t) = exp(1 - 1/(1 - t^2))
+  - The partition of unity is built from the bump exp(1 - 1/(1 - t^2))
     applied per axis with t the box-centered normalized coordinate, multiplied
-    over axes, then normalized pointwise across charts.
+    over axes, then normalized pointwise across charts; the atlas works with
+    its log, log_bump, so the normalization survives where the bump
+    underflows.
   - Grid differentiation is barycentric-Lagrange spectral differentiation per
     panel (exact on each panel's polynomial space, one-sided at panel edges).
   - Each overlap (a, b) is sampled once per atlas, up to the cap
@@ -29,7 +31,6 @@ from itertools import combinations
 import numpy as np
 
 __all__ = [
-    "bump",
     "composite_gauss_legendre",
     "Chart",
     "OverlapMap",
@@ -46,18 +47,9 @@ __all__ = [
 MAX_OVERLAP_SAMPLES = 2000
 
 
-def bump(t):
-    """Smooth compactly supported bump: exp(1 - 1/(1-t^2)) inside |t| < 1."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    ti = t[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ti * ti))
-    return out
-
-
 def log_bump(t):
-    """log of bump(t): 1 - 1/(1-t^2) inside the support, -inf outside.
+    """log of the bump exp(1 - 1/(1-t^2)): 1 - 1/(1-t^2) inside the support,
+    -inf outside.
 
     Working in logs keeps the pointwise-normalized partition of unity exact
     even where the bump itself underflows near box edges.
@@ -156,7 +148,6 @@ class Chart:
         self.shape = tuple(len(ax.nodes) for ax in self.axes)
         self._coords = None
         self._weights = None
-        self._grid_bump = None
 
     def coords(self):
         """Meshgrid coordinate arrays (ij indexing), one per axis."""
@@ -173,23 +164,6 @@ class Chart:
                 total = np.multiply.outer(total, ax.weights)
             self._weights = total
         return self._weights
-
-    def bump_values(self, points=None):
-        """Product bump scaled to the box, on the grid or at given points."""
-        if points is None:
-            if self._grid_bump is None:
-                total = bump((self.axes[0].nodes - self.axes[0].center)
-                             / self.axes[0].half)
-                for ax in self.axes[1:]:
-                    total = np.multiply.outer(
-                        total, bump((ax.nodes - ax.center) / ax.half))
-                self._grid_bump = total
-            return self._grid_bump
-        pts = np.asarray(points, dtype=float)
-        out = np.ones(pts.shape[:-1])
-        for k, ax in enumerate(self.axes):
-            out = out * bump((pts[..., k] - ax.center) / ax.half)
-        return out
 
     def log_bump_values(self, points=None):
         """Sum of per-axis log-bumps, on the grid or at given points."""
@@ -220,10 +194,6 @@ class Chart:
         panels = moved.reshape((ax.panels, ax.order, -1))
         out = _real_product(ax.diff, panels).reshape(moved.shape)
         return np.moveaxis(out, 0, axis)
-
-    def interpolate(self, values, points):
-        """Barycentric tensor interpolation of grid data at arbitrary points."""
-        return _CellPlan(self, points)(values)
 
 
 def _real_product(matrix, values):
@@ -425,16 +395,6 @@ class FormField:
             store[cname] = chart_comps
         self.comps = store
 
-    @classmethod
-    def sample(cls, atlas, degree, specs, rank=None):
-        """Build a field by evaluating per-chart callables on the grids."""
-        comps = {}
-        for cname, chart in atlas.charts.items():
-            coords = chart.coords()
-            comps[cname] = {key: np.asarray(fn(*coords))
-                            for key, fn in specs[cname].items()}
-        return cls(atlas, degree, comps, rank=rank)
-
     def _zip_with(self, other, op):
         if not isinstance(other, FormField):
             raise TypeError("expected a FormField")
@@ -496,28 +456,6 @@ class FormField:
                         out[merged] = term
             comps[cname] = out
         return FormField(self.atlas, degree, comps, rank=rank)
-
-    def exterior_derivative(self):
-        """d of the field by per-panel spectral differentiation."""
-        if self.degree >= self.atlas.dim:
-            raise ValueError("cannot raise the degree beyond the dimension")
-        comps = {}
-        for cname, chart in self.atlas.charts.items():
-            out = {}
-            for key, arr in self.comps[cname].items():
-                for axis in range(chart.dim):
-                    if axis in key:
-                        continue
-                    position = sum(1 for i in key if i < axis)
-                    sign = -1.0 if position % 2 else 1.0
-                    merged = tuple(sorted(key + (axis,)))
-                    term = sign * chart.differentiate(arr, axis)
-                    if merged in out:
-                        out[merged] = out[merged] + term
-                    else:
-                        out[merged] = term
-            comps[cname] = out
-        return FormField(self.atlas, self.degree + 1, comps, rank=self.rank)
 
     def trace(self):
         """Pointwise matrix trace, producing a scalar-valued field."""

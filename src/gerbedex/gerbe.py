@@ -24,7 +24,6 @@ import numpy as np
 from . import cech
 from .clifford import (
     LiftAmbiguityError,
-    SpinElement,
     _frozen,
     canonical_lifts,
     lift_signs,
@@ -226,18 +225,6 @@ class LiftedTransitionData:
     data: TransitionData
     unitaries: dict  # edge -> (count, dim, dim) array, one lift per sample
 
-    @property
-    def lifts(self):
-        """edge -> tuple of SpinElement, one per sample."""
-        return {edge: tuple(SpinElement._from_unitary(self.data.dimension, u) for u in stack)
-                for edge, stack in self.unitaries.items()}
-
-    def lift_at(self, a, b, index):
-        """Lift of the sample on overlap (a, b), reversed when a > b."""
-        u = self.unitaries[_ordered_edge(a, b)][index]
-        g = SpinElement._from_unitary(self.data.dimension, u)
-        return g if a < b else g.reverse()
-
 
 @dataclass(frozen=True)
 class GerbeCocycle:
@@ -399,8 +386,10 @@ class GerbeModuleData:
     Transitions on edge (a, b) act per sample; at each designated triple the
     product around the triangle equals zeta^(weight * e) times identity where
     zeta = exp(2 pi i / band_order). weight None marks a module that has not
-    been split into weight-homogeneous summands yet. The transition arrays
-    are stored read-only, and both mappings as read-only views.
+    been split into weight-homogeneous summands yet. Transitions are unitary
+    (verify_module checks it), so a transition's inverse is its adjoint. The
+    transition arrays are stored read-only, and both mappings as read-only
+    views.
     """
 
     nerve: cech.Nerve
@@ -409,7 +398,6 @@ class GerbeModuleData:
     rank: int
     transitions: dict  # edge -> (count, rank, rank) complex array
     triples: dict
-    unitary: bool = True
 
     def __post_init__(self):
         if self.band_order < 2:
@@ -436,8 +424,8 @@ class GerbeModuleData:
         return {edge: arr.shape[0] for edge, arr in self.transitions.items()}
 
     def _inverse(self, mat):
-        """Inverse of one transition matrix, or of each in a stack."""
-        return np.swapaxes(mat.conj(), -1, -2) if self.unitary else np.linalg.inv(mat)
+        """Inverse of one unitary transition matrix, or of each in a stack."""
+        return np.swapaxes(mat.conj(), -1, -2)
 
 
 @dataclass(frozen=True)
@@ -461,11 +449,10 @@ def verify_module(module, cocycle, tol=1e-9):
     zeta = np.exp(2j * np.pi / module.band_order)
     eye = np.eye(module.rank)
     worst, worst_simplex = 0.0, None
-    if module.unitary:
-        for edge, arr in module.transitions.items():
-            defect = np.abs(arr @ arr.conj().transpose(0, 2, 1) - eye).max()
-            if defect > max(tol, 1e-8):
-                raise ValueError(f"transitions on {edge} flagged unitary but are not")
+    for edge, arr in module.transitions.items():
+        defect = np.abs(arr @ arr.conj().transpose(0, 2, 1) - eye).max()
+        if defect > max(tol, 1e-8):
+            raise ValueError(f"transitions on {edge} flagged unitary but are not")
     for simplex in module.nerve.simplices[2]:
         a, b, c = simplex
         phase = zeta ** (module.weight * cocycle.value_on(simplex))
@@ -510,7 +497,6 @@ def tensor_modules(m1, m2):
         rank=m1.rank * m2.rank,
         transitions=transitions,
         triples=m1.triples,
-        unitary=m1.unitary and m2.unitary,
     )
 
 
@@ -534,7 +520,6 @@ def direct_sum(m1, m2):
         rank=m1.rank + m2.rank,
         transitions=transitions,
         triples=m1.triples,
-        unitary=m1.unitary and m2.unitary,
     )
 
 
@@ -555,7 +540,6 @@ def endomorphism_descent(module):
         rank=module.rank**2,
         transitions=transitions,
         triples=module.triples,
-        unitary=module.unitary,
     )
 
 
@@ -614,7 +598,6 @@ def weight_decompose(action, module, tol=1e-10):
                 rank=r,
                 transitions=transitions,
                 triples=module.triples,
-                unitary=module.unitary,
             )
         )
     total = sum(s.rank for s in summands)
@@ -631,7 +614,6 @@ class BundleData:
     rank: int
     transitions: dict
     triples: dict
-    unitary: bool = True
 
 
 def descend_weight_zero(module, tol=1e-9):
@@ -648,7 +630,6 @@ def descend_weight_zero(module, tol=1e-9):
         rank=module.rank,
         transitions=dict(module.transitions),
         triples=dict(module.triples),
-        unitary=module.unitary,
     )
 
 
@@ -668,7 +649,6 @@ def spin_module(lifted, band_order=2):
         rank=spinor_rep(data.dimension).dim,
         transitions=lifted.unitaries,
         triples=data.triples,
-        unitary=True,
     )
 
 
@@ -693,5 +673,4 @@ def identity_module(template, rank=1, weight=0, band_order=2):
         rank=rank,
         transitions=transitions,
         triples=triples,
-        unitary=True,
     )

@@ -10,9 +10,7 @@ Three entries, selected by name through `benchmark_registry`:
 * "T2"  - the flat unit torus. One periodic chart, constant-curvature flux
   connections and zero tangent curvature; it ships no frame cover.
 * "CP2" - the complex projective plane in exact cohomology-ring mode
-  (one degree-2 generator x, relation x^3 = 0, x^2 integrating to 1), with
-  the Fubini-Study metric of the dense affine chart available for a numeric
-  normalization cross-check.
+  (one degree-2 generator x, relation x^3 = 0, x^2 integrating to 1).
 
 Conventions shipped here: the monopole labeled m has curvature integrating to
 2 pi i m, so the character normalization tr exp(F / 2 pi i) pairs to m; the
@@ -27,7 +25,7 @@ import numpy as np
 from . import cech
 from .clifford import CliffordModuleFiber
 from .geometry import (Chart, ChartAtlas, FormField, ModuleConnection,
-                       OverlapMap, composite_gauss_legendre, tensor_connection)
+                       OverlapMap, tensor_connection)
 from .gerbe import EdgeSampleGraph, TransitionData
 from .symbolic import RingElement
 
@@ -90,12 +88,6 @@ class SphereBenchmark:
         self._frame = None
         self._spin_conn = None
         self._monopole_conns = {}
-
-    def area_form(self):
-        return FormField.sample(self.atlas, 2, {
-            "north": {(0, 1): lambda x, y: (2.0 / (1.0 + x * x + y * y)) ** 2},
-            "south": {(0, 1): lambda u, v: -(2.0 / (1.0 + u * u + v * v)) ** 2},
-        })
 
     def tangent_curvature(self):
         """so(2)-valued curvature of the orthonormal frame, Gauss curvature 1."""
@@ -249,11 +241,6 @@ class TorusBenchmark:
         chart = Chart("torus", (0.0, 0.0), (1.0, 1.0), 1, self.order, self.panels)
         self.atlas = ChartAtlas("torus", 2, [chart], {})
 
-    def volume_form(self):
-        chart = self.atlas.charts["torus"]
-        return FormField(self.atlas, 2,
-                         {"torus": {(0, 1): np.ones(chart.shape)}})
-
     def tangent_curvature(self):
         chart = self.atlas.charts["torus"]
         return FormField(self.atlas, 2,
@@ -281,8 +268,7 @@ class ProjectivePlaneBenchmark:
     sequence; p1 is derived in-ring as c1^2 - 2 c2. Twist modules are shipped
     as exact Chern characters exp((k + c1/2) x) with c1 = 3x; the
     half-integral exponent is the weight-1 phenomenon, and pairings remain
-    integers. The Fubini-Study metric of the dense affine chart backs a
-    numeric normalization check.
+    integers.
     """
 
     name = "CP2"
@@ -310,33 +296,6 @@ class ProjectivePlaneBenchmark:
     def section_count(self, k):
         """Monomial count of degree k in three variables: independent oracle."""
         return comb(int(k) + 2, 2)
-
-    def fubini_study_metric(self, z1, z2):
-        """Hermitian metric coefficients g_{i jbar} on the affine chart."""
-        z1 = np.asarray(z1, dtype=complex)
-        z2 = np.asarray(z2, dtype=complex)
-        d = 1.0 + np.abs(z1) ** 2 + np.abs(z2) ** 2
-        z = np.stack([z1, z2], axis=-1)
-        outer = z.conj()[..., :, None] * z[..., None, :]
-        eye = np.eye(2)
-        return (d[..., None, None] * eye - outer) / (d ** 2)[..., None, None]
-
-    def volume_check(self, radial_order=24, panels=6, angular_order=4):
-        """Numeric integral of the Kahler form's wedge square over the chart.
-
-        Polar coordinates per complex axis with the rational compactification
-        rho = t/(1-t); the density is (2/pi^2) det g. The exact value is 1,
-        the ring normalization of x^2.
-        """
-        t, wt = composite_gauss_legendre(0.0, 1.0, radial_order, panels)
-        th, wth = composite_gauss_legendre(0.0, 2.0 * np.pi, angular_order, 1)
-        rho = t / (1.0 - t)
-        stretch = wt * rho / (1.0 - t) ** 2
-        z1 = rho[:, None, None, None] * np.exp(1j * th[None, :, None, None])
-        z2 = rho[None, None, :, None] * np.exp(1j * th[None, None, None, :])
-        g = self.fubini_study_metric(*np.broadcast_arrays(z1, z2))
-        dens = (2.0 / np.pi ** 2) * np.linalg.det(g).real
-        return float(np.einsum("i,j,k,l,ijkl->", stretch, wth, stretch, wth, dens))
 
 
 def perturbed_connection(conn, one_form):

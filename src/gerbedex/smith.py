@@ -376,19 +376,3 @@ def smith_normal_form(a):
             if e.d[i + 1, i + 1] < 0:
                 e.row_negate(i + 1)
     return e.result(rank)
-
-
-def kernel_basis(a):
-    """An array whose columns form a Z-basis of {x : A x = 0}."""
-    snf = smith_normal_form(a)
-    return snf.v[:, snf.rank:]
-
-
-def solve_integer(a, b):
-    """One integer solution x of A x = b, or None if none exists."""
-    return smith_normal_form(a).solve(b)
-
-
-def solve_mod(a, b, k):
-    """One solution x (entries in [0, k)) of A x = b (mod k), or None."""
-    return smith_normal_form(a).solve_mod(b, k)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import max_difference
 from gerbedex.characteristic import (
     IndexReport,
     MixedForm,
@@ -128,8 +129,8 @@ def test_mixed_form_product_numeric(torus):
 def test_mixed_form_max_difference(torus):
     a = MixedForm.constant(torus.atlas, 1.0)
     b = MixedForm.constant(torus.atlas, 1.5)
-    assert abs(a.max_difference(b) - 0.5) < 1e-14
-    assert a.max_difference(a) == 0.0
+    assert abs(max_difference(a, b) - 0.5) < 1e-14
+    assert max_difference(a, a) == 0.0
 
 
 # ---------------------------------------------------------------------- a_hat
@@ -333,14 +334,14 @@ def test_relative_ch_matches_twist_character_on_sphere(sphere, m):
                                           sphere.tangent_curvature(),
                                           sphere.clifford_fiber())
     ch_w = twisted_chern_character(sphere.monopole_connection(m))
-    assert ch_rel.max_difference(ch_w) < 1e-8
+    assert max_difference(ch_rel, ch_w) < 1e-8
 
 
 def test_relative_ch_matches_twist_character_rank12(flat4):
     fiber, _, r_field, w_field, e_field = conjugated_setup(flat4, seed=42)
     ch_rel = relative_character_of_module(e_field, r_field, fiber)
     ch_w = twisted_chern_character(w_field)
-    assert ch_rel.max_difference(ch_w) < 1e-8
+    assert max_difference(ch_rel, ch_w) < 1e-8
 
 
 def test_relative_character_of_module_checks_the_commutant_once(flat4, monkeypatch):
@@ -358,7 +359,7 @@ def test_relative_character_of_module_checks_the_commutant_once(flat4, monkeypat
                         counting_residual)
     ch_rel = relative_character_of_module(e_field, r_field, fiber)
     assert len(checked) == 1
-    assert ch_rel.max_difference(twisted_chern_character(w_field)) < 1e-8
+    assert max_difference(ch_rel, twisted_chern_character(w_field)) < 1e-8
     # the public character of an already split field still runs its check
     relative_chern_character(checked[0], fiber)
     assert len(checked) == 2
@@ -377,7 +378,7 @@ def test_relative_ch_conjugation_invariance(flat4):
                                        for k, v in inner.items()}}, rank=12)
     ch1 = relative_character_of_module(e1, r1, fiber1)
     ch2 = relative_character_of_module(e2, r1, fiber2)
-    assert ch1.max_difference(ch2) < 1e-10
+    assert max_difference(ch1, ch2) < 1e-10
 
 
 def test_relative_ch_dual_route_supertrace(flat4):

@@ -123,15 +123,9 @@ def test_report_written_to_stdout_without_out_flag(capsys):
     assert payload["pass"] is True
 
 
-def test_env_quadrature_order_applies(monkeypatch, tmp_path):
-    monkeypatch.setenv("GERBEDEX_QUAD_ORDER", "8")
-    code, payload = run_to_report(["chern", "--manifold", "T2"], tmp_path)
-    assert code == 0
-    assert payload["report"]["grid_order"] == 8
-    # an explicit flag beats the environment
+def test_grid_order_flag_applies(tmp_path):
     code, payload = run_to_report(
-        ["chern", "--manifold", "T2", "--grid-order", "16"], tmp_path,
-        name="explicit.json")
+        ["chern", "--manifold", "T2", "--grid-order", "16"], tmp_path)
     assert code == 0
     assert payload["report"]["grid_order"] == 16
 

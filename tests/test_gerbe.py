@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from oracles import CliffordElement, element_of
 from gerbedex import cech, gerbe
 from gerbedex.clifford import (
-    CliffordElement,
     LiftAmbiguityError,
+    SpinElement,
     canonical_lifts,
     lift_signs,
     spinor_rep,
@@ -176,17 +178,17 @@ def test_transition_data_validation():
 
 def test_identity_transitions_lift_to_one():
     lifted, cocycle = gerbe.lift_transitions(identity_triangle_data())
-    for lifts in lifted.lifts.values():
-        for g in lifts:
-            assert abs(g.element.scalar_part() - 1.0) < 1e-12
+    for stack in lifted.unitaries.values():
+        for u in stack:
+            assert abs(element_of(SpinElement(2, u)).scalar_part() - 1.0) < 1e-12
     assert cocycle.cochain.values == (0,)
     assert cocycle.trivial
 
 
 def test_winding_edge_produces_sign():
     lifted, cocycle = gerbe.lift_transitions(winding_triangle_data())
-    end = lifted.lifts[(0, 1)][-1]
-    assert (end.element - type(end.element).scalar(2, -1.0)).norm() < 1e-9
+    end = SpinElement(2, lifted.unitaries[(0, 1)][-1])
+    assert (element_of(end) - CliffordElement.scalar(2, -1.0)).norm() < 1e-9
     assert cocycle.cochain.values == (1,)
     # one triangle cannot carry cohomology: the sign is a coboundary
     assert cocycle.trivial
@@ -197,16 +199,8 @@ def test_lift_matches_samples_everywhere():
     lifted, _ = gerbe.lift_transitions(data)
     for edge, graph in data.edges.items():
         for idx in range(graph.count):
-            proj = lifted.lifts[edge][idx].adjoint_matrix()
+            proj = SpinElement(2, lifted.unitaries[edge][idx]).adjoint_matrix()
             assert np.abs(proj - graph.matrices[idx]).max() < 1e-9
-
-
-def test_lift_at_reverses_orientation():
-    data = chart_path_data(seed=4)
-    lifted, _ = gerbe.lift_transitions(data)
-    g = lifted.lift_at(0, 1, 0)
-    h = lifted.lift_at(1, 0, 0)
-    assert (g.element * h.element - type(g.element).scalar(2, 1.0)).norm() < 1e-12
 
 
 @pytest.mark.parametrize("trial", range(10))
@@ -299,7 +293,7 @@ def test_branching_sample_graphs_relift_to_one_class():
     lifted, base = gerbe.lift_transitions(data)
     for edge, graph in data.edges.items():
         for idx in range(graph.count):
-            proj = lifted.lifts[edge][idx].adjoint_matrix()
+            proj = SpinElement(2, lifted.unitaries[edge][idx]).adjoint_matrix()
             assert np.abs(proj - graph.matrices[idx]).max() < 1e-9
     rng = np.random.default_rng(900)
     edges = list(data.edges)
@@ -389,15 +383,15 @@ def test_validate_names_the_first_bad_sample(bad):
 def test_lifting_the_frame_manifest_builds_no_clifford_elements(monkeypatch):
     data = parse_manifest(sphere_frame_manifest()).transitions.validate()
     built = []
-    original = CliffordElement.__init__
+    original = oracles.CliffordElement.__init__
 
     def counting_init(self, *args, **kwargs):
         built.append(1)
         original(self, *args, **kwargs)
 
-    monkeypatch.setattr(CliffordElement, "__init__", counting_init)
+    monkeypatch.setattr(oracles.CliffordElement, "__init__", counting_init)
     lifted, _ = gerbe.lift_transitions(data, seed=3)
-    assert sum(len(lifts) for lifts in lifted.lifts.values()) > 0
+    assert sum(len(stack) for stack in lifted.unitaries.values()) > 0
     assert built == []
 
 
@@ -773,24 +767,37 @@ def test_endomorphism_descent_untwists():
         assert np.abs(endo.transitions[edge] - endo2.transitions[edge]).max() < 1e-12
 
 
-@pytest.mark.parametrize("unitary", [True, False])
 @pytest.mark.parametrize("rank", [1, 2, 3])
-def test_endomorphism_descent_equals_the_per_sample_kron(unitary, rank):
+def test_endomorphism_descent_equals_the_per_sample_kron(rank):
     rng = np.random.default_rng(40 + rank)
     nerve = triangle_nerve()
     transitions = {}
     for edge in nerve.simplices[1]:
         arr = rng.normal(size=(5, rank, rank)) + 1j * rng.normal(size=(5, rank, rank))
-        transitions[edge] = np.linalg.qr(arr)[0] if unitary else arr + 2.0 * np.eye(rank)
+        transitions[edge] = np.linalg.qr(arr)[0]
     module = gerbe.GerbeModuleData(
         nerve=nerve, band_order=2, weight=1, rank=rank, transitions=transitions,
-        triples={(0, 1, 2): [(0, 0, 0)]}, unitary=unitary,
+        triples={(0, 1, 2): [(0, 0, 0)]},
     )
     endo = gerbe.endomorphism_descent(module)
     for edge, arr in transitions.items():
-        inverse = (lambda g: g.conj().T) if unitary else np.linalg.inv
-        oracle = np.stack([np.kron(inverse(g).T, g) for g in arr])
+        # phi^-T is conj(phi) for a unitary phi
+        oracle = np.stack([np.kron(g.conj(), g) for g in arr])
         assert np.array_equal(endo.transitions[edge], oracle)
+
+
+def test_verify_module_rejects_non_unitary_transitions():
+    nerve = triangle_nerve()
+    transitions = {edge: np.broadcast_to(np.eye(2), (3, 2, 2)).copy()
+                   for edge in nerve.simplices[1]}
+    transitions[(0, 2)][1] *= 1.0 + 1e-6
+    module = gerbe.GerbeModuleData(
+        nerve=nerve, band_order=2, weight=0, rank=2, transitions=transitions,
+        triples={(0, 1, 2): [(0, 0, 0)]},
+    )
+    with pytest.raises(ValueError,
+                       match=r"transitions on \(0, 2\) flagged unitary but are not"):
+        gerbe.verify_module(module, gerbe.zero_gerbe_cocycle(nerve))
 
 
 def test_rank_one_endomorphisms_trivialize():
