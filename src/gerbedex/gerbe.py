@@ -33,11 +33,31 @@ from .clifford import (
 
 class HolonomyError(ValueError):
     """Sign transport around a loop in an overlap's sample graph came back
-    flipped: the overlap is not simply connected, so the cover is not good."""
+    flipped: the overlap is not simply connected, so the cover is not good.
+
+    Carries the overlap `edge` and the `samples` (i, j) of its first
+    adjacency that fails to close up with the signs of the spanning tree.
+    """
+
+    def __init__(self, message, edge, samples):
+        super().__init__(message)
+        self.edge = edge
+        self.samples = samples
 
 
 def _ordered_edge(a, b):
     return (a, b) if a < b else (b, a)
+
+
+def _edge_key(key):
+    """An overlap key (a, b) with a < b; a transition on (b, a) would be the
+    inverse of the one on (a, b), so a reversed key is refused, not re-keyed."""
+    a, b = key
+    if not a < b:
+        raise ValueError(f"edge key {(a, b)} is not in increasing order; key each "
+                         "transition by its ordered edge (the transition on (b, a) "
+                         "is the inverse of the one on (a, b))")
+    return (a, b)
 
 
 @dataclass(frozen=True)
@@ -158,8 +178,12 @@ class TransitionData:
     graph; `triples` maps each 2-simplex to index triples (i_ab, i_bc, i_ac)
     of samples taken at a common point of the triple overlap. The first listed
     triple is the basepoint where the lifted cocycle is read off; any others
-    are constancy spot checks. Both mappings are stored as read-only views,
-    so validation is remembered once it has passed.
+    are constancy spot checks. Edge keys must be ordered, a < b. Both
+    mappings are stored as read-only views, so what is computed from them is
+    remembered once it has passed: validation per `tol`, and per
+    `ambiguity_gap` the canonical lifts and tree parities that every relift
+    reuses (_tree_lifts; read-only arrays). Neither memo is a field, so
+    neither takes part in equality.
     """
 
     nerve: cech.Nerve
@@ -168,11 +192,12 @@ class TransitionData:
     triples: dict
 
     def __post_init__(self):
-        edges = {_ordered_edge(*k): v for k, v in self.edges.items()}
+        edges = {_edge_key(k): v for k, v in self.edges.items()}
         object.__setattr__(self, "edges", MappingProxyType(edges))
         triples = {tuple(sorted(k)): tuple(tuple(t) for t in v) for k, v in self.triples.items()}
         object.__setattr__(self, "triples", MappingProxyType(triples))
         object.__setattr__(self, "_validated", set())
+        object.__setattr__(self, "_lifts", {})
         for simplex in self.nerve.simplices[1]:
             if simplex not in edges:
                 raise ValueError(f"missing sample graph for overlap {simplex}")
@@ -276,10 +301,12 @@ def _check_holonomy(stack, parity, negative, upto):
     pairs = stack.pairs[:upto]
     bad = np.flatnonzero(parity[pairs[:, 0]] ^ negative[:upto] ^ parity[pairs[:, 1]])
     if bad.size:
-        edge = stack.edges[np.searchsorted(stack.pair_offsets, bad[0], side="right") - 1]
+        k = np.searchsorted(stack.pair_offsets, bad[0], side="right") - 1
+        edge = stack.edges[k]
         raise HolonomyError(
             f"sign holonomy around a loop in overlap {edge}: "
-            "the overlap is not simply connected (cover is not good)"
+            "the overlap is not simply connected (cover is not good)",
+            edge, tuple(int(v) for v in pairs[bad[0]] - stack.offsets[k]),
         )
 
 
@@ -319,29 +346,14 @@ def _base_index(edge, base, count):
     return base % count
 
 
-def lift_transitions(data, seed=None, sign_flips=None, basepoints=None, ambiguity_gap=0.5):
-    """Lift every sampled transition and read off the obstruction cocycle.
-
-    All overlaps are lifted in one stacked pass, in sorted edge order:
-    canonical_lifts of every sample, lift_signs of every adjacent pair, the
-    parity of each sample's tree path by pointer doubling over the spanning
-    trees cached on the sample graphs, and a HolonomyError naming the first
-    overlap where an adjacency fails to close up. The first ambiguous pair
-    raises LiftAmbiguityError naming the overlap and the two samples, after
-    the holonomy check of the overlaps before it.
-
-    sign_flips (iterable of edges) negates chosen edge lifts globally and
-    basepoints ({edge: sample index}) overrides which sample keeps its
-    canonical lift; both change the cocycle at most by a coboundary, which
-    tests rely on. seed is still accepted but changes nothing: it used to
-    shuffle the spanning-tree walk, and once every loop closes up the signs
-    do not depend on the tree.
-    """
-    del seed
+def _tree_lifts(data, ambiguity_gap):
+    """The read-only (canonical lifts, tree parities) of every stacked sample,
+    remembered on `data` per `ambiguity_gap`; a failure is not remembered."""
+    lifts = data._lifts.get(ambiguity_gap)
+    if lifts is not None:
+        return lifts
     data.validate()
     stack = data._stack
-    sign_flips = frozenset(_ordered_edge(*e) for e in (sign_flips or ()))
-    basepoints = {_ordered_edge(*k): v for k, v in (basepoints or {}).items()}
     canon = canonical_lifts(stack.matrices)
     pairs = stack.pairs
     try:
@@ -362,6 +374,37 @@ def lift_transitions(data, seed=None, sign_flips=None, basepoints=None, ambiguit
         ) from exc
     parity = _tree_parities(stack, negative)
     _check_holonomy(stack, parity, negative, len(pairs))
+    lifts = data._lifts[ambiguity_gap] = (_frozen(canon), _frozen(parity))
+    return lifts
+
+
+def lift_transitions(data, seed=None, sign_flips=None, basepoints=None, ambiguity_gap=0.5):
+    """Lift every sampled transition and read off the obstruction cocycle.
+
+    All overlaps are lifted in one stacked pass, in sorted edge order:
+    canonical_lifts of every sample, lift_signs of every adjacent pair, the
+    parity of each sample's tree path by pointer doubling over the spanning
+    trees cached on the sample graphs, and a HolonomyError naming the first
+    overlap where an adjacency fails to close up, and that adjacency. The
+    first ambiguous pair raises LiftAmbiguityError naming the overlap and
+    the two samples, after the holonomy check of the overlaps before it.
+    None of this depends on the options below, so `data` remembers it per
+    `ambiguity_gap` once it has passed (_tree_lifts): a relift only places
+    the signs and reads the triple products.
+
+    sign_flips (iterable of edges) negates chosen edge lifts globally and
+    basepoints ({edge: sample index}) overrides which sample keeps its
+    canonical lift; both change the cocycle at most by a coboundary, which
+    tests rely on, and either may name an edge in either order. seed is
+    still accepted but changes nothing: it used to shuffle the
+    spanning-tree walk, and once every loop closes up the signs do not
+    depend on the tree. The returned unitaries are read-only.
+    """
+    del seed
+    canon, parity = _tree_lifts(data, ambiguity_gap)
+    stack = data._stack
+    sign_flips = frozenset(_ordered_edge(*e) for e in (sign_flips or ()))
+    basepoints = {_ordered_edge(*k): v for k, v in (basepoints or {}).items()}
     counts = np.diff(stack.offsets)
     bases = np.array([
         _base_index(edge, basepoints.get(edge, data.edges[edge].basepoint), count)
@@ -407,7 +450,7 @@ class GerbeModuleData:
             arr = np.array(arr, dtype=complex)
             if arr.ndim != 3 or arr.shape[1:] != (self.rank, self.rank):
                 raise ValueError(f"transitions on {key} must be (count, rank, rank)")
-            transitions[_ordered_edge(*key)] = _frozen(arr)
+            transitions[_edge_key(key)] = _frozen(arr)
         object.__setattr__(self, "transitions", MappingProxyType(transitions))
         triples = {tuple(sorted(k)): tuple(tuple(t) for t in v) for k, v in self.triples.items()}
         object.__setattr__(self, "triples", MappingProxyType(triples))

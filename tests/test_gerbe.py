@@ -14,7 +14,7 @@ from gerbedex.clifford import (
     lift_signs,
     spinor_rep,
 )
-from gerbedex.manifest import parse_manifest, sphere_frame_manifest
+from gerbedex.manifest import parse_manifest, run_tasks, sphere_frame_manifest
 
 
 def rot(theta):
@@ -87,6 +87,22 @@ def test_graph_keeps_its_own_copy_of_the_samples():
     g = gerbe.EdgeSampleGraph(mats)
     mats[0] = rot(2.0)
     assert np.array_equal(g.matrices[0], rot(0.0))
+
+
+def test_transition_data_rejects_a_reversed_edge_key():
+    edges = {(1, 0): chain_graph([0.3]), (0, 2): chain_graph([0.0]),
+             (1, 2): chain_graph([0.0])}
+    with pytest.raises(ValueError, match=r"edge key \(1, 0\) is not in increasing order"):
+        gerbe.TransitionData(nerve=triangle_nerve(), dimension=2, edges=edges,
+                             triples={(0, 1, 2): [(0, 0, 0)]})
+
+
+def test_module_rejects_a_reversed_edge_key():
+    phase = np.exp(0.3j) * np.ones((1, 1, 1))
+    with pytest.raises(ValueError, match=r"edge key \(1, 0\) is not in increasing order"):
+        gerbe.GerbeModuleData(
+            cech.Nerve.from_simplices([(0, 1)]), band_order=2, weight=0, rank=1,
+            transitions={(1, 0): phase}, triples={})
 
 
 def test_module_keeps_its_own_copy_of_the_transitions():
@@ -266,8 +282,14 @@ def test_holonomy_error_on_winding_loop_for_any_spanning_tree(seed):
     data = gerbe.TransitionData(
         nerve=triangle_nerve(), dimension=2, edges=edges, triples={(0, 1, 2): [(0, 0, 0)]}
     )
-    with pytest.raises(gerbe.HolonomyError, match=r"overlap \(0, 1\)"):
-        gerbe.lift_transitions(data, seed=seed, basepoints={(0, 1): seed % steps})
+    # breadth-first transport from sample 0 runs both ways round the loop and
+    # first fails to close where the two fronts meet, whatever the basepoint;
+    # a failure is not remembered, so the second call raises again
+    for _ in range(2):
+        with pytest.raises(gerbe.HolonomyError, match=r"overlap \(0, 1\)") as info:
+            gerbe.lift_transitions(data, seed=seed, basepoints={(0, 1): seed % steps})
+        assert info.value.edge == (0, 1)
+        assert info.value.samples == (8, 9)
 
 
 def branching_path_data(samples=13):
@@ -432,9 +454,24 @@ def oracle_edge_lifts(edge, graph, base, flip, rng, ambiguity_gap):
     if (closure > 1.0).any():
         raise gerbe.HolonomyError(
             f"sign holonomy around a loop in overlap {edge}: "
-            "the overlap is not simply connected (cover is not good)"
+            "the overlap is not simply connected (cover is not good)",
+            edge, first_open_adjacency(graph, relative),
         )
     return signs[:, None, None] * canon
+
+
+def first_open_adjacency(graph, relative):
+    """The first adjacency, in the graph's order, whose relative sign disagrees
+    with the signs carried breadth-first from sample 0 (the cached tree)."""
+    signs, order = {0: 1.0}, [0]
+    neighbours = graph.neighbour_table()
+    for node in order:
+        for nb, k in neighbours[node]:
+            if nb not in signs:
+                signs[nb] = signs[node] * relative[k]
+                order.append(nb)
+    return next((i, j) for (i, j), r in zip(graph.adjacency, relative)
+                if signs[i] * r != signs[j])
 
 
 def oracle_lift_transitions(data, seed=None, sign_flips=None, basepoints=None,
@@ -597,6 +634,76 @@ def test_relift_walks_no_sample_graph_in_python(monkeypatch):
 
     monkeypatch.setattr(gerbe.EdgeSampleGraph, "neighbour_table", forbidden)
     gerbe.lift_transitions(data, sign_flips=[(0, 1)], basepoints={(1, 2): 4})
+
+
+def test_relifts_of_remembered_lifts_equal_relifts_of_a_fresh_parse():
+    doc = sphere_frame_manifest()
+    data = parse_manifest(doc).transitions
+    gerbe.lift_transitions(data)
+    rng = np.random.default_rng(2300)
+    for _ in range(20):
+        options = random_relift_options(rng, data)
+        lifted, cocycle = gerbe.lift_transitions(data, **options)
+        fresh, expected = gerbe.lift_transitions(parse_manifest(doc).transitions, **options)
+        assert list(lifted.unitaries) == list(fresh.unitaries)
+        for edge, stack in fresh.unitaries.items():
+            assert np.array_equal(lifted.unitaries[edge], stack)
+        assert cocycle.cochain.values == expected.cochain.values
+
+
+def test_canonical_lifts_run_once_per_data_and_gap(monkeypatch):
+    parsed = parse_manifest(sphere_frame_manifest())
+    calls = []
+    stacked = gerbe.canonical_lifts
+
+    def counting_lifts(matrices, *args, **kwargs):
+        calls.append(len(matrices))
+        return stacked(matrices, *args, **kwargs)
+
+    monkeypatch.setattr(gerbe, "canonical_lifts", counting_lifts)
+    report, ok = run_tasks(parsed, seed=7)
+    assert ok and report["randomized_trials"] == 10
+    assert len(calls) == 1
+    data = parsed.transitions
+    rng = np.random.default_rng(2310)
+    for _ in range(10):
+        gerbe.lift_transitions(data, **random_relift_options(rng, data))
+    assert len(calls) == 1
+    for _ in range(3):
+        gerbe.lift_transitions(data, ambiguity_gap=0.25)
+    assert calls == [sum(graph.count for graph in data.edges.values())] * 2
+
+
+def test_an_ambiguous_lift_raises_on_every_call_and_lifts_with_a_smaller_gap():
+    edges = {e: chain_graph([0.0]) for e in triangle_nerve().simplices[1]}
+    edges[(0, 1)] = chain_graph([0.0, 0.4, 0.4 + 0.95 * math.pi])
+    data = gerbe.TransitionData(nerve=triangle_nerve(), dimension=2, edges=edges,
+                                triples={(0, 1, 2): [(0, 0, 0)]})
+    for _ in range(3):
+        with pytest.raises(LiftAmbiguityError, match=r"overlap \(0, 1\), samples 1->2"):
+            gerbe.lift_transitions(data)
+    # the candidate distances differ by about 0.11 on the long hop
+    assert assert_lift_matches_oracle(data, ambiguity_gap=0.05) is None
+    with pytest.raises(LiftAmbiguityError):
+        gerbe.lift_transitions(data)
+
+
+def test_remembered_lifts_and_returned_unitaries_are_read_only_and_unshared():
+    names = [f.name for f in dataclasses.fields(gerbe.TransitionData)]
+    assert names == ["nerve", "dimension", "edges", "triples"]
+    data = chart_path_data(seed=7)
+    lifted, _ = gerbe.lift_transitions(data, sign_flips=[(0, 1)])
+    relifted, _ = gerbe.lift_transitions(data, basepoints={(0, 2): 3})
+    remembered = data._lifts[0.5]
+    stacks = list(lifted.unitaries.values()) + list(relifted.unitaries.values())
+    for array in remembered:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+        assert not any(np.shares_memory(array, stack) for stack in stacks)
+    for stack in stacks:
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0] *= -1.0
+    assert not np.shares_memory(lifted.unitaries[(0, 1)], relifted.unitaries[(0, 1)])
 
 
 def test_spanning_tree_takes_no_part_in_equality():

@@ -115,6 +115,7 @@ ALLOWLIST = {
     "cli.main": "entry point",
     "cli._jsonable": "entry point",
     "clifford.LiftAmbiguityError.__init__": "error constructor",
+    "gerbe.HolonomyError.__init__": "error constructor",
     "spectral.NearZeroModeError.__init__": "error constructor",
     **dict.fromkeys((
         "smith._bezout",
