@@ -1,23 +1,23 @@
 """Lifting sampled principal-bundle transitions and the modules they twist.
 
 Transition functions are SO(n)-valued samples on small graphs over each
-overlap. Lifting picks spin-group representatives in one stacked pass over
-all overlaps: one canonical lift of every sample, one relative sign for
-every adjacent pair, and each sample's sign relative to its overlap's
-basepoint read along a spanning tree cached on its sample graph. Once every
-loop of the graph closes up, those signs do not depend on the tree. The sign
-defect of the triple products is a mod-2 cocycle on the nerve whose class
-does not depend on any of the choices made.
+overlap. Lifting picks spin-group representatives one overlap at a time: a
+canonical lift of each of its samples, a relative sign for each adjacent
+pair, and each sample's sign relative to the overlap's sample 0 read along
+the breadth-first spanning tree that its sample graph records. Once every
+loop of the graph closes up, those signs do not depend on the tree. This is
+done once per data set; a relift only places the signs, in one stacked pass
+over all overlaps. The sign defect of the triple products is a mod-2 cocycle
+on the nerve whose class does not depend on any of the choices made.
 Modules twisted by that cocycle (weight-d transition data) support tensor,
 direct sum, endomorphism descent, weight decomposition, and descent of the
 weight-zero ones to plain bundle data.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +60,39 @@ def _edge_key(key):
     return (a, b)
 
 
+def _triple_table(nerve, triples, counts):
+    """Read-only view of `triples`, keyed by increasing simplices (a, b, c),
+    whose index triples (i_ab, i_bc, i_ac) lie in [0, count) of their edges;
+    `counts` maps an edge to its number of samples."""
+    table = {}
+    for (a, b, c), entries in triples.items():
+        if not a < b < c:
+            raise ValueError(f"triple key {(a, b, c)} is not in increasing order; key "
+                             "each triple by its ordered simplex (i_ab, i_bc, i_ac are "
+                             "read against the edges in that order)")
+        table[(a, b, c)] = tuple(tuple(t) for t in entries)
+    for a, b, c in nerve.simplices[2]:
+        entries = table.get((a, b, c))
+        if not entries:
+            raise ValueError(f"missing triple basepoint for {(a, b, c)}")
+        limits = (counts[(a, b)], counts[(b, c)], counts[(a, c)])
+        # viewed unsigned, a negative index lies past every count
+        outside = np.array(entries, dtype=np.intp).view(np.uintp) >= limits
+        if outside.any():
+            raise ValueError(f"triple {entries[outside.any(axis=1).argmax()]} on {(a, b, c)} "
+                             f"is out of range for edges of {limits} samples")
+    return MappingProxyType(table)
+
+
+def _triangle_products(nerve, transitions, triples):
+    """(simplex, g_ab g_bc g_ac^-1 stacked over its designated triples) for each
+    2-simplex in nerve order; transitions are orthogonal or unitary stacks."""
+    for a, b, c in nerve.simplices[2]:
+        i, j, l = np.array(triples[(a, b, c)]).T
+        yield (a, b, c), (transitions[(a, b)][i] @ transitions[(b, c)][j]
+                          @ np.swapaxes(transitions[(a, c)][l].conj(), -1, -2))
+
+
 @dataclass(frozen=True)
 class EdgeSampleGraph:
     """Connected graph of matrix samples over one overlap.
@@ -67,8 +100,9 @@ class EdgeSampleGraph:
     `adjacency` pairs must connect all samples; consecutive-chain adjacency is
     filled in when omitted. The basepoint is where lifting starts. The
     samples are stored read-only. The breadth-first traversal from sample 0
-    that checks connectivity also records a spanning tree: each sample's
-    parent and the adjacency position that reaches it (-1 at sample 0).
+    that checks connectivity also records its spanning tree as `_tree`:
+    (child, parent, adjacency position) of every tree edge, in walk order,
+    so each parent comes before its children.
     """
 
     matrices: np.ndarray
@@ -91,19 +125,17 @@ class EdgeSampleGraph:
                 raise ValueError(f"bad adjacency pair ({i}, {j})")
         if not 0 <= self.basepoint < count:
             raise ValueError("basepoint out of range")
-        parent, parent_pos, depth = [0] + [-1] * (count - 1), [-1] * count, [0] * count
-        order = [0]
+        seen, order, tree = {0}, [0], []
         neighbours = self.neighbour_table()
         for node in order:  # grows while it is read: a breadth-first walk
             for nb, pos in neighbours[node]:
-                if parent[nb] < 0:
-                    parent[nb], parent_pos[nb], depth[nb] = node, pos, depth[node] + 1
+                if nb not in seen:
+                    seen.add(nb)
                     order.append(nb)
+                    tree.append((nb, node, pos))
         if len(order) != count:
             raise ValueError("sample graph is not connected")
-        object.__setattr__(self, "_parent", _frozen(np.array(parent, dtype=np.intp)))
-        object.__setattr__(self, "_parent_pos", _frozen(np.array(parent_pos, dtype=np.intp)))
-        object.__setattr__(self, "_depth", max(depth))
+        object.__setattr__(self, "_tree", tuple(tree))
 
     @property
     def count(self):
@@ -118,58 +150,6 @@ class EdgeSampleGraph:
         return table
 
 
-class _SampleStack(NamedTuple):
-    """Every overlap's samples and sample graph, concatenated in edge order.
-
-    Sample and pair indices are positions in the concatenation; overlap k
-    owns samples offsets[k]:offsets[k + 1] and adjacency positions
-    pair_offsets[k]:pair_offsets[k + 1].
-    """
-
-    edges: tuple
-    offsets: np.ndarray
-    pair_offsets: np.ndarray
-    matrices: np.ndarray  # (total, n, n)
-    pairs: np.ndarray  # (total pairs, 2)
-    parent: np.ndarray  # spanning-forest parent; each overlap's sample 0 is its own
-    children: np.ndarray  # the samples that have a tree edge above them
-    tree_pairs: np.ndarray  # the adjacency position of that tree edge
-    doublings: int  # pointer-doubling steps that reach every root
-
-
-def _stack_samples(edges, graphs, dimension):
-    def offsets_of(sizes):
-        return np.concatenate([[0], np.cumsum(sizes, dtype=np.intp)])
-
-    offsets = offsets_of([g.count for g in graphs])
-    pair_offsets = offsets_of([len(g.adjacency) for g in graphs])
-    pairs = np.concatenate([np.zeros((0, 2), dtype=np.intp)] + [
-        np.array(g.adjacency, dtype=np.intp).reshape(-1, 2) + off
-        for g, off in zip(graphs, offsets)
-    ])
-    parent = np.concatenate([np.zeros(0, dtype=np.intp)] + [
-        g._parent + off for g, off in zip(graphs, offsets)
-    ])
-    parent_pos = np.concatenate([np.zeros(0, dtype=np.intp)] + [
-        np.where(g._parent_pos < 0, -1, g._parent_pos + off)
-        for g, off in zip(graphs, pair_offsets)
-    ])
-    children = np.flatnonzero(parent_pos >= 0)
-    depth = max((g._depth for g in graphs), default=0)
-    return _SampleStack(
-        edges=edges,
-        offsets=_frozen(offsets),
-        pair_offsets=_frozen(pair_offsets),
-        matrices=_frozen(np.concatenate(
-            [np.zeros((0, dimension, dimension))] + [g.matrices for g in graphs])),
-        pairs=_frozen(pairs),
-        parent=_frozen(parent),
-        children=_frozen(children),
-        tree_pairs=_frozen(parent_pos[children]),
-        doublings=max(depth - 1, 0).bit_length(),
-    )
-
-
 @dataclass(frozen=True)
 class TransitionData:
     """Sampled transition functions of a principal SO(n) bundle on a cover.
@@ -178,12 +158,12 @@ class TransitionData:
     graph; `triples` maps each 2-simplex to index triples (i_ab, i_bc, i_ac)
     of samples taken at a common point of the triple overlap. The first listed
     triple is the basepoint where the lifted cocycle is read off; any others
-    are constancy spot checks. Edge keys must be ordered, a < b. Both
-    mappings are stored as read-only views, so what is computed from them is
-    remembered once it has passed: validation per `tol`, and per
-    `ambiguity_gap` the canonical lifts and tree parities that every relift
-    reuses (_tree_lifts; read-only arrays). Neither memo is a field, so
-    neither takes part in equality.
+    are constancy spot checks. Keys must be ordered, a < b < c, and every
+    index must lie in its edge's sample range. Both mappings are stored as
+    read-only views, so what is computed from them is remembered once it has
+    passed: validation per `tol`, and per `ambiguity_gap` the canonical lifts
+    and tree parities that every relift reuses (_tree_lifts; read-only
+    arrays). Neither memo is a field, so neither takes part in equality.
     """
 
     nerve: cech.Nerve
@@ -194,8 +174,6 @@ class TransitionData:
     def __post_init__(self):
         edges = {_edge_key(k): v for k, v in self.edges.items()}
         object.__setattr__(self, "edges", MappingProxyType(edges))
-        triples = {tuple(sorted(k)): tuple(tuple(t) for t in v) for k, v in self.triples.items()}
-        object.__setattr__(self, "triples", MappingProxyType(triples))
         object.__setattr__(self, "_validated", set())
         object.__setattr__(self, "_lifts", {})
         for simplex in self.nerve.simplices[1]:
@@ -203,9 +181,8 @@ class TransitionData:
                 raise ValueError(f"missing sample graph for overlap {simplex}")
             if edges[simplex].matrices.shape[1] != self.dimension:
                 raise ValueError(f"overlap {simplex} has wrong matrix size")
-        for simplex in self.nerve.simplices[2]:
-            if simplex not in triples or not triples[simplex]:
-                raise ValueError(f"missing triple basepoint for {simplex}")
+        counts = {edge: graph.count for edge, graph in edges.items()}
+        object.__setattr__(self, "triples", _triple_table(self.nerve, self.triples, counts))
 
     def validate(self, tol=1e-10):
         """Check SO(n) membership and the unlifted cocycle at triple points.
@@ -225,22 +202,22 @@ class TransitionData:
             bad = np.flatnonzero((defect > 1e-9) | (np.linalg.det(mats) < 0))
             if bad.size:
                 raise ValueError(f"sample {bad[0]} on overlap {edge} is not in SO(n)")
-        for (a, b, c), entries in self.triples.items():
-            gab = self.edges[(a, b)].matrices
-            gbc = self.edges[(b, c)].matrices
-            gac = self.edges[(a, c)].matrices
-            for i, j, l in entries:
-                defect = np.abs(gab[i] @ gbc[j] @ gac[l].T - eye).max()
-                if defect > tol:
-                    raise ValueError(
-                        f"triple overlap {(a, b, c)} violates the cocycle "
-                        f"condition by {defect:.3e}"
-                    )
+        matrices = {edge: graph.matrices for edge, graph in self.edges.items()}
+        for simplex, prods in _triangle_products(self.nerve, matrices, self.triples):
+            defects = np.abs(prods - eye).max(axis=(1, 2))
+            bad = np.flatnonzero(defects > tol)
+            if bad.size:
+                raise ValueError(
+                    f"triple overlap {simplex} violates the cocycle "
+                    f"condition by {defects[bad[0]]:.3e}"
+                )
 
     @cached_property
-    def _stack(self):
+    def _layout(self):
+        """Sorted overlaps; overlap k owns offsets[k]:offsets[k + 1] of the lifts."""
         edges = tuple(sorted(self.edges))
-        return _stack_samples(edges, [self.edges[e] for e in edges], self.dimension)
+        counts = [self.edges[edge].count for edge in edges]
+        return edges, _frozen(np.concatenate([[0], np.cumsum(counts, dtype=np.intp)]))
 
 
 @dataclass(frozen=True)
@@ -284,40 +261,10 @@ def zero_gerbe_cocycle(nerve, band_order=2):
     return GerbeCocycle(nerve, cech.zero_cochain(nerve, 2, ring=band_order))
 
 
-def _tree_parities(stack, negative):
-    """Parity of the negative relative signs on each sample's tree path to its
-    overlap's sample 0, by pointer doubling over every overlap at once."""
-    parity = np.zeros(len(stack.parent), dtype=bool)
-    parity[stack.children] = negative[stack.tree_pairs]
-    up = stack.parent
-    for _ in range(stack.doublings):
-        parity ^= parity[up]
-        up = up[up]
-    return parity
-
-
-def _check_holonomy(stack, parity, negative, upto):
-    """Every adjacency among the first `upto` must close up with the tree's signs."""
-    pairs = stack.pairs[:upto]
-    bad = np.flatnonzero(parity[pairs[:, 0]] ^ negative[:upto] ^ parity[pairs[:, 1]])
-    if bad.size:
-        k = np.searchsorted(stack.pair_offsets, bad[0], side="right") - 1
-        edge = stack.edges[k]
-        raise HolonomyError(
-            f"sign holonomy around a loop in overlap {edge}: "
-            "the overlap is not simply connected (cover is not good)",
-            edge, tuple(int(v) for v in pairs[bad[0]] - stack.offsets[k]),
-        )
-
-
 def _triple_signs(data, unitaries):
     """Sign defect (0 or 1) of the lifted triple products on each 2-simplex."""
     values = []
-    for simplex in data.nerve.simplices[2]:
-        a, b, c = simplex
-        i, j, l = np.array(data.triples[simplex]).T
-        prods = (unitaries[(a, b)][i] @ unitaries[(b, c)][j]
-                 @ unitaries[(a, c)][l].conj().transpose(0, 2, 1))
+    for simplex, prods in _triangle_products(data.nerve, unitaries, data.triples):
         dim = prods.shape[-1]
         scalars = np.trace(prods, axis1=1, axis2=2).real / dim
         defects = np.linalg.norm(prods - np.round(scalars)[:, None, None] * np.eye(dim),
@@ -347,50 +294,56 @@ def _base_index(edge, base, count):
 
 
 def _tree_lifts(data, ambiguity_gap):
-    """The read-only (canonical lifts, tree parities) of every stacked sample,
-    remembered on `data` per `ambiguity_gap`; a failure is not remembered."""
+    """The read-only (canonical lifts, tree parities) of every sample in sorted
+    edge order, remembered on `data` per `ambiguity_gap`; a failure is not.
+    Each overlap's signs, parities and holonomy are checked before the next's.
+    """
     lifts = data._lifts.get(ambiguity_gap)
     if lifts is not None:
         return lifts
     data.validate()
-    stack = data._stack
-    canon = canonical_lifts(stack.matrices)
-    pairs = stack.pairs
-    try:
-        negative = lift_signs(canon[pairs[:, 1]], canon[pairs[:, 0]], ambiguity_gap) < 0
-    except LiftAmbiguityError as exc:
-        k = np.searchsorted(stack.pair_offsets, exc.pair, side="right") - 1
-        start = stack.pair_offsets[k]
-        # the overlaps before this one lift cleanly; their holonomy comes first
-        negative = np.zeros(len(pairs), dtype=bool)
-        negative[:start] = lift_signs(canon[pairs[:start, 1]], canon[pairs[:start, 0]],
-                                      ambiguity_gap) < 0
-        _check_holonomy(stack, _tree_parities(stack, negative), negative, start)
-        edge = stack.edges[k]
-        i, j = data.edges[edge].adjacency[exc.pair - start]
-        raise LiftAmbiguityError(
-            f"overlap {edge}, samples {i}->{j}: {exc}; resample the overlap more densely",
-            exc.d_plus, exc.d_minus, exc.ambiguity_gap,
-        ) from exc
-    parity = _tree_parities(stack, negative)
-    _check_holonomy(stack, parity, negative, len(pairs))
-    lifts = data._lifts[ambiguity_gap] = (_frozen(canon), _frozen(parity))
+    edges, _ = data._layout
+    graphs = [data.edges[edge] for edge in edges]
+    # every overlap's canonical lifts come first, so their errors precede any sign error
+    canons = [canonical_lifts(graph.matrices) for graph in graphs]
+    parities = [np.zeros(0, dtype=bool)]
+    for edge, graph, canon in zip(edges, graphs, canons):
+        pairs = np.array(graph.adjacency, dtype=np.intp).reshape(-1, 2)
+        try:
+            negative = lift_signs(canon[pairs[:, 1]], canon[pairs[:, 0]], ambiguity_gap) < 0
+        except LiftAmbiguityError as exc:
+            i, j = graph.adjacency[exc.pair]
+            raise LiftAmbiguityError(
+                f"overlap {edge}, samples {i}->{j}: {exc}; resample the overlap more densely",
+                exc.d_plus, exc.d_minus, exc.ambiguity_gap,
+            ) from exc
+        parity, flags = [False] * graph.count, negative.tolist()
+        for child, parent, pos in graph._tree:  # parents come before children
+            parity[child] = parity[parent] ^ flags[pos]
+        parity = np.array(parity)
+        bad = np.flatnonzero(parity[pairs[:, 0]] ^ negative ^ parity[pairs[:, 1]])
+        if bad.size:
+            raise HolonomyError(
+                f"sign holonomy around a loop in overlap {edge}: "
+                "the overlap is not simply connected (cover is not good)",
+                edge, graph.adjacency[bad[0]],
+            )
+        parities.append(parity)
+    canon = np.concatenate(canons) if canons else np.zeros((0, 0, 0), dtype=complex)
+    lifts = data._lifts[ambiguity_gap] = (_frozen(canon), _frozen(np.concatenate(parities)))
     return lifts
 
 
 def lift_transitions(data, seed=None, sign_flips=None, basepoints=None, ambiguity_gap=0.5):
     """Lift every sampled transition and read off the obstruction cocycle.
 
-    All overlaps are lifted in one stacked pass, in sorted edge order:
-    canonical_lifts of every sample, lift_signs of every adjacent pair, the
-    parity of each sample's tree path by pointer doubling over the spanning
-    trees cached on the sample graphs, and a HolonomyError naming the first
-    overlap where an adjacency fails to close up, and that adjacency. The
-    first ambiguous pair raises LiftAmbiguityError naming the overlap and
-    the two samples, after the holonomy check of the overlaps before it.
-    None of this depends on the options below, so `data` remembers it per
-    `ambiguity_gap` once it has passed (_tree_lifts): a relift only places
-    the signs and reads the triple products.
+    Once per data set and `ambiguity_gap` (_tree_lifts), each overlap in
+    sorted edge order gets its canonical lifts, the relative signs of its
+    adjacent samples and their parities along its graph's breadth-first
+    tree; an ambiguous pair raises LiftAmbiguityError and an adjacency that
+    does not close up raises HolonomyError, each naming the overlap and the
+    samples. A call then only places the signs in one stacked pass and reads
+    the triple products.
 
     sign_flips (iterable of edges) negates chosen edge lifts globally and
     basepoints ({edge: sample index}) overrides which sample keeps its
@@ -402,22 +355,21 @@ def lift_transitions(data, seed=None, sign_flips=None, basepoints=None, ambiguit
     """
     del seed
     canon, parity = _tree_lifts(data, ambiguity_gap)
-    stack = data._stack
+    edges, offsets = data._layout
     sign_flips = frozenset(_ordered_edge(*e) for e in (sign_flips or ()))
     basepoints = {_ordered_edge(*k): v for k, v in (basepoints or {}).items()}
-    counts = np.diff(stack.offsets)
+    counts = np.diff(offsets)
     bases = np.array([
         _base_index(edge, basepoints.get(edge, data.edges[edge].basepoint), count)
-        for edge, count in zip(stack.edges, counts)
+        for edge, count in zip(edges, counts)
     ], dtype=np.intp)
-    flips = np.array([edge in sign_flips for edge in stack.edges], dtype=bool)
+    flips = np.array([edge in sign_flips for edge in edges], dtype=bool)
     # a sample's sign relative to its basepoint is the parity of the tree path
     # between them, times the overlap's flip
-    edge_negative = parity[stack.offsets[:-1] + bases] ^ flips
+    edge_negative = parity[offsets[:-1] + bases] ^ flips
     signs = np.where(parity ^ np.repeat(edge_negative, counts), -1.0, 1.0)
     lifts = _frozen(signs[:, None, None] * canon)
-    unitaries = {edge: lifts[stack.offsets[k]:stack.offsets[k + 1]]
-                 for k, edge in enumerate(stack.edges)}
+    unitaries = {edge: lifts[offsets[k]:offsets[k + 1]] for k, edge in enumerate(edges)}
     cocycle = GerbeCocycle(data.nerve, cech.Cochain(2, 2, _triple_signs(data, unitaries)))
     return LiftedTransitionData(data=data, unitaries=MappingProxyType(unitaries)), cocycle
 
@@ -452,23 +404,16 @@ class GerbeModuleData:
                 raise ValueError(f"transitions on {key} must be (count, rank, rank)")
             transitions[_edge_key(key)] = _frozen(arr)
         object.__setattr__(self, "transitions", MappingProxyType(transitions))
-        triples = {tuple(sorted(k)): tuple(tuple(t) for t in v) for k, v in self.triples.items()}
-        object.__setattr__(self, "triples", MappingProxyType(triples))
         if self.weight is not None:
             object.__setattr__(self, "weight", int(self.weight) % self.band_order)
         for simplex in self.nerve.simplices[1]:
             if simplex not in transitions:
                 raise ValueError(f"missing transitions for overlap {simplex}")
-        for simplex in self.nerve.simplices[2]:
-            if simplex not in triples or not triples[simplex]:
-                raise ValueError(f"missing triple basepoint for {simplex}")
+        object.__setattr__(self, "triples",
+                           _triple_table(self.nerve, self.triples, self.counts()))
 
     def counts(self):
         return {edge: arr.shape[0] for edge, arr in self.transitions.items()}
-
-    def _inverse(self, mat):
-        """Inverse of one unitary transition matrix, or of each in a stack."""
-        return np.swapaxes(mat.conj(), -1, -2)
 
 
 @dataclass(frozen=True)
@@ -496,18 +441,11 @@ def verify_module(module, cocycle, tol=1e-9):
         defect = np.abs(arr @ arr.conj().transpose(0, 2, 1) - eye).max()
         if defect > max(tol, 1e-8):
             raise ValueError(f"transitions on {edge} flagged unitary but are not")
-    for simplex in module.nerve.simplices[2]:
-        a, b, c = simplex
+    for simplex, prods in _triangle_products(module.nerve, module.transitions, module.triples):
         phase = zeta ** (module.weight * cocycle.value_on(simplex))
-        for i, j, l in module.triples[simplex]:
-            prod = (
-                module.transitions[(a, b)][i]
-                @ module.transitions[(b, c)][j]
-                @ module._inverse(module.transitions[(a, c)][l])
-            )
-            resid = np.abs(prod - phase * eye).max()
-            if resid > worst:
-                worst, worst_simplex = resid, simplex
+        resid = np.abs(prods - phase * eye).max()
+        if resid > worst:
+            worst, worst_simplex = resid, simplex
     return ModuleCheck(ok=bool(worst <= tol), max_residual=float(worst),
                        worst_simplex=worst_simplex)
 
@@ -533,14 +471,8 @@ def tensor_modules(m1, m2):
         arr2 = m2.transitions[edge]
         prod = np.einsum("kab,kcd->kacbd", arr1, arr2)
         transitions[edge] = prod.reshape(arr1.shape[0], m1.rank * m2.rank, -1)
-    return GerbeModuleData(
-        nerve=m1.nerve,
-        band_order=m1.band_order,
-        weight=(m1.weight + m2.weight) % m1.band_order,
-        rank=m1.rank * m2.rank,
-        transitions=transitions,
-        triples=m1.triples,
-    )
+    return replace(m1, weight=(m1.weight + m2.weight) % m1.band_order,
+                   rank=m1.rank * m2.rank, transitions=transitions)
 
 
 def direct_sum(m1, m2):
@@ -556,14 +488,7 @@ def direct_sum(m1, m2):
         out[:, : m1.rank, : m1.rank] = arr1
         out[:, m1.rank :, m1.rank :] = arr2
         transitions[edge] = out
-    return GerbeModuleData(
-        nerve=m1.nerve,
-        band_order=m1.band_order,
-        weight=m1.weight,
-        rank=m1.rank + m2.rank,
-        transitions=transitions,
-        triples=m1.triples,
-    )
+    return replace(m1, rank=m1.rank + m2.rank, transitions=transitions)
 
 
 def endomorphism_descent(module):
@@ -571,19 +496,13 @@ def endomorphism_descent(module):
     transitions = {}
     for edge, arr in module.transitions.items():
         # action psi -> phi psi phi^-1 in column-major vectorization: per
-        # sample the Kronecker product of phi^-T and phi (a broadcast product
-        # rounds exactly as np.kron does; einsum's complex product does not)
-        inverse_t = np.swapaxes(module._inverse(arr), -1, -2)
+        # sample the Kronecker product of phi^-T and phi, where phi^-T is the
+        # conjugate of the unitary phi (a broadcast product rounds exactly as
+        # np.kron does; einsum's complex product does not)
+        inverse_t = arr.conj()
         out = inverse_t[:, :, None, :, None] * arr[:, None, :, None, :]
         transitions[edge] = out.reshape(arr.shape[0], module.rank**2, module.rank**2)
-    return GerbeModuleData(
-        nerve=module.nerve,
-        band_order=module.band_order,
-        weight=0,
-        rank=module.rank**2,
-        transitions=transitions,
-        triples=module.triples,
-    )
+    return replace(module, weight=0, rank=module.rank**2, transitions=transitions)
 
 
 def weight_decompose(action, module, tol=1e-10):
@@ -633,16 +552,7 @@ def weight_decompose(action, module, tol=1e-10):
         for (a, b), arr in module.transitions.items():
             ba, bb = bases[(a, d)], bases[(b, d)]
             transitions[(a, b)] = np.einsum("xa,kxy,yb->kab", ba.conj(), arr, bb)
-        summands.append(
-            GerbeModuleData(
-                nerve=module.nerve,
-                band_order=k,
-                weight=d,
-                rank=r,
-                transitions=transitions,
-                triples=module.triples,
-            )
-        )
+        summands.append(replace(module, weight=d, rank=r, transitions=transitions))
     total = sum(s.rank for s in summands)
     if total != module.rank:
         raise ValueError(f"summand ranks {total} do not add up to {module.rank}")
@@ -699,21 +609,10 @@ def identity_module(template, rank=1, weight=0, band_order=2):
     """Trivial-transition module shaped like a TransitionData or module."""
     if isinstance(template, TransitionData):
         counts = {edge: g.count for edge, g in template.edges.items()}
-        nerve, triples = template.nerve, template.triples
     else:
-        counts = template.counts()
-        nerve, triples = template.nerve, template.triples
-        band_order = template.band_order
+        counts, band_order = template.counts(), template.band_order
     eye = np.eye(rank, dtype=complex)
-    transitions = {
-        edge: np.broadcast_to(eye, (count, rank, rank)).copy()
-        for edge, count in counts.items()
-    }
-    return GerbeModuleData(
-        nerve=nerve,
-        band_order=band_order,
-        weight=weight,
-        rank=rank,
-        transitions=transitions,
-        triples=triples,
-    )
+    transitions = {edge: np.broadcast_to(eye, (count, rank, rank))
+                   for edge, count in counts.items()}
+    return GerbeModuleData(nerve=template.nerve, band_order=band_order, weight=weight,
+                           rank=rank, transitions=transitions, triples=template.triples)

@@ -274,7 +274,7 @@ def read_manifest(path):
     return parse_manifest(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def sphere_frame_manifest(frame_samples=64):
+def sphere_frame_manifest():
     """The shipped frame-bundle manifest of the sphere benchmark.
 
     Carries the three-chart frame cover with its sampled rotation
@@ -282,7 +282,7 @@ def sphere_frame_manifest(frame_samples=64):
     that it closes and its class vanishes, and verify the induced spinor
     module against the computed cocycle.
     """
-    bench = SphereBenchmark(order=8, panels=2, frame_samples=frame_samples)
+    bench = SphereBenchmark(order=8, panels=2)
     return build_manifest(
         "sphere-frame-bundle",
         transitions=bench.frame_transitions(),

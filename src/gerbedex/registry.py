@@ -29,6 +29,9 @@ from .geometry import (Chart, ChartAtlas, FormField, ModuleConnection,
 from .gerbe import EdgeSampleGraph, TransitionData
 from .symbolic import RingElement
 
+# samples per overlap of the sphere's frame cover, taken evenly around the equator
+FRAME_SAMPLES = 64
+
 
 def _rotations(angles):
     c, s = np.cos(angles), np.sin(angles)
@@ -77,14 +80,11 @@ class SphereBenchmark:
     name = "S2"
     dim = 2
 
-    def __init__(self, order=32, panels=6, box=1.2, frame_samples=64):
+    def __init__(self, order=32, panels=6, box=1.2):
         self.order = int(order)
         self.panels = int(panels)
         self.box = float(box)
-        self.frame_samples = int(frame_samples)
         self.atlas = _sphere_atlas(self.order, self.panels, self.box)
-        self._loop = (2.0 * np.pi * np.arange(self.frame_samples)
-                      / self.frame_samples)
         self._frame = None
         self._spin_conn = None
         self._monopole_conns = {}
@@ -112,16 +112,16 @@ class SphereBenchmark:
         asserted on the odd-winding edges.
         """
         if self._frame is None:
-            theta = self._loop
+            theta = 2.0 * np.pi * np.arange(FRAME_SAMPLES) / FRAME_SAMPLES
             nerve = cech.Nerve.from_simplices([(0, 1, 2)])
             edges = {
                 (0, 1): EdgeSampleGraph(_rotations(np.pi / 2.0 - theta)),
                 (1, 2): EdgeSampleGraph(_rotations(np.pi / 2.0 - theta)),
                 (0, 2): EdgeSampleGraph(_rotations(np.pi - 2.0 * theta)),
             }
-            step = self.frame_samples // 4
+            step = FRAME_SAMPLES // 4
             triples = {(0, 1, 2): tuple((i, i, i)
-                                        for i in range(0, self.frame_samples, step))}
+                                        for i in range(0, FRAME_SAMPLES, step))}
             self._frame = TransitionData(nerve=nerve, dimension=2,
                                          edges=edges, triples=triples)
         return self._frame

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,42 @@ def test_module_rejects_a_reversed_edge_key():
         gerbe.GerbeModuleData(
             cech.Nerve.from_simplices([(0, 1)]), band_order=2, weight=0, rank=1,
             transitions={(1, 0): phase}, triples={})
+
+
+def test_transition_data_rejects_an_unsorted_triple_key():
+    # sorting the key would read (i_ab, i_bc, i_ac) against the wrong edges
+    edges = {e: chain_graph([0.0, 0.1]) for e in triangle_nerve().simplices[1]}
+    with pytest.raises(ValueError, match=r"triple key \(1, 0, 2\) is not in increasing order"):
+        gerbe.TransitionData(nerve=triangle_nerve(), dimension=2, edges=edges,
+                             triples={(1, 0, 2): [(1, 1, 0)]})
+
+
+def test_module_rejects_an_unsorted_triple_key():
+    flat = gerbe.identity_module(identity_triangle_data())
+    with pytest.raises(ValueError, match=r"triple key \(1, 0, 2\) is not in increasing order"):
+        gerbe.GerbeModuleData(flat.nerve, band_order=2, weight=0, rank=1,
+                              transitions=flat.transitions, triples={(1, 0, 2): [(0, 0, 0)]})
+
+
+def five_sample_triangle(triples):
+    """Builders of TransitionData and of a rank-1 module on the triangle nerve,
+    five samples per edge."""
+    nerve = triangle_nerve()
+    edges = {e: chain_graph([0.0] * 5) for e in nerve.simplices[1]}
+    ones = {e: np.ones((5, 1, 1)) for e in nerve.simplices[1]}
+    return (
+        lambda: gerbe.TransitionData(nerve=nerve, dimension=2, edges=edges, triples=triples),
+        lambda: gerbe.GerbeModuleData(nerve, band_order=2, weight=0, rank=1,
+                                      transitions=ones, triples=triples),
+    )
+
+
+@pytest.mark.parametrize("entry", [(-1, 0, -1), (9, 0, 9), (0, 5, 0), (0, 0, 5)])
+def test_out_of_range_triple_indices_are_refused_at_construction(entry):
+    for build in five_sample_triangle({(0, 1, 2): [(4, 4, 4), entry]}):
+        with pytest.raises(ValueError, match=rf"triple {re.escape(str(entry))} on "
+                                             r"\(0, 1, 2\) is out of range"):
+            build()
 
 
 def test_module_keeps_its_own_copy_of_the_transitions():
@@ -331,14 +368,14 @@ def test_branching_sample_graphs_relift_to_one_class():
         assert cech.solve_coboundary(diff, data.nerve) is not None
 
 
-def test_lift_transitions_lifts_each_overlap_in_one_stacked_call(monkeypatch):
+def test_lift_transitions_lifts_each_overlap_in_one_call_of_its_own(monkeypatch):
     from gerbedex import clifford
 
     calls = []
     stacked = gerbe.canonical_lifts
 
     def counting_lifts(matrices, *args, **kwargs):
-        calls.append(len(matrices))
+        calls.append(matrices)
         return stacked(matrices, *args, **kwargs)
 
     def forbidden(*args, **kwargs):
@@ -349,7 +386,11 @@ def test_lift_transitions_lifts_each_overlap_in_one_stacked_call(monkeypatch):
     monkeypatch.setattr(clifford, "canonical_lift", forbidden)
     data = branching_path_data()
     gerbe.lift_transitions(data, seed=5, sign_flips=[(0, 1)])
-    assert calls == [sum(graph.count for graph in data.edges.values())]
+    edges = sorted(data.edges)
+    assert len(calls) == len(edges)
+    for matrices, edge in zip(calls, edges):
+        assert len(matrices) == data.edges[edge].count
+        assert np.array_equal(matrices, data.edges[edge].matrices)
     assert not hasattr(gerbe, "nearest_lift") and not hasattr(gerbe, "canonical_lift")
 
 
@@ -559,7 +600,6 @@ def test_stacked_lift_matches_the_oracle_on_a_long_chain_based_at_its_far_end():
     edges = {(0, 1): chain, (0, 2): chain_graph([0.0]), (1, 2): chain_graph([0.0])}
     data = gerbe.TransitionData(nerve=triangle_nerve(), dimension=2, edges=edges,
                                 triples={(0, 1, 2): [(0, 0, 0), (count - 1, 0, 0)]})
-    assert chain._depth == count - 1
     assert_lift_matches_oracle(data)
     assert_lift_matches_oracle(data, sign_flips=[(0, 1)], basepoints={(0, 1): count // 3})
     assert_lift_matches_oracle(data, basepoints={(1, 0): -1})
@@ -573,7 +613,6 @@ def test_stacked_lift_matches_the_oracle_on_a_star_graph():
         np.stack([rot(t) for t in angles]),
         adjacency=[(centre, k) if k % 2 else (k, centre) for k in range(count) if k != centre],
     )
-    assert star._depth <= 2
     identity = chain_graph([0.0])
     data = gerbe.TransitionData(
         nerve=triangle_nerve(), dimension=2,
@@ -663,15 +702,16 @@ def test_canonical_lifts_run_once_per_data_and_gap(monkeypatch):
     monkeypatch.setattr(gerbe, "canonical_lifts", counting_lifts)
     report, ok = run_tasks(parsed, seed=7)
     assert ok and report["randomized_trials"] == 10
-    assert len(calls) == 1
     data = parsed.transitions
+    per_overlap = [data.edges[edge].count for edge in sorted(data.edges)]
+    assert len(per_overlap) == 3 and calls == per_overlap
     rng = np.random.default_rng(2310)
     for _ in range(10):
         gerbe.lift_transitions(data, **random_relift_options(rng, data))
-    assert len(calls) == 1
+    assert calls == per_overlap
     for _ in range(3):
         gerbe.lift_transitions(data, ambiguity_gap=0.25)
-    assert calls == [sum(graph.count for graph in data.edges.values())] * 2
+    assert calls == per_overlap * 2
 
 
 def test_an_ambiguous_lift_raises_on_every_call_and_lifts_with_a_smaller_gap():
@@ -710,8 +750,8 @@ def test_spanning_tree_takes_no_part_in_equality():
     names = [f.name for f in dataclasses.fields(gerbe.EdgeSampleGraph)]
     assert names == ["matrices", "adjacency", "basepoint"]
     graph = chain_graph([0.0, 0.1, 0.2], basepoint=2)
-    assert graph._parent.tolist() == [0, 0, 1]
-    assert graph._parent_pos.tolist() == [-1, 0, 1]
+    # (child, parent, adjacency position) in breadth-first order from sample 0
+    assert graph._tree == ((1, 0, 0), (2, 1, 1))
 
 
 # ---------------------------------------------------------------------------

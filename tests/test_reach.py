@@ -68,7 +68,6 @@ ALLOWLIST = {
     **dict.fromkeys((
         "cech.zero_cochain",
         "gerbe.zero_gerbe_cocycle",
-        "gerbe.GerbeModuleData.counts",
         "gerbe.ModuleCheck.__bool__",
         "gerbe._require_same_shape",
         "gerbe.tensor_modules",
