@@ -61,7 +61,7 @@ def _edge_key(key):
 
 
 def _triple_table(nerve, triples, counts):
-    """Read-only view of `triples`, keyed by increasing simplices (a, b, c),
+    """Read-only view of `triples`, keyed by 2-simplices (a, b, c) of the nerve,
     whose index triples (i_ab, i_bc, i_ac) lie in [0, count) of their edges;
     `counts` maps an edge to its number of samples."""
     table = {}
@@ -70,6 +70,8 @@ def _triple_table(nerve, triples, counts):
             raise ValueError(f"triple key {(a, b, c)} is not in increasing order; key "
                              "each triple by its ordered simplex (i_ab, i_bc, i_ac are "
                              "read against the edges in that order)")
+        if (a, b, c) not in nerve._index_tables()[2]:
+            raise ValueError(f"triple key {(a, b, c)} is not a 2-simplex of the nerve")
         table[(a, b, c)] = tuple(tuple(t) for t in entries)
     for a, b, c in nerve.simplices[2]:
         entries = table.get((a, b, c))
@@ -158,7 +160,7 @@ class TransitionData:
     graph; `triples` maps each 2-simplex to index triples (i_ab, i_bc, i_ac)
     of samples taken at a common point of the triple overlap. The first listed
     triple is the basepoint where the lifted cocycle is read off; any others
-    are constancy spot checks. Keys must be ordered, a < b < c, and every
+    are constancy spot checks. Keys must be 2-simplices, a < b < c, and every
     index must lie in its edge's sample range. Both mappings are stored as
     read-only views, so what is computed from them is remembered once it has
     passed: validation per `tol`, and per `ambiguity_gap` the canonical lifts
@@ -199,13 +201,13 @@ class TransitionData:
         for edge, graph in self.edges.items():
             mats = graph.matrices
             defect = np.abs(mats.transpose(0, 2, 1) @ mats - eye).max(axis=(1, 2))
-            bad = np.flatnonzero((defect > 1e-9) | (np.linalg.det(mats) < 0))
+            bad = np.flatnonzero(~(defect <= 1e-9) | (np.linalg.det(mats) < 0))
             if bad.size:
                 raise ValueError(f"sample {bad[0]} on overlap {edge} is not in SO(n)")
         matrices = {edge: graph.matrices for edge, graph in self.edges.items()}
         for simplex, prods in _triangle_products(self.nerve, matrices, self.triples):
             defects = np.abs(prods - eye).max(axis=(1, 2))
-            bad = np.flatnonzero(defects > tol)
+            bad = np.flatnonzero(~(defects <= tol))
             if bad.size:
                 raise ValueError(
                     f"triple overlap {simplex} violates the cocycle "
@@ -439,7 +441,7 @@ def verify_module(module, cocycle, tol=1e-9):
     worst, worst_simplex = 0.0, None
     for edge, arr in module.transitions.items():
         defect = np.abs(arr @ arr.conj().transpose(0, 2, 1) - eye).max()
-        if defect > max(tol, 1e-8):
+        if not defect <= max(tol, 1e-8):
             raise ValueError(f"transitions on {edge} flagged unitary but are not")
     for simplex, prods in _triangle_products(module.nerve, module.transitions, module.triples):
         phase = zeta ** (module.weight * cocycle.value_on(simplex))

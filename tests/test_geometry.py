@@ -694,6 +694,29 @@ def test_connection_rejects_non_antihermitian():
         ModuleConnection(atlas, 1, forms, {})
 
 
+def test_nan_fails_the_geometry_checks(monkeypatch):
+    atlas = sphere_atlas(order=16)
+    clean = monopole_connection(atlas, 1)
+    sample = atlas.overlap_sample("north", "south")
+    node = np.unravel_index(sample.idx[0], atlas.charts["north"].shape)
+    forms = {name: [arr.copy() for arr in arrs] for name, arrs in clean.forms.items()}
+    forms["north"][0][node] = np.nan
+    with pytest.raises(ValueError, match=r"'north' is not anti-Hermitian \(residual nan\)"):
+        ModuleConnection(atlas, 1, forms, clean.transitions)
+    # a NaN written after construction reaches the descent checks
+    broken = monopole_connection(atlas, 1)
+    broken.forms["north"][0][node] = np.nan
+    assert np.isnan(broken.gluing_residual())
+    with pytest.raises(ValueError, match=r"fails to descend: overlap residual nan"):
+        curvature(broken)
+    same = ModuleConnection(atlas, 1, clean.forms, broken.transitions)
+    with pytest.raises(ValueError, match=r"does not glue by conjugation: residual nan"):
+        connection_difference(broken, same)
+    monkeypatch.setattr(ModuleConnection, "gluing_residual", lambda self: np.nan)
+    with pytest.raises(ValueError, match=r"connection gluing residual nan exceeds"):
+        ModuleConnection(atlas, 1, clean.forms, clean.transitions)
+
+
 @pytest.mark.parametrize("m", [-2, -1, 1, 3])
 def test_monopole_curvature_closed_form(m):
     atlas = sphere_atlas(order=16)
@@ -706,6 +729,18 @@ def test_monopole_curvature_closed_form(m):
         sign = 1.0 if name == "north" else -1.0
         expect = sign * (-0.5j * m) * lam2
         assert f.comps[name][(0, 1)][..., 0, 0] == pytest.approx(expect, abs=1e-8)
+
+
+def test_rank_one_curvature_is_bitwise_the_exterior_derivative():
+    sphere = SphereBenchmark(order=16)
+    for conn in (sphere.monopole_connection(3),
+                 perturbed_connection(sphere.monopole_connection(1),
+                                      sphere.perturbation_form(1, 5))):
+        f = curvature(conn)
+        for name, chart in sphere.atlas.charts.items():
+            a_x, a_y = conn.forms[name]
+            d_a = chart.differentiate(a_y, 0) - chart.differentiate(a_x, 1)
+            assert f.comps[name][(0, 1)].tobytes() == d_a.tobytes()
 
 
 @pytest.mark.parametrize("m", [-3, -1, 0, 2])
@@ -1089,24 +1124,68 @@ def grid_fields(chart, seed):
     matrix = (rng.standard_normal(shape + (2, 2))
               + 1j * rng.standard_normal(shape + (2, 2)))
     leading = np.ascontiguousarray(np.moveaxis(matrix, (-2, -1), (0, 1)))
-    wide = rng.standard_normal((shape[0], 2 * shape[1])) * (1 + 2j)
+    wide = rng.standard_normal(shape[:-1] + (2 * shape[-1],)) * (1 + 2j)
     return {"scalar": scalar, "rank2": matrix, "real": scalar.real,
             "moveaxis": np.moveaxis(leading, (0, 1), (-2, -1)),
-            "slice": wide[:, ::2]}
+            "slice": wide[..., ::2]}
 
 
-@pytest.mark.parametrize("field", ["scalar", "rank2", "real", "moveaxis",
-                                   "slice"])
+FIELDS = ["scalar", "rank2", "real", "moveaxis", "slice"]
+
+
+@pytest.mark.parametrize("field", FIELDS)
 def test_real_products_at_both_call_sites_match_complex_products(
         field, monkeypatch):
+    """Differentiation along each axis, against NumPy's complex product.
+
+    The interpolation plan makes its own products; its oracle is the
+    per-point test below."""
     chart = Chart("c", (0.0, -1.0), (1.0, 2.0), 1, order=7, panels=3)
     values = grid_fields(chart, seed=29)[field]
-    pts = probe_points(chart, seed=31)
-    out = [chart.differentiate(values, 0), chart.differentiate(values, 1),
-           _CellPlan(chart, pts)(values)]
+    out = [chart.differentiate(values, 0), chart.differentiate(values, 1)]
     monkeypatch.setattr(geometry, "_real_product", complex_product)
     values = values.astype(complex)
-    expect = [chart.differentiate(values, 0), chart.differentiate(values, 1),
-              _CellPlan(chart, pts)(values)]
+    expect = [chart.differentiate(values, 0), chart.differentiate(values, 1)]
     for got, want in zip(out, expect):
         assert_relative(got, want.real if field == "real" else want)
+
+
+def cell_plan_oracle(chart, values, points):
+    """b0^T . V[cell] . b1 one point at a time, in the values' own dtype."""
+    out = []
+    for point in points:
+        block, bases = [], []
+        for k, ax in enumerate(chart.axes):
+            panel, basis = ax.locate(point[k:k + 1])
+            block.append(slice(panel[0] * ax.order, (panel[0] + 1) * ax.order))
+            bases.append(basis[0])
+        local = values[tuple(block)]
+        for basis in bases:
+            local = np.tensordot(basis, local, axes=(0, 0))
+        out.append(local)
+    return np.stack(out)
+
+
+def shuffled_cell_points(chart, seed):
+    """Probe points plus one random point in every panel cell, shuffled."""
+    rng = np.random.default_rng(seed)
+    edges = [ax.panel_edges for ax in chart.axes]
+    cells = np.stack(np.meshgrid(*(np.arange(ax.panels) for ax in chart.axes),
+                                 indexing="ij"), axis=-1).reshape(-1, chart.dim)
+    inner = np.stack([e[c] + rng.uniform(0.1, 0.9, len(c)) * (e[1] - e[0])
+                      for e, c in zip(edges, cells.T)], axis=-1)
+    points = np.concatenate([inner, probe_points(chart, seed)])
+    return points[rng.permutation(len(points))]
+
+
+@pytest.mark.parametrize("lo, hi", BOXES)
+@pytest.mark.parametrize("field", FIELDS)
+def test_cell_plan_matches_the_per_point_oracle(lo, hi, field):
+    chart = Chart("c", lo, hi, 1, order=7, panels=3)
+    values = grid_fields(chart, seed=29)[field]
+    points = shuffled_cell_points(chart, seed=31)
+    plan = _CellPlan(chart, points)
+    assert len(plan.spans) == 3 ** chart.dim
+    for k, ax in enumerate(chart.axes):
+        assert set(points[:, k]) >= {ax.lo, ax.hi} | set(ax.panel_edges[1:-1])
+    assert_relative(plan(values), cell_plan_oracle(chart, values, points))

@@ -121,6 +121,20 @@ def test_module_rejects_an_unsorted_triple_key():
                               transitions=flat.transitions, triples={(1, 0, 2): [(0, 0, 0)]})
 
 
+def test_a_triple_key_that_is_not_a_2_simplex_is_refused():
+    # the hollow triangle has all three edges but no 2-simplex
+    hollow = cech.Nerve.from_simplices([(0, 1), (1, 2), (0, 2)])
+    edges = {e: chain_graph([0.0]) for e in hollow.simplices[1]}
+    ones = {e: np.ones((1, 1, 1)) for e in hollow.simplices[1]}
+    message = r"triple key \(0, 1, 2\) is not a 2-simplex of the nerve"
+    with pytest.raises(ValueError, match=message):
+        gerbe.TransitionData(nerve=hollow, dimension=2, edges=edges,
+                             triples={(0, 1, 2): [(0, 0, 0)]})
+    with pytest.raises(ValueError, match=message):
+        gerbe.GerbeModuleData(hollow, band_order=2, weight=0, rank=1,
+                              transitions=ones, triples={(0, 1, 2): [(0, 0, 0)]})
+
+
 def five_sample_triangle(triples):
     """Builders of TransitionData and of a rank-1 module on the triangle nerve,
     five samples per edge."""
@@ -944,6 +958,22 @@ def test_verify_module_rejects_non_unitary_transitions():
     )
     with pytest.raises(ValueError,
                        match=r"transitions on \(0, 2\) flagged unitary but are not"):
+        gerbe.verify_module(module, gerbe.zero_gerbe_cocycle(nerve))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nan_transitions_fail_the_gerbe_checks():
+    nerve = triangle_nerve()
+    nan = np.full((1, 1, 1), np.nan)
+    data = gerbe.TransitionData(
+        nerve=nerve, dimension=1, triples={(0, 1, 2): [(0, 0, 0)]},
+        edges={e: gerbe.EdgeSampleGraph(nan) for e in nerve.simplices[1]})
+    with pytest.raises(ValueError, match=r"sample 0 on overlap \(0, 1\) is not in SO\(n\)"):
+        data.validate()
+    module = gerbe.GerbeModuleData(
+        nerve=nerve, band_order=2, weight=0, rank=1, triples={(0, 1, 2): [(0, 0, 0)]},
+        transitions={e: nan for e in nerve.simplices[1]})
+    with pytest.raises(ValueError, match=r"transitions on \(0, 1\) flagged unitary but are not"):
         gerbe.verify_module(module, gerbe.zero_gerbe_cocycle(nerve))
 
 
