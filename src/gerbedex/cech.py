@@ -1,7 +1,7 @@
-"""Cech machinery on abstract simplicial nerves, in degrees 0..3.
+"""Cech machinery on abstract simplicial nerves.
 
 A `Nerve` is the combinatorial nerve of a cover: a face-closed simplicial
-complex truncated at degree 3 (the toolkit never needs cohomology above H^3).
+complex listed per degree up to its top degree, and at least up to degree 3.
 Cochains take values in Z or in Z_k written additively; all cohomology is
 computed exactly via integer Smith normal form, so torsion is exact, not a
 floating-point byproduct.  Each coboundary matrix is built once per nerve as
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import smith
 
-MAX_DEGREE = 3
+MIN_TOP_DEGREE = 3  # degrees 0..3 are listed even when empty
 
 
 def _check_ring(ring):
@@ -35,7 +35,9 @@ def _check_ring(ring):
 
 @dataclass(frozen=True)
 class Nerve:
-    """Face-closed simplicial complex with simplices listed per degree 0..3."""
+    """Face-closed simplicial complex, simplices listed per degree 0..top_degree.
+
+    `top_degree` is the largest simplex degree, or 3 if that is smaller."""
 
     vertex_count: int
     simplices: tuple  # simplices[q] = sorted tuple of sorted vertex tuples
@@ -44,10 +46,11 @@ class Nerve:
     def from_simplices(cls, simplices, vertex_count=None):
         """Build a nerve from any iterable of simplices, closing under faces.
 
-        Input simplices may be given in any order and with any vertex order;
-        anything above degree 3 is truncated to its 3-skeleton.
+        Input simplices may be given in any order and with any vertex order.
         """
-        by_degree = [set() for _ in range(MAX_DEGREE + 1)]
+        simplices = [tuple(s) for s in simplices]
+        top = max([MIN_TOP_DEGREE] + [len(s) - 1 for s in simplices])
+        by_degree = [set() for _ in range(top + 1)]
         max_vertex = -1
         for s in simplices:
             vs = tuple(sorted(set(int(v) for v in s)))
@@ -58,8 +61,7 @@ class Nerve:
             if min(vs) < 0:
                 raise ValueError(f"negative vertex in simplex {s}")
             max_vertex = max(max_vertex, vs[-1])
-            top = min(len(vs), MAX_DEGREE + 1)
-            for r in range(1, top + 1):
+            for r in range(1, len(vs) + 1):
                 for face in itertools.combinations(vs, r):
                     by_degree[r - 1].add(face)
         if vertex_count is None:
@@ -74,8 +76,9 @@ class Nerve:
         )
 
     def __post_init__(self):
-        if len(self.simplices) != MAX_DEGREE + 1:
-            raise ValueError("simplices must list degrees 0..3")
+        top = self.top_degree
+        if top < MIN_TOP_DEGREE or top > MIN_TOP_DEGREE and not self.simplices[top]:
+            raise ValueError("simplices must list degrees 0..max(3, top)")
         seen_all = set()
         for q, level in enumerate(self.simplices):
             for s in level:
@@ -85,14 +88,18 @@ class Nerve:
                     raise ValueError(f"simplex {s} out of vertex range")
                 seen_all.add(s)
         # face closure
-        for q in range(1, MAX_DEGREE + 1):
+        for q in range(1, self.top_degree + 1):
             for s in self.simplices[q]:
                 for face in itertools.combinations(s, q):
                     if face not in seen_all:
                         raise ValueError(f"missing face {face} of {s}")
 
+    @property
+    def top_degree(self):
+        return len(self.simplices) - 1
+
     def n_simplices(self, q):
-        return len(self.simplices[q]) if 0 <= q <= MAX_DEGREE else 0
+        return len(self.simplices[q]) if 0 <= q <= self.top_degree else 0
 
     def index(self, simplex):
         key = tuple(sorted(simplex))
@@ -128,8 +135,8 @@ class Cochain:
 
     def __post_init__(self):
         _check_ring(self.ring)
-        if not (0 <= self.degree <= MAX_DEGREE):
-            raise ValueError("cochain degree out of range 0..3")
+        if self.degree < 0:
+            raise ValueError("cochain degree must be non-negative")
         vals = tuple(int(v) for v in self.values)
         if self.ring != "Z":
             vals = tuple(v % self.ring for v in vals)
@@ -154,8 +161,8 @@ def _check_match(c, nerve):
 def delta_matrix(nerve, q):
     """Read-only int64 matrix of the coboundary C^q -> C^{q+1}, rows =
     (q+1)-simplices, built once per nerve."""
-    if not 0 <= q < MAX_DEGREE:
-        raise ValueError("coboundary defined for degrees 0..2")
+    if not 0 <= q < nerve.top_degree:
+        raise ValueError("coboundary defined below the nerve's top degree only")
     return nerve._cached(("delta", q), lambda: _delta_matrix(nerve, q))
 
 
@@ -179,8 +186,8 @@ def _delta_matrix(nerve, q):
 def _delta(c, nerve):
     """delta c over Z, as an int64 or object array of exact values."""
     _check_match(c, nerve)
-    if c.degree >= MAX_DEGREE:
-        raise ValueError("coboundary of a degree-3 cochain is not represented")
+    if c.degree >= nerve.top_degree:
+        raise ValueError(f"coboundary of a degree-{c.degree} cochain is not represented")
     # a row of delta_q has q + 2 entries +-1
     return smith.dot(delta_matrix(nerve, c.degree), c.values, c.degree + 2)
 
@@ -191,8 +198,8 @@ def coboundary(c, nerve):
 
 
 def is_cocycle(c, nerve):
-    if c.degree == MAX_DEGREE:
-        return True  # no degree-4 simplices are represented
+    if c.degree == nerve.top_degree:
+        return True  # no simplices above the top degree
     d = _delta(c, nerve)
     return not np.count_nonzero(d if c.ring == "Z" else smith.divmod_by(d, c.ring)[1])
 
@@ -248,8 +255,8 @@ def _cocycle_quotient(nerve, q):
     U delta_q delta_{q-1} = 0, so its rows r.. present H^q(nerve; Z) as
     Z^(n-r) modulo their column span.  Needs n_simplices(q) > 0.
     """
-    if q == MAX_DEGREE:
-        return _factor(nerve, q - 1)  # V = I and r = 0: the matrix is delta_2
+    if q == nerve.top_degree:
+        return _factor(nerve, q - 1)  # V = I and r = 0: the matrix is delta_{q-1}
 
     def build():
         up = _factor(nerve, q)
@@ -273,11 +280,12 @@ def cohomology(nerve, degree, ring="Z"):
     and H^q(Z) = sum Z/e_j.  Over Z_k the cocycle quotient gives the pieces
     Z/gcd(e_j, k) with the same generators, and each i < r gives a piece
     Z/gcd(d_i, k) generated by (k/gcd) V[:, i]; one Smith form of the pieces'
-    diagonal relation matrix regroups them into invariant factors.
+    diagonal relation matrix regroups them into invariant factors.  Above
+    the nerve's top degree the group is zero.
     """
     _check_ring(ring)
-    if not 0 <= degree <= MAX_DEGREE:
-        raise ValueError("degree out of range 0..3")
+    if degree < 0:
+        raise ValueError("degree must be non-negative")
     return nerve._cached(("cohomology", degree, ring),
                          lambda: _cohomology(nerve, degree, ring))
 
@@ -286,14 +294,14 @@ def _cohomology(nerve, degree, ring):
     n = nerve.n_simplices(degree)
     if n == 0:
         return CohomologyResult(degree=degree, ring=ring, orders=())
-    up = _factor(nerve, degree) if degree < MAX_DEGREE else None
+    up = _factor(nerve, degree) if degree < nerve.top_degree else None
     rank, d = (0, []) if up is None else (up.rank, up.diagonal()[:up.rank])
     quotient = _cocycle_quotient(nerve, degree)
     e = quotient.diagonal()
     e += [0] * (n - rank - len(e))  # cocycle directions the coboundaries miss
     k = None if ring == "Z" else ring
     # the quotient's piece j is generated by V[:, r:] @ column j of its U^-1,
-    # where in degree 3 V = I and r = 0
+    # where in the top degree V = I and r = 0
     cyclic = [j for j, o in enumerate(e) if (o if k is None else math.gcd(o, k)) != 1]
     gens = quotient.uinv[:, cyclic]
     if up is not None:

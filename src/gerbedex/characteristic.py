@@ -44,7 +44,7 @@ def _realized(field, tol, label):
             arr = np.asarray(arr)
             if np.iscomplexobj(arr):
                 stray = float(np.abs(arr.imag).max()) if arr.size else 0.0
-                if stray > tol:
+                if not stray <= tol:
                     raise ValueError(
                         f"{label} has imaginary part {stray:.3e}")
                 arr = arr.real
@@ -146,7 +146,7 @@ def twisted_chern_character(source, tol=1e-6, reality_tol=1e-9):
         if degree == 0:
             continue
         residual = parts[degree].overlap_residual()
-        if residual > tol:
+        if not residual <= tol:
             raise ValueError(
                 f"character does not descend: degree-{degree} overlap "
                 f"residual {residual:.3e}")
@@ -177,7 +177,7 @@ def a_hat(source, tol=1e-6, reality_tol=1e-9):
             source.wedge(source).trace() * (-1.0 / (8.0 * np.pi ** 2)),
             reality_tol, "first Pontryagin form")
         residual = pontryagin.overlap_residual()
-        if residual > tol:
+        if not residual <= tol:
             raise ValueError(
                 f"Pontryagin form does not descend: residual {residual:.3e}")
         parts[4] = pontryagin * (-1.0 / 24.0)
@@ -202,7 +202,7 @@ def clifford_commutant_residual(field, fiber):
             for action in fiber.actions:
                 right = (rows @ action).reshape(-1, r, r)
                 left = (action @ cols).reshape(r, -1, r).transpose(1, 0, 2)
-                worst = max(worst, float(np.abs(right - left).max()))
+                worst = float(np.maximum(worst, np.abs(right - left).max()))
     return worst
 
 
@@ -216,7 +216,7 @@ def _check_commutant(field, fiber, tol, message):
     magnitude = max(1.0, max(
         (float(np.abs(arr).max()) for cc in field.comps.values()
          for arr in cc.values() if arr.size), default=1.0))
-    if residual > tol * magnitude:
+    if not residual <= tol * magnitude:
         raise ValueError(f"{message} {residual:.3e}")
 
 

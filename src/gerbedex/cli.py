@@ -5,6 +5,10 @@ Each subcommand runs one verification suite and writes a JSON report
 assertion in the suite held, 1 means a failed assertion or a computation
 error (the report carries the details), and 2 is reserved for usage
 errors.  Reports are deterministic for fixed flags and seed.
+
+`chern`, `index` and `all` report index rows, each built by `index_row`
+from one table keyed by benchmark: the pairing of a label's twist, the
+analytic index of the same label, their residual and the verdict.
 """
 
 import argparse
@@ -12,20 +16,22 @@ import functools
 import itertools
 import json
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import cech
-from .characteristic import topological_index, twisted_chern_character
+from .characteristic import topological_index
 from .clifford import SpinElement, plane_rotation, spinor_rep
-from .geometry import integrate_top
 from .manifest import parse_manifest, read_nerve, run_tasks, sphere_frame_manifest
-from .registry import benchmark_registry
-from .spectral import index_compare
+from .registry import (ProjectivePlaneBenchmark, SphereBenchmark,
+                       TorusBenchmark, benchmark_registry)
+from .spectral import build_flux_background, monopole_kernel, overlap_index
 
 DEFAULT_QUAD_ORDER = 32
+DEFAULT_LATTICE_SIZE = 12
 
 
 def _jsonable(value):
@@ -47,13 +53,6 @@ def _random_spin_element(rng, n, factors=3):
         i, j = sorted(int(k) for k in rng.choice(n, size=2, replace=False))
         g = g * plane_rotation(n, i, j, float(rng.uniform(0.0, 2.0 * np.pi)))
     return g
-
-
-def _benchmark(cache, name, grid_order):
-    if name not in cache:
-        kwargs = {} if name == "CP2" else {"order": grid_order}
-        cache[name] = benchmark_registry(name, **kwargs)
-    return cache[name]
 
 
 # -------------------------------------------------------------------- suites
@@ -145,59 +144,66 @@ def _gerbe_suite(args):
     return run_tasks(parse_manifest(sphere_frame_manifest()), seed=args.seed)
 
 
-def _chern_one(manifold, args, cache):
-    if manifold == "CP2":
-        bench = _benchmark(cache, "CP2", args.grid_order)
-        rows, ok = {}, True
-        for k in range(5):
-            result = topological_index(bench, bench.module_character(k))
-            expected = bench.section_count(k)
-            row_ok = result.value == expected and result.gap < 1e-9
-            rows[str(k)] = {"index": result.nearest,
-                            "exact_value": str(result.value),
-                            "integrality_gap": result.gap,
-                            "section_count": expected,
-                            "pass": row_ok}
-            ok = ok and row_ok
-        return {"grid_order": args.grid_order, "rows": rows,
-                "pass": ok}, ok
-    tolerance = 1e-6 if manifold == "S2" else 1e-10
-    bench = _benchmark(cache, manifold, args.grid_order)
-    rows, ok = {}, True
-    for m in range(-3, 4):
-        conn = (bench.monopole_connection(m) if manifold == "S2"
-                else bench.flux_connection(m))
-        value = float(integrate_top(twisted_chern_character(conn).part(2)))
-        residual = abs(value - m)
-        row_ok = residual < tolerance
-        rows[str(m)] = {"integral": value, "target": m,
-                        "residual": residual, "pass": row_ok}
-        ok = ok and row_ok
-    return {"grid_order": args.grid_order, "tolerance": tolerance,
-            "rows": rows, "pass": ok}, ok
+# Per benchmark: the twist of a label, the analytic index of that label
+# (given the benchmark, the label and the lattice size), the tolerance on
+# |pairing - analytic index| (0: they must be equal), and the shipped labels.
+_IndexBenchmark = namedtuple("_IndexBenchmark", "twist analytic tolerance labels")
+_INDEX_TABLE = {
+    "S2": _IndexBenchmark(
+        SphereBenchmark.monopole_connection,
+        lambda bench, m, size: monopole_kernel(m).index,
+        1e-6, range(-3, 4)),
+    "T2": _IndexBenchmark(
+        TorusBenchmark.flux_connection,
+        lambda bench, m, size: overlap_index(build_flux_background(size, m)),
+        1e-10, range(-3, 4)),
+    "CP2": _IndexBenchmark(
+        ProjectivePlaneBenchmark.module_character,
+        lambda bench, k, size: bench.section_count(k),
+        0.0, range(5)),
+}
+
+
+def index_row(bench, label, lattice_size=DEFAULT_LATTICE_SIZE):
+    """Both index sides of one label, with their residual: `value` pairs the
+    genus with the label's twist, and the row passes when `index_analytic`
+    agrees with it within the benchmark's tolerance."""
+    twist, analytic, tolerance, _ = _INDEX_TABLE[bench.name]
+    report = topological_index(bench, twist(bench, label))
+    index = analytic(bench, label, lattice_size)
+    residual = abs(report.value - index)
+    return {"value": report.value, "index_topological": report.nearest,
+            "index_analytic": index, "residual": residual,
+            "pass": report.value == index or residual < tolerance}
+
+
+def _index_section(manifold, labels, args):
+    """The index rows of the given labels on one benchmark."""
+    bench = benchmark_registry(
+        manifold, **({} if manifold == "CP2" else {"order": args.grid_order}))
+    rows = {str(label): index_row(bench, label, args.lattice_size)
+            for label in labels}
+    ok = all(row["pass"] for row in rows.values())
+    return {"manifold": manifold, "grid_order": args.grid_order,
+            "lattice_size": args.lattice_size,
+            "tolerance": _INDEX_TABLE[manifold].tolerance, "rows": rows,
+            "pass": ok}, ok
 
 
 def _chern_suite(args):
-    """First character integrals against their integer targets."""
-    return _chern_one(args.manifold or "S2", args, {})
+    """Index rows for every shipped label of one benchmark."""
+    manifold = args.manifold or "S2"
+    return _index_section(manifold, _INDEX_TABLE[manifold].labels, args)
 
 
 def _index_suite(args):
-    """Both index computations on one benchmark, compared."""
-    manifold = args.manifold or "T2"
+    """The index row of one label on one benchmark."""
     flux = args.flux if args.flux is not None else 1
-    cache = {}
-    bench = (_benchmark(cache, manifold, args.grid_order)
-             if manifold in ("S2", "T2") else None)
-    report = index_compare(manifold, flux, lattice_size=args.lattice_size,
-                           benchmark=bench)
-    report = dict(report)
-    report["grid_order"] = args.grid_order
-    return report, report["match"]
+    return _index_section(args.manifold or "T2", [flux], args)
 
 
 def _all_suite(args):
-    """Every suite; the benchmark objects are shared across sections."""
+    """Every suite; each benchmark's index rows are built once."""
     sections, ok = {}, True
     for name, suite in (("clifford", _clifford_suite),
                         ("cech", _cech_suite),
@@ -205,22 +211,10 @@ def _all_suite(args):
         rep, good = suite(args)
         sections[name] = rep
         ok = ok and good
-    cache = {}
-    chern = {}
-    for manifold in ("S2", "T2", "CP2"):
-        rep, good = _chern_one(manifold, args, cache)
-        chern[manifold] = rep
-        ok = ok and good
-    sections["chern"] = chern
     index = {}
-    for manifold, fluxes in (("T2", (-2, 0, 1, 3)), ("S2", (-3, 1))):
-        rows = {}
-        for m in fluxes:
-            row = index_compare(manifold, m, lattice_size=args.lattice_size,
-                                benchmark=cache[manifold])
-            rows[str(m)] = row
-            ok = ok and row["match"]
-        index[manifold] = rows
+    for manifold, entry in _INDEX_TABLE.items():
+        index[manifold], good = _index_section(manifold, entry.labels, args)
+        ok = ok and good
     sections["index"] = index
     return sections, ok
 
@@ -259,7 +253,7 @@ def build_parser():
         cmd.add_argument("--manifold", choices=("S2", "T2", "CP2"),
                          default=None)
         cmd.add_argument("--flux", type=int, default=None)
-        cmd.add_argument("--lattice-size", type=int, default=12)
+        cmd.add_argument("--lattice-size", type=int, default=DEFAULT_LATTICE_SIZE)
         if name == "cech":
             cmd.add_argument("--in", dest="input", default=None,
                              help="nerve file to analyze")

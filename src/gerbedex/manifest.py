@@ -22,7 +22,7 @@ from .gerbe import (
     spin_module,
     verify_module,
 )
-from .registry import SphereBenchmark
+from .registry import sphere_frame_transitions
 
 MANIFEST_FORMAT = 2
 
@@ -282,9 +282,8 @@ def sphere_frame_manifest():
     that it closes and its class vanishes, and verify the induced spinor
     module against the computed cocycle.
     """
-    bench = SphereBenchmark(order=8, panels=2)
     return build_manifest(
         "sphere-frame-bundle",
-        transitions=bench.frame_transitions(),
+        transitions=sphere_frame_transitions(),
         tasks=("lift", "cocycle-closed", "class-trivial", "spin-module"),
     )

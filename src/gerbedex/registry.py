@@ -5,8 +5,9 @@ Three entries, selected by name through `benchmark_registry`:
 * "S2"  - the round unit sphere. Two stereographic charts (north positively
   oriented; the antipodal chart is the plane inversion, orientation sign -1),
   the monopole line-bundle family, the spinor bundle with its Levi-Civita
-  connection, tangent curvature with Gauss curvature 1, and a three-chart
-  frame cover sampled along the equator for the lifting machinery.
+  connection and tangent curvature with Gauss curvature 1.  Its three-chart
+  frame cover, sampled along the equator for the lifting machinery, needs
+  no atlas and is the module-level `sphere_frame_transitions`.
 * "T2"  - the flat unit torus. One periodic chart, constant-curvature flux
   connections and zero tangent curvature; it ships no frame cover.
 * "CP2" - the complex projective plane in exact cohomology-ring mode
@@ -74,8 +75,30 @@ def _sphere_atlas(order, panels, box):
                        ("south", "north"): overlap})
 
 
+def sphere_frame_transitions():
+    """Frame-bundle samples of the sphere on the cover {north, equatorial
+    band, south}.
+
+    Vertices 0 = north, 1 = band, 2 = south. The north/south frame change
+    along the equator is the rotation by pi - 2 theta (winding -2); both
+    band transitions wind once, and the cocycle holds exactly sample by
+    sample. Sample graphs are open chains, so no loop-closure holonomy is
+    asserted on the odd-winding edges. No chart atlas is involved.
+    """
+    theta = 2.0 * np.pi * np.arange(FRAME_SAMPLES) / FRAME_SAMPLES
+    nerve = cech.Nerve.from_simplices([(0, 1, 2)])
+    edges = {
+        (0, 1): EdgeSampleGraph(_rotations(np.pi / 2.0 - theta)),
+        (1, 2): EdgeSampleGraph(_rotations(np.pi / 2.0 - theta)),
+        (0, 2): EdgeSampleGraph(_rotations(np.pi - 2.0 * theta)),
+    }
+    step = FRAME_SAMPLES // 4
+    triples = {(0, 1, 2): tuple((i, i, i) for i in range(0, FRAME_SAMPLES, step))}
+    return TransitionData(nerve=nerve, dimension=2, edges=edges, triples=triples)
+
+
 class SphereBenchmark:
-    """Round unit 2-sphere: atlas, frame cover, monopoles, and spin data."""
+    """Round unit 2-sphere: atlas, monopoles, and spin data."""
 
     name = "S2"
     dim = 2
@@ -85,7 +108,6 @@ class SphereBenchmark:
         self.panels = int(panels)
         self.box = float(box)
         self.atlas = _sphere_atlas(self.order, self.panels, self.box)
-        self._frame = None
         self._spin_conn = None
         self._monopole_conns = {}
 
@@ -101,30 +123,6 @@ class SphereBenchmark:
             mat[..., 1, 0] = -kappa
             comps[cname] = {(0, 1): mat}
         return FormField(self.atlas, 2, comps, rank=2)
-
-    def frame_transitions(self):
-        """Frame-bundle samples on the cover {north, equatorial band, south}.
-
-        Vertices 0 = north, 1 = band, 2 = south. The north/south frame change
-        along the equator is the rotation by pi - 2 theta (winding -2); both
-        band transitions wind once, and the cocycle holds exactly sample by
-        sample. Sample graphs are open chains, so no loop-closure holonomy is
-        asserted on the odd-winding edges.
-        """
-        if self._frame is None:
-            theta = 2.0 * np.pi * np.arange(FRAME_SAMPLES) / FRAME_SAMPLES
-            nerve = cech.Nerve.from_simplices([(0, 1, 2)])
-            edges = {
-                (0, 1): EdgeSampleGraph(_rotations(np.pi / 2.0 - theta)),
-                (1, 2): EdgeSampleGraph(_rotations(np.pi / 2.0 - theta)),
-                (0, 2): EdgeSampleGraph(_rotations(np.pi - 2.0 * theta)),
-            }
-            step = FRAME_SAMPLES // 4
-            triples = {(0, 1, 2): tuple((i, i, i)
-                                        for i in range(0, FRAME_SAMPLES, step))}
-            self._frame = TransitionData(nerve=nerve, dimension=2,
-                                         edges=edges, triples=triples)
-        return self._frame
 
     def spin_connection(self):
         """Levi-Civita connection on the spinor bundle.

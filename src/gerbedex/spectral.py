@@ -7,17 +7,13 @@ an inertia count over lattice-column blocks built from that stencil one
 at a time, in O(N^2) memory; the dense operator is built only as a test
 oracle.  The sphere side enumerates the exact
 spectrum of the charged Dirac operator on the round sphere, whose kernel
-is chiral and carries the index directly.  `index_compare` runs either
-spectral computation against the quadrature topological pairing.
+is chiral and carries the index directly.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .characteristic import topological_index
-from .registry import benchmark_registry
 
 TWO_PI = 2.0 * np.pi
 
@@ -386,41 +382,3 @@ def monopole_kernel(charge, cutoff=10):
                           kernel_plus=m if m > 0 else 0,
                           kernel_minus=-m if m < 0 else 0,
                           levels=levels)
-
-
-def index_compare(manifold, flux, lattice_size=12, wilson_r=1.0,
-                  bare_mass=1.0, benchmark=None):
-    """Spectral index against the topological pairing, as a report dict.
-
-    The torus uses the lattice spectral asymmetry at the given size, the
-    sphere its closed-form kernel; both are compared with the quadrature
-    pairing on the matching registry entry.  A prebuilt benchmark may be
-    passed to reuse its cached connections.
-    """
-    name = str(manifold)
-    flux = int(flux)
-    if name == "T2":
-        bench = benchmark if benchmark is not None else benchmark_registry("T2")
-        twist = bench.flux_connection(flux)
-        spectral = overlap_index(build_flux_background(lattice_size, flux),
-                                 wilson_r, bare_mass)
-        size = int(lattice_size)
-    elif name == "S2":
-        bench = benchmark if benchmark is not None else benchmark_registry("S2")
-        twist = bench.monopole_connection(flux)
-        spectral = monopole_kernel(flux).index
-        size = None
-    else:
-        raise ValueError(
-            "spectral side covers T2 and S2 only; other benchmarks are "
-            "topological-side-only")
-    report = topological_index(bench, twist)
-    match = spectral == report.nearest and report.gap < 1e-6
-    return {
-        "manifold": name,
-        "flux": flux,
-        "N": size,
-        "index_spectral": int(spectral),
-        "index_topological": int(report.nearest),
-        "match": bool(match),
-    }

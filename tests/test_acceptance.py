@@ -22,7 +22,7 @@ from gerbedex.characteristic import (
     twisted_chern_character,
     twisting_curvature,
 )
-from gerbedex.cli import _clifford_suite, _gerbe_suite
+from gerbedex.cli import _clifford_suite, _gerbe_suite, index_row
 from gerbedex.clifford import (
     CliffordModuleFiber,
     extract_twisting_factor,
@@ -34,7 +34,6 @@ from gerbedex.manifest import parse_manifest, sphere_frame_manifest
 from gerbedex.registry import benchmark_registry, perturbed_connection
 from gerbedex.spectral import (
     build_flux_background,
-    monopole_kernel,
     overlap_index,
     wilson_dirac,
 )
@@ -260,10 +259,9 @@ def test_criterion_07_lattice_index_matches_flux_integral(torus):
     start = time.perf_counter()
     ok = True
     for m in range(-3, 4):
-        report = topological_index(torus, torus.flux_connection(m))
-        spectral = overlap_index(build_flux_background(12, m))
-        ok = (ok and report.gap < 1e-10
-              and spectral == report.nearest == m)
+        row = index_row(torus, m, lattice_size=12)
+        ok = (ok and row["residual"] < 1e-10
+              and row["index_analytic"] == row["index_topological"] == m)
     for size in (10, 12, 16):
         for wilson_r in (0.8, 1.0, 1.2):
             for m in range(-3, 4):
@@ -282,10 +280,9 @@ def test_criterion_07_lattice_index_matches_flux_integral(torus):
 def test_criterion_08_sphere_kernel_counts_match_flux_integral(sphere):
     ok = True
     for m in range(-3, 4):
-        kernel = monopole_kernel(m)
-        report = topological_index(sphere, sphere.monopole_connection(m))
-        ok = (ok and kernel.index == m
-              and report.nearest == m and report.gap < 1e-6)
+        row = index_row(sphere, m)
+        ok = (ok and row["index_analytic"] == m
+              and row["index_topological"] == m and row["residual"] < 1e-6)
     _verdict(8, "sphere chiral kernel asymmetry equals the flux integral "
                 "exactly for m in -3..3", ok)
 

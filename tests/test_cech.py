@@ -160,10 +160,15 @@ def test_nerve_face_closure_and_validation():
         cech.Nerve.from_simplices([(0, 0, 1)])
 
 
-def test_nerve_truncates_to_three_skeleton():
+def test_nerve_keeps_simplices_above_degree_three():
     nerve = cech.Nerve.from_simplices([tuple(range(5))])
-    assert nerve.n_simplices(3) == 5
-    assert len(nerve.simplices) == 4
+    assert nerve.top_degree == 4
+    assert [nerve.n_simplices(q) for q in range(6)] == [5, 10, 10, 5, 1, 0]
+    # degrees 0..3 are listed even when empty
+    triangle = cech.Nerve.from_simplices([(0, 1, 2)])
+    assert triangle.top_degree == 3 and triangle.simplices[3] == ()
+    with pytest.raises(ValueError, match="must list degrees"):
+        cech.Nerve(vertex_count=1, simplices=(((0,),), (), (), (), ()))
 
 
 def test_cochain_mismatch_rejected():
@@ -601,6 +606,24 @@ def test_workload_sequence_factors_delta2_once(snf_calls):
     assert not cech.bockstein(h2k.generators[0], nerve).trivial
     delta2 = cech.delta_matrix(nerve, 2)
     assert sum(np.array_equal(a, delta2) for a in snf_calls) == 1
+
+
+def test_four_sphere_cohomology_above_degree_three(snf_calls):
+    # the boundary of the 5-simplex
+    nerve = cech.Nerve.from_simplices(itertools.combinations(range(6), 5))
+    assert nerve.top_degree == 4
+    assert cech.cohomology(nerve, 0).orders == (0,)
+    for q in (1, 2, 3):
+        assert cech.cohomology(nerve, q).orders == ()
+        assert cech.cohomology(nerve, q, ring=2).orders == ()
+    h4 = cech.cohomology(nerve, 4)
+    assert h4.orders == (0,)
+    assert cech.solve_coboundary(h4.generators[0], nerve) is None
+    assert cech.cohomology(nerve, 4, ring=3).orders == (3,)
+    assert cech.cohomology(nerve, 5).orders == ()
+    # the top degree reuses the factored delta_3
+    delta3 = cech.delta_matrix(nerve, 3)
+    assert sum(np.array_equal(a, delta3) for a in snf_calls) == 1
 
 
 def test_repeated_queries_factor_nothing_new(snf_calls):

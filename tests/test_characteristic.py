@@ -404,6 +404,35 @@ def test_relative_ch_rejects_supercommutation_failure(flat4):
         relative_chern_character(bad, fiber)
 
 
+def test_nan_fails_the_character_checks(flat4, monkeypatch):
+    sphere = SphereBenchmark(order=16)
+    clean = curvature(sphere.monopole_connection(1))
+    node = np.unravel_index(sphere.atlas.overlap_sample("north", "south").idx[0],
+                            sphere.atlas.charts["north"].shape)
+    comps = {name: {key: arr.copy() for key, arr in chart_comps.items()}
+             for name, chart_comps in clean.comps.items()}
+    comps["north"][(0, 1)][node] = np.nan
+    broken = FormField(sphere.atlas, 2, comps, rank=1)
+    with pytest.raises(ValueError,
+                       match=r"degree-2 character piece has imaginary part nan"):
+        twisted_chern_character(broken)
+    fiber, _, r_field, _, e_field = conjugated_setup(flat4, seed=1)
+    e_comps = {key: arr.copy() for key, arr in e_field.comps["flat"].items()}
+    e_comps[(0, 1)][0, 0, 0, 0] = np.nan
+    e_broken = FormField(flat4, 2, {"flat": e_comps}, rank=12)
+    assert np.isnan(clifford_commutant_residual(e_broken, fiber))
+    with pytest.raises(ValueError, match=r"commutant residual nan"):
+        twisting_curvature(e_broken, r_field, fiber)
+    # a NaN that survives the reality check reaches the descent checks
+    monkeypatch.setattr(FormField, "overlap_residual", lambda self: np.nan)
+    with pytest.raises(ValueError,
+                       match=r"character does not descend: degree-2 overlap residual nan"):
+        twisted_chern_character(clean)
+    with pytest.raises(ValueError,
+                       match=r"Pontryagin form does not descend: residual nan"):
+        a_hat(r_field)
+
+
 # ------------------------------------------------------------------ the index
 
 

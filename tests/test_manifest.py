@@ -23,16 +23,11 @@ from gerbedex.manifest import (
     write_manifest,
     write_nerve,
 )
-from gerbedex.registry import SphereBenchmark
+from gerbedex.registry import sphere_frame_transitions
 
 
-@pytest.fixture(scope="module")
-def frame_bench():
-    return SphereBenchmark(order=8, panels=2)
-
-
-def test_decode_matrices_validation(frame_bench):
-    data = frame_bench.frame_transitions()
+def test_decode_matrices_validation():
+    data = sphere_frame_transitions()
     block = json.loads(json.dumps(transitions_to_block(data)))
     entry = next(iter(block["edges"].values()))
     assert all(isinstance(x, float) for x in entry["matrices"][0][0])
@@ -84,8 +79,8 @@ def test_nerve_file_io(tmp_path):
     assert read_nerve(path) == nerve
 
 
-def test_transition_block_round_trip(frame_bench):
-    data = frame_bench.frame_transitions()
+def test_transition_block_round_trip():
+    data = sphere_frame_transitions()
     block = json.loads(json.dumps(transitions_to_block(data)))
     back = transitions_from_block(block, data.nerve)
     back.validate()
@@ -227,9 +222,9 @@ def test_matrix_size_must_match_the_declared_dimension():
         parse_manifest(doc)
 
 
-def test_build_manifest_rejects_unknown_task(frame_bench):
+def test_build_manifest_rejects_unknown_task():
     with pytest.raises(ValueError, match="unknown manifest task 'lfit'"):
-        build_manifest("typo", frame_bench.frame_transitions(),
+        build_manifest("typo", sphere_frame_transitions(),
                        tasks=("lift", "lfit"))
 
 

@@ -112,7 +112,6 @@ ALLOWLIST = {
         "geometry.FormField.__neg__",
     ), "protocol method"),
     "cli.main": "entry point",
-    "cli._jsonable": "entry point",
     "clifford.LiftAmbiguityError.__init__": "error constructor",
     "gerbe.HolonomyError.__init__": "error constructor",
     "spectral.NearZeroModeError.__init__": "error constructor",

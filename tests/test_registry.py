@@ -18,6 +18,7 @@ from gerbedex.registry import (
     TorusBenchmark,
     benchmark_registry,
     perturbed_connection,
+    sphere_frame_transitions,
 )
 from gerbedex.symbolic import RingElement
 
@@ -139,8 +140,8 @@ def test_sphere_tangent_curvature_structure(sphere):
     assert field.overlap_residual() < 1e-6
 
 
-def test_frame_data_validates_with_exact_cocycle(sphere):
-    data = sphere.frame_transitions()
+def test_frame_data_validates_with_exact_cocycle():
+    data = sphere_frame_transitions()
     data.validate()
     assert set(data.edges) == {(0, 1), (0, 2), (1, 2)}
     for edge in data.edges:
@@ -152,23 +153,23 @@ def test_frame_data_validates_with_exact_cocycle(sphere):
     assert np.max(np.abs(defect)) < 1e-12
 
 
-def test_frame_windings(sphere):
-    data = sphere.frame_transitions()
+def test_frame_windings():
+    data = sphere_frame_transitions()
     for edge, expected in (((0, 2), -2), ((0, 1), -1), ((1, 2), -1)):
         w = loop_winding(data.edges[edge].matrices)
         assert abs(w - expected) < 1e-6
 
 
-def test_frame_gerbe_default_lift(sphere):
-    lifted, cocycle = lift_transitions(sphere.frame_transitions())
+def test_frame_gerbe_default_lift():
+    lifted, cocycle = lift_transitions(sphere_frame_transitions())
     assert cocycle.cochain.values == (0,)
     assert cocycle.trivial
     check = verify_module(spin_module(lifted), cocycle)
     assert check.ok and check.max_residual < 1e-9
 
 
-def test_frame_gerbe_randomized_class_invariance(sphere):
-    data = sphere.frame_transitions()
+def test_frame_gerbe_randomized_class_invariance():
+    data = sphere_frame_transitions()
     base = lift_transitions(data)[1]
     edges = list(data.edges)
     rng = np.random.default_rng(2026)

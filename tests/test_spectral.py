@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from gerbedex import NearZeroModeError
-from gerbedex.registry import SphereBenchmark, TorusBenchmark
 from gerbedex.spectral import (
     CHIRALITY_SIGN,
     ZERO_MODE_EPS,
@@ -16,23 +15,12 @@ from gerbedex.spectral import (
     _negative_count,
     _site_diagonal,
     build_flux_background,
-    index_compare,
     monopole_kernel,
     overlap_index,
     wilson_dirac,
 )
 
 TWO_PI = 2.0 * np.pi
-
-
-@pytest.fixture(scope="module")
-def torus():
-    return TorusBenchmark()
-
-
-@pytest.fixture(scope="module")
-def sphere():
-    return SphereBenchmark()
 
 
 # ------------------------------------------------------------- flux background
@@ -342,31 +330,3 @@ def test_monopole_kernel_rejections():
         monopole_kernel(2, cutoff=51)
     with pytest.raises(ValueError):
         monopole_kernel(2, cutoff=0)
-
-
-# --------------------------------------------------------------- both sides
-
-
-def test_index_compare_torus(torus):
-    report = index_compare("T2", 2, lattice_size=12, benchmark=torus)
-    assert report == {
-        "manifold": "T2",
-        "flux": 2,
-        "N": 12,
-        "index_spectral": 2,
-        "index_topological": 2,
-        "match": True,
-    }
-
-
-def test_index_compare_sphere(sphere):
-    report = index_compare("S2", -3, benchmark=sphere)
-    assert report["index_spectral"] == -3
-    assert report["index_topological"] == -3
-    assert report["N"] is None
-    assert report["match"] is True
-
-
-def test_index_compare_rejects_other_manifolds():
-    with pytest.raises(ValueError):
-        index_compare("CP2", 1)
