@@ -8,7 +8,8 @@ floating-point byproduct.  Each coboundary matrix is built once per nerve as
 a read-only int64 array and factored once; both are cached on the nerve.
 Every product with these matrices or the Smith transforms goes through
 `smith.dot`, and every reduction of such a product by the modulus through
-`smith.divmod_by`, so `smith` alone decides when int64 is exact; cochain
+`smith.divmod_by`, so `smith` alone decides when float64 (below 2**53) or
+int64 (below 2**62) is exact and when to fall back to Python ints; cochain
 values and every reported number stay Python ints.
 """
 
@@ -47,29 +48,36 @@ class Nerve:
         """Build a nerve from any iterable of simplices, closing under faces.
 
         Input simplices may be given in any order and with any vertex order.
+        Faces are closed one codimension at a time from the top degree down:
+        each simplex adds its facets to the degree below, so a face that is
+        listed (or reached) once is expanded once.  Every vertex below
+        `vertex_count` is a 0-simplex, so edges need no expanding.
         """
         simplices = [tuple(s) for s in simplices]
         top = max([MIN_TOP_DEGREE] + [len(s) - 1 for s in simplices])
         by_degree = [set() for _ in range(top + 1)]
-        max_vertex = -1
+        max_vertex, widest = -1, None  # the largest vertex and a simplex holding it
         for s in simplices:
-            vs = tuple(sorted(set(int(v) for v in s)))
+            vs = tuple(sorted(set(map(int, s))))
             if len(vs) != len(s):
                 raise ValueError(f"simplex {s} has repeated vertices")
             if not vs:
                 raise ValueError("empty simplex")
-            if min(vs) < 0:
+            if vs[0] < 0:
                 raise ValueError(f"negative vertex in simplex {s}")
-            max_vertex = max(max_vertex, vs[-1])
-            for r in range(1, len(vs) + 1):
-                for face in itertools.combinations(vs, r):
-                    by_degree[r - 1].add(face)
+            if vs[-1] > max_vertex:
+                max_vertex, widest = vs[-1], s
+            by_degree[len(vs) - 1].add(vs)
         if vertex_count is None:
             vertex_count = max_vertex + 1
         elif max_vertex >= vertex_count:
-            raise ValueError("simplex vertex exceeds vertex_count")
-        for v in range(vertex_count):
-            by_degree[0].add((v,))
+            raise ValueError(f"simplex vertex exceeds vertex_count: simplex {widest} "
+                             f"has vertex {max_vertex}, vertex_count is {vertex_count}")
+        for q in range(top, 1, -1):
+            below = by_degree[q - 1]
+            for s in by_degree[q]:
+                below.update(itertools.combinations(s, q))
+        by_degree[0].update((v,) for v in range(vertex_count))
         return cls(
             vertex_count=vertex_count,
             simplices=tuple(tuple(sorted(level)) for level in by_degree),

@@ -64,16 +64,23 @@ def nerve_from_text(text):
         if tokens[0] == "vertices" and len(tokens) == 2:
             if vertex_count is not None:
                 raise ValueError(f"second vertices line {raw!r}")
-            vertex_count = int(tokens[1])
+            vertex_count = _integers(tokens[1:], raw)[0]
             if vertex_count < 0:
                 raise ValueError(f"negative vertex count in nerve line {raw!r}")
         elif tokens[0] == "simplex" and len(tokens) > 1:
-            simplices.append(tuple(int(tok) for tok in tokens[1:]))
+            simplices.append(_integers(tokens[1:], raw))
         else:
             raise ValueError(f"unrecognized nerve line {raw!r}")
     if vertex_count is None and not simplices:
         raise ValueError("nerve file declares no simplices")
     return cech.Nerve.from_simplices(simplices, vertex_count=vertex_count)
+
+
+def _integers(tokens, raw):
+    try:
+        return tuple(map(int, tokens))
+    except ValueError as exc:
+        raise ValueError(f"{exc} in nerve line {raw!r}") from None
 
 
 def write_nerve(path, nerve):

@@ -19,8 +19,6 @@ sphere's spin connection diagonalizes into the monopole connections labeled
 -1 and +1, with constant extra transition factors diag(-i, +i).
 """
 
-from math import comb
-
 import numpy as np
 
 from . import cech
@@ -292,8 +290,12 @@ class ProjectivePlaneBenchmark:
         return (self.generator() * (int(k) + half_c1)).exp()
 
     def section_count(self, k):
-        """Monomial count of degree k in three variables: independent oracle."""
-        return comb(int(k) + 2, 2)
+        """Holomorphic Euler characteristic (k+1)(k+2)/2 of O(k): independent
+        oracle.  For k >= -2 it is the count of degree-k monomials in three
+        variables (0 at k = -1, -2), for k <= -3 it is h^2 = h^0(O(-k-3)) by
+        Serre duality; it equals the index pairing at every k."""
+        k = int(k)
+        return (k + 1) * (k + 2) // 2
 
 
 def perturbed_connection(conn, one_form):

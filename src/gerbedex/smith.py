@@ -12,9 +12,12 @@ between int64 and Python ints.  Every integer input enters through one
 exact conversion, which casts nothing to int64 that does not fit (so an
 unsigned array goes through Python ints).  `dot` is the one exact product:
 the caller bounds the row weight of its left factor (the largest sum of
-|entries| in a row), `dot` measures the right one, and the product runs in
-int64 only when those two bounds prove every |entry| of the result below
-2**62.  `divmod_by` is the one exact reduction by a modulus of any size.
+|entries| in a row), `dot` measures the right one, and their product bounds
+every term and every partial sum of every result entry, in any summation
+order.  Below 2**53 float64 holds all of them exactly, so the product runs
+in float64 on BLAS and comes back as int64; below 2**62 it runs as an int64
+`@`; above that on Python ints.  `divmod_by` is the one exact reduction by
+a modulus of any size.
 
 During the elimination D, U and V share one int64 array [[D, U], [V, 0]], so
 each row or column op is one update, and U^-1 is kept transposed next to
@@ -40,13 +43,15 @@ from dataclasses import dataclass
 import numpy as np
 
 _LIMIT = 1 << 62
+_FLOAT_LIMIT = 1 << 53  # float64 holds every integer of smaller size exactly
 
 
 def _max_abs(x):
-    # max |entry|; in int64 abs(-2**63) wraps, but read as uint64 it is 2**63
+    # max |entry| from the max and the min, as Python ints, so -2**63 reads
+    # as 2**63 and no |x| array is built
     if x.dtype == object:
         return max(map(abs, x.flat), default=0)
-    return int(np.abs(x).view(np.uint64).max(initial=0))
+    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
 
 
 def _as_array(a):
@@ -68,15 +73,19 @@ def dot(a, b, weight):
     """Exact integer product a @ b of an integer array a and integers b.
 
     `weight` must bound the row weight of a, the largest sum of |entries| in
-    one of its rows, or be None when no bound is known.  When weight times
-    max |b| is below 2**62 the product runs in int64, otherwise on object
-    arrays of Python ints, so it is exact at any size.
+    one of its rows, or be None when no bound is known.  weight times max |b|
+    bounds every term and partial sum of the product: below 2**53 it runs in
+    float64 (on BLAS) and returns int64, below 2**62 in int64, otherwise on
+    object arrays of Python ints, so it is exact at any size.
     """
     b = _as_array(b)
-    if (weight is None or a.dtype == object or b.dtype == object
-            or weight * _max_abs(b) >= _LIMIT):
-        return a.astype(object) @ b.astype(object)
-    return a @ b
+    if weight is not None and a.dtype != object and b.dtype != object:
+        bound = weight * _max_abs(b)
+        if bound < _FLOAT_LIMIT:
+            return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+        if bound < _LIMIT:
+            return a @ b
+    return a.astype(object) @ b.astype(object)
 
 
 def divmod_by(x, k):

@@ -73,10 +73,10 @@ class LatticeGauge:
             arr = np.asarray(links)
             if arr.shape != (n, n):
                 raise ValueError(f"{name} must have shape ({n}, {n})")
-            if np.abs(np.abs(arr) - 1.0).max() > 1e-12:
+            if not np.abs(np.abs(arr) - 1.0).max() <= 1e-12:
                 raise ValueError(f"{name} must be unit modulus")
         total = float(np.sum(np.angle(self.plaquette_phases())))
-        if abs(total - TWO_PI * self.flux) > 1e-9:
+        if not abs(total - TWO_PI * self.flux) <= 1e-9:
             raise ValueError(
                 "plaquette phases do not realize the declared flux")
 
@@ -131,7 +131,7 @@ class LatticeDiracOperator:
             raise ValueError("operator and grading sizes are inconsistent")
         flipped = chi[:, None] * mat * chi[None, :]
         scale = max(1.0, float(np.abs(mat).max()))
-        if np.abs(flipped - mat.conj().T).max() > 1e-12 * scale:
+        if not np.abs(flipped - mat.conj().T).max() <= 1e-12 * scale:
             raise ValueError("operator is not gamma-Hermitian")
 
     def hermitian_form(self):
@@ -226,7 +226,7 @@ def _hermitian_blocks(gauge, wilson_r, bare_mass):
                        for c in (mass, up, down, forward, backward)))
     tol = 1e-12 * scale
     for there, back in ((mass, mass), (up, down), (forward, backward)):
-        if np.abs(back - there.conj().swapaxes(-1, -2)).max() > tol:
+        if not np.abs(back - there.conj().swapaxes(-1, -2)).max() <= tol:
             raise ValueError("operator is not gamma-Hermitian")
     return _Stencil(mass, up, down, forward, backward, scale)
 

@@ -3,7 +3,8 @@
 `gerbedex.smith` and `gerbedex.cech` keep integer matrices as int64 or object
 arrays; the list helpers here work on lists of Python ints one entry at a
 time, so every array product can be compared with a computation that shares
-none of its code.
+none of its code.  `closed_nerve` is the all-faces closure that
+`Nerve.from_simplices` replaced by its one-codimension-at-a-time closure.
 
 The Clifford algebra in blade coefficients (`CliffordElement`, with
 `blade_product`, `represent` and `clifford_of_curvature`) is the independent
@@ -73,6 +74,36 @@ def relabelled(nerve, seed):
     return cech.Nerve.from_simplices(
         [tuple(int(perm[v]) for v in s) for level in nerve.simplices for s in level],
         vertex_count=nerve.vertex_count)
+
+
+def closed_nerve(simplices, vertex_count=None):
+    """The all-faces closure `Nerve.from_simplices` replaced: every face of
+    every listed simplex is enumerated, with the same checks in the same
+    order."""
+    simplices = [tuple(s) for s in simplices]
+    top = max([cech.MIN_TOP_DEGREE] + [len(s) - 1 for s in simplices])
+    by_degree = [set() for _ in range(top + 1)]
+    max_vertex = -1
+    for s in simplices:
+        vs = tuple(sorted(set(int(v) for v in s)))
+        if len(vs) != len(s):
+            raise ValueError(f"simplex {s} has repeated vertices")
+        if not vs:
+            raise ValueError("empty simplex")
+        if min(vs) < 0:
+            raise ValueError(f"negative vertex in simplex {s}")
+        max_vertex = max(max_vertex, vs[-1])
+        for r in range(1, len(vs) + 1):
+            for face in itertools.combinations(vs, r):
+                by_degree[r - 1].add(face)
+    if vertex_count is None:
+        vertex_count = max_vertex + 1
+    elif max_vertex >= vertex_count:
+        raise ValueError("simplex vertex exceeds vertex_count")
+    for v in range(vertex_count):
+        by_degree[0].add((v,))
+    return cech.Nerve(vertex_count=vertex_count,
+                      simplices=tuple(tuple(sorted(level)) for level in by_degree))
 
 
 def descent_residual(atlas, degree, comps, conn=None, shifted=False):

@@ -6,7 +6,7 @@ import pytest
 
 from gerbedex import cech, smith
 from gerbedex.manifest import read_nerve, write_nerve
-from oracles import identity, kernel_basis, matmul, matvec, relabelled
+from oracles import closed_nerve, identity, kernel_basis, matmul, matvec, relabelled
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +169,55 @@ def test_nerve_keeps_simplices_above_degree_three():
     assert triangle.top_degree == 3 and triangle.simplices[3] == ()
     with pytest.raises(ValueError, match="must list degrees"):
         cech.Nerve(vertex_count=1, simplices=(((0,),), (), (), (), ()))
+
+
+def closure_inputs():
+    """(simplices, vertex_count) inputs: listed nerves relabelled and
+    shuffled, random picks with duplicates and unsorted vertices, and
+    simplices of degree 4 and up."""
+    cases = []
+    for k in (2, 3):
+        listed = [s for level in relabelled(cech.lens_complex(k), k).simplices for s in level]
+        order = np.random.default_rng(k).permutation(len(listed))
+        cases.append(([listed[i][::-1] for i in order], None))
+    for seed in range(6):
+        rng = np.random.default_rng(5000 + seed)
+        nv = int(rng.integers(5, 9))
+        picks = []
+        for _ in range(int(rng.integers(1, 9))):
+            size = int(rng.integers(1, min(nv, 7) + 1))
+            picks.append(tuple(int(v) for v in rng.permutation(nv)[:size]))
+        picks += picks[:2]  # duplicates
+        cases.append((picks, nv + seed % 2))
+    cases.append(([tuple(range(6)), (7, 5, 3, 1, 0)], None))  # a 5-simplex and a 4-simplex
+    cases.append(([(4, 2, 0, 1, 3)], 9))  # isolated vertices past the simplex
+    cases.append(([], None))
+    cases.append(([], 3))
+    return cases
+
+
+@pytest.mark.parametrize("simplices, vertex_count", closure_inputs())
+def test_face_closure_matches_all_faces_oracle(simplices, vertex_count):
+    nerve = cech.Nerve.from_simplices(iter(simplices), vertex_count=vertex_count)
+    expected = closed_nerve(simplices, vertex_count)
+    assert nerve == expected
+    assert nerve.simplices == expected.simplices
+
+
+@pytest.mark.parametrize("simplices, vertex_count, message", [
+    ([(0, 1), (2, 2, 3)], None, r"^simplex \(2, 2, 3\) has repeated vertices$"),
+    ([(0, 1), ()], None, r"^empty simplex$"),
+    ([(0, 1), (3, -1)], None, r"^negative vertex in simplex \(3, -1\)$"),
+    ([(0, 1), (5, 2), (4, 5)], 5, r"^simplex vertex exceeds vertex_count: simplex \(5, 2\) "
+                                  r"has vertex 5, vertex_count is 5$"),
+])
+def test_face_closure_errors_match_oracle(simplices, vertex_count, message):
+    with pytest.raises(ValueError, match=message) as new:
+        cech.Nerve.from_simplices(simplices, vertex_count=vertex_count)
+    # the oracle raises the same error; its message starts the new one
+    with pytest.raises(ValueError) as old:
+        closed_nerve(simplices, vertex_count)
+    assert str(new.value).startswith(str(old.value))
 
 
 def test_cochain_mismatch_rejected():

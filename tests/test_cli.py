@@ -169,6 +169,25 @@ def test_index_row_projective_plane(benches, k):
                    "residual": 0, "pass": True}
 
 
+@pytest.mark.parametrize("k", range(-6, 5))
+def test_index_row_projective_plane_at_every_label(benches, k):
+    # the holomorphic Euler characteristic: monomials for k >= -2, h^2 below
+    euler = (k + 1) * (k + 2) // 2
+    assert euler == (comb(k + 2, 2) if k >= -2 else comb(-k - 1, 2))
+    row = index_row(benches["CP2"], k)
+    assert row == {"value": Fraction(euler), "index_topological": euler,
+                   "index_analytic": euler, "residual": 0, "pass": True}
+
+
+def test_projective_plane_negative_label_succeeds(tmp_path):
+    code, payload = run_to_report(
+        ["index", "--manifold", "CP2", "--flux", "-3"], tmp_path)
+    assert code == 0
+    assert payload["report"]["rows"]["-3"] == {
+        "value": "1", "index_topological": 1, "index_analytic": 1,
+        "residual": "0", "pass": True}
+
+
 def test_index_row_fails_when_the_analytic_side_disagrees(benches, monkeypatch):
     # the label enters no pass rule: only the two computed sides are compared
     real = cli.monopole_kernel

@@ -65,6 +65,18 @@ def test_nerve_text_rejects_negative_vertex_count():
         nerve_from_text("vertices -1\n")
 
 
+def test_nerve_text_errors_name_their_line():
+    with pytest.raises(ValueError, match=r"^invalid literal for int\(\) with base 10: 'x' "
+                                         r"in nerve line 'simplex 0 x 2'$"):
+        nerve_from_text("vertices 3\nsimplex 0 1\nsimplex 0 x 2\n")
+    with pytest.raises(ValueError, match=r"^invalid literal for int\(\) with base 10: '3.5' "
+                                         r"in nerve line 'vertices 3.5'$"):
+        nerve_from_text("vertices 3.5\nsimplex 0 1\n")
+    with pytest.raises(ValueError, match=r"^simplex vertex exceeds vertex_count: simplex "
+                                         r"\(1, 4\) has vertex 4, vertex_count is 3$"):
+        nerve_from_text("vertices 3\nsimplex 0 1\nsimplex 1 4\n")
+
+
 def test_nerve_text_rejects_second_vertices_line():
     with pytest.raises(ValueError, match="second vertices line 'vertices 5'"):
         nerve_from_text("vertices 4\nsimplex 0 1\nvertices 5\n")

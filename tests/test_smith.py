@@ -7,9 +7,12 @@ outgrow int64.
 """
 
 import math
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gerbedex import cech, smith
 from oracles import identity, is_exact_int_array, matmul, matvec, relabelled
@@ -356,3 +359,134 @@ def test_divmod_by_any_modulus_is_exact(k):
         assert q.tolist() == [v // k for v in x.tolist()]
         assert r.tolist() == [v % k for v in x.tolist()]
         assert is_exact_int_array(q) and is_exact_int_array(r)
+
+
+# ---------------------------------------------------------------------------
+# the three product tiers: float64 below 2**53, int64 below 2**62, Python ints
+
+
+class Spy(np.ndarray):
+    """An array that records the dtypes each matrix product runs in."""
+
+    products = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = [np.asarray(x) for x in inputs]
+        if ufunc is np.matmul:
+            Spy.products.append(tuple(x.dtype for x in inputs))
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def tier_of(a, b, weight):
+    """dot(a, b, weight) checked against the list product, and the one dtype
+    its product ran in."""
+    Spy.products = []
+    got = smith.dot(np.asarray(a).view(Spy), b, weight)
+    (dtypes,) = set(Spy.products)  # one product, both factors in one dtype
+    (tier,) = set(dtypes)
+    assert type(got) is np.ndarray and is_exact_int_array(got)
+    assert got.dtype == (object if tier == object else np.int64)
+    b = [[int(x) for x in row] for row in b] if np.ndim(b) == 2 else [int(x) for x in b]
+    a = np.asarray(a).tolist()
+    assert got.tolist() == (matmul(a, b) if np.ndim(b) == 2 else matvec(a, b))
+    return tier
+
+
+TIER_EDGES = [(2 ** 53 - 1, np.float64), (2 ** 53, np.int64),
+              (2 ** 62 - 1, np.int64), (2 ** 62, object)]
+
+
+@pytest.mark.parametrize("bound, tier", TIER_EDGES)
+def test_dot_tier_edges_on_large_left_entries(bound, tier):
+    # row weight exactly `bound`, max |b| = 1, entries near +-2**52 and up
+    half = bound // 2
+    a = np.array([[half, bound - half, 0], [-(2 ** 52), 2 ** 52 - 1, 1], [0, 0, -1]],
+                 dtype=np.int64)
+    b = [[1, -1, 0], [1, 0, 1], [0, 1, -1]]
+    assert tier_of(a, b, bound) == tier
+
+
+@pytest.mark.parametrize("bound, tier", TIER_EDGES)
+def test_dot_tier_edges_on_large_right_entries(bound, tier):
+    # one +-1 per row of a, as in V^-1[r:] on a lens nerve: weight 1, max |b| = bound
+    a = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], dtype=np.int64)
+    b = [[bound, -(2 ** 52)], [2 ** 52 + 1, -bound], [-(2 ** 52) + 1, 0]]
+    assert tier_of(a, b, 1) == tier
+    assert tier_of(a, [bound, 2 ** 52, -(2 ** 52) - 1], 1) == tier
+
+
+def test_dot_with_a_zero_right_factor_runs_in_float64():
+    # the bound is 0 whatever a holds; a's entries past 2**53 round in
+    # float64, but every product with 0 is 0
+    a = np.array([[2 ** 62, -(2 ** 62) + 1], [2 ** 53 + 1, 7]], dtype=np.int64)
+    assert tier_of(a, [[0, 0], [0, 0]], 2 ** 63) == np.float64
+    assert tier_of(a, np.zeros(2, dtype=np.uint64), 2 ** 63) == np.float64
+
+
+@pytest.mark.parametrize("bound, tier", TIER_EDGES)
+def test_dot_on_non_contiguous_left_factors(bound, tier):
+    rng = np.random.default_rng(9)
+    v = rng.integers(-3, 4, (7, 9))
+    signed = np.eye(9, dtype=np.int64)[rng.permutation(9)] * rng.choice([-1, 1], (9, 1))
+    for left in (v[:, 4:], v[2:, ::2], v.T[1:], v[::-1, 3:]):
+        assert not left.flags.c_contiguous
+        b = rng.integers(-1, 2, (left.shape[1], 3))
+        b[0, 0] = 1
+        assert tier_of(left, b.tolist(), bound) == tier  # weight bound, max |b| 1
+    for left in (signed[:, 4:], signed[1::2, 2:], signed.T[::-1]):
+        assert not left.flags.c_contiguous
+        b = rng.integers(-(2 ** 52), 2 ** 52, (left.shape[1], 2)).tolist()
+        b[-1][0] = -bound
+        assert tier_of(left, b, 1) == tier  # one +-1 per row, max |b| bound
+
+
+def test_dot_on_empty_factors():
+    a = np.zeros((3, 0), dtype=np.int64)
+    assert smith.dot(a, np.zeros((0, 2), dtype=np.int64), 0).tolist() == [[0, 0]] * 3
+    got = smith.dot(np.zeros((0, 4), dtype=np.int64), [[1]] * 4, 1)
+    assert got.shape == (0, 1) and got.dtype == np.int64
+
+
+@settings(derandomize=True, max_examples=300, deadline=timedelta(seconds=2),
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_dot_matches_list_product_in_every_tier(data):
+    m, n, p = (data.draw(st.integers(0, 5)) for _ in range(3))
+    ea = data.draw(st.integers(0, 60))
+    eb = data.draw(st.integers(0, 66))
+    a = [[data.draw(st.integers(-(2 ** ea), 2 ** ea)) for _ in range(n)] for _ in range(m)]
+    b = [[data.draw(st.integers(-(2 ** eb), 2 ** eb)) for _ in range(p)] for _ in range(n)]
+    weight = max((sum(map(abs, row)) for row in a), default=0)
+    weight += data.draw(st.sampled_from([0, 1, 2 ** 20]))
+    left = np.array(a, dtype=np.int64).reshape(m, n)
+    right = np.array(b, dtype=object).reshape(n, p)
+    got = smith.dot(left, right, weight)
+    assert is_exact_int_array(got)
+    assert got.tolist() == (matmul(a, b) if n else [[0] * p for _ in range(m)])
+
+
+# ---------------------------------------------------------------------------
+# max |entry| without an |x| temporary
+
+
+@pytest.mark.parametrize("x", [
+    np.array([-(2 ** 63)], dtype=np.int64),
+    np.array([[-(2 ** 63), 2 ** 63 - 1], [0, 5]], dtype=np.int64),
+    np.array([2 ** 63 - 1, -(2 ** 63) + 1], dtype=np.int64),
+    np.array([-7, 3], dtype=np.int64), np.array([7, -3], dtype=np.int64),
+    np.array([[0, 0]], dtype=np.int64),
+    np.zeros(0, dtype=np.int64), np.zeros((0, 5), dtype=np.int64),
+    np.zeros((4, 0), dtype=np.int64),
+    np.random.default_rng(3).integers(-(2 ** 63), 2 ** 63 - 1, (40, 30), dtype=np.int64),
+    np.random.default_rng(4).integers(-5, 6, (363, 363))[:, ::3],
+])
+def test_max_abs_matches_the_unsigned_view(x):
+    got = smith._max_abs(x)
+    assert type(got) is int
+    assert got == int(np.abs(x).view(np.uint64).max(initial=0))
+    assert got == max((abs(v) for v in x.ravel().tolist()), default=0)
+
+
+def test_max_abs_of_object_arrays():
+    assert smith._max_abs(np.array([2 ** 70, -(2 ** 80)], dtype=object)) == 2 ** 80
+    assert smith._max_abs(np.zeros(0, dtype=object)) == 0

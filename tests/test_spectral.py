@@ -1,6 +1,7 @@
 """Oracle tests for the lattice torus index and the sphere kernel spectrum."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from gerbedex import NearZeroModeError
 from gerbedex.spectral import (
     CHIRALITY_SIGN,
     ZERO_MODE_EPS,
+    LatticeDiracOperator,
     LatticeGauge,
     _column_block,
     _hermitian_blocks,
@@ -71,6 +73,25 @@ def test_lattice_gauge_validates_inputs():
         LatticeGauge(8, 0, 2.0 * ones, ones)
     with pytest.raises(ValueError):
         LatticeGauge(8, 1, ones, ones)  # trivial links, declared flux 1
+
+
+def test_nan_fails_the_lattice_gates():
+    gauge = build_flux_background(8, 1)
+    links_x = gauge.links_x.copy()
+    links_x[3, 5] = np.nan
+    with pytest.raises(ValueError, match="^links_x must be unit modulus$"):
+        LatticeGauge(8, 1, links_x, gauge.links_y)
+    with pytest.raises(ValueError, match="^plaquette phases do not realize the declared flux$"):
+        LatticeGauge(8, np.nan, gauge.links_x, gauge.links_y)
+    # past the gauge's own check, the gamma-Hermiticity gates refuse NaN too
+    unchecked = SimpleNamespace(size=8, links_x=links_x, links_y=gauge.links_y)
+    with pytest.raises(ValueError, match="^operator is not gamma-Hermitian$"):
+        _hermitian_blocks(unchecked, 1.0, 1.0)
+    op = wilson_dirac(gauge)
+    matrix = op.matrix.copy()
+    matrix[0, 1] = np.nan
+    with pytest.raises(ValueError, match="^operator is not gamma-Hermitian$"):
+        LatticeDiracOperator(matrix, op.chirality, op.wilson_r, op.bare_mass, op.size)
 
 
 # ------------------------------------------------------------ Wilson operator
