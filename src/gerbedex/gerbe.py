@@ -1,22 +1,24 @@
 """Lifting sampled principal-bundle transitions and the modules they twist.
 
-Transition functions are SO(n)-valued samples on small graphs over each
-overlap. Lifting picks spin-group representatives one overlap at a time: a
-canonical lift of each of its samples, a relative sign for each adjacent
-pair, and each sample's sign relative to the overlap's sample 0 read along
-the breadth-first spanning tree that its sample graph records. Once every
-loop of the graph closes up, those signs do not depend on the tree. This is
-done once per data set; a relift only places the signs, in one stacked pass
-over all overlaps. The sign defect of the triple products is a mod-2 cocycle
-on the nerve whose class does not depend on any of the choices made.
-Modules twisted by that cocycle (weight-d transition data) support tensor,
-direct sum, endomorphism descent, weight decomposition, and descent of the
+Transition data, modules and bundles share one SampleCover (nerve, a sample
+graph per overlap, triple points), checked once; each checks only its own
+stacks. Transition functions are SO(n)-valued samples on those graphs.
+Lifting picks spin-group representatives one overlap at a time: a canonical
+lift of each sample, a relative sign for each adjacent pair, and each
+sample's sign relative to sample 0 read along the breadth-first spanning
+tree of its graph. Once every loop closes up, those signs do not depend on
+the tree. This is done once per data set; a relift only places the signs,
+in one stacked pass. The sign defect of the triple products is a mod-2
+cocycle on the nerve whose class does not depend on any choice made.
+Modules twisted by it (weight-d transition data) support tensor, direct
+sum, endomorphism descent, weight decomposition, and descent of the
 weight-zero ones to plain bundle data.
 """
 
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import attrgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -60,10 +62,10 @@ def _edge_key(key):
     return (a, b)
 
 
-def _triple_table(nerve, triples, counts):
+def _triple_table(nerve, triples, edges):
     """Read-only view of `triples`, keyed by 2-simplices (a, b, c) of the nerve,
-    whose index triples (i_ab, i_bc, i_ac) lie in [0, count) of their edges;
-    `counts` maps an edge to its number of samples."""
+    whose index triples (i_ab, i_bc, i_ac) lie in [0, count) of their edges'
+    sample graphs `edges`."""
     table = {}
     for (a, b, c), entries in triples.items():
         if not a < b < c:
@@ -77,7 +79,7 @@ def _triple_table(nerve, triples, counts):
         entries = table.get((a, b, c))
         if not entries:
             raise ValueError(f"missing triple basepoint for {(a, b, c)}")
-        limits = (counts[(a, b)], counts[(b, c)], counts[(a, c)])
+        limits = (edges[(a, b)].count, edges[(b, c)].count, edges[(a, c)].count)
         # viewed unsigned, a negative index lies past every count
         outside = np.array(entries, dtype=np.intp).view(np.uintp) >= limits
         if outside.any():
@@ -97,26 +99,22 @@ def _triangle_products(nerve, transitions, triples):
 
 @dataclass(frozen=True)
 class EdgeSampleGraph:
-    """Connected graph of matrix samples over one overlap.
+    """Connected graph on the `count` samples over one overlap.
 
     `adjacency` pairs must connect all samples; consecutive-chain adjacency is
     filled in when omitted. The basepoint is where lifting starts. The
-    samples are stored read-only. The breadth-first traversal from sample 0
-    that checks connectivity also records its spanning tree as `_tree`:
-    (child, parent, adjacency position) of every tree edge, in walk order,
-    so each parent comes before its children.
+    breadth-first traversal from sample 0 that checks connectivity also
+    records its spanning tree as `_tree`: (child, parent, adjacency position)
+    of every tree edge, in walk order, so each parent comes before its
+    children.
     """
 
-    matrices: np.ndarray
+    count: int
     adjacency: tuple = None
     basepoint: int = 0
 
     def __post_init__(self):
-        mats = np.array(self.matrices, dtype=float)
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise ValueError("matrices must have shape (count, n, n)")
-        object.__setattr__(self, "matrices", _frozen(mats))
-        count = mats.shape[0]
+        count = self.count
         if self.adjacency is None:
             adj = tuple((i, i + 1) for i in range(count - 1))
         else:
@@ -139,10 +137,6 @@ class EdgeSampleGraph:
             raise ValueError("sample graph is not connected")
         object.__setattr__(self, "_tree", tuple(tree))
 
-    @property
-    def count(self):
-        return self.matrices.shape[0]
-
     def neighbour_table(self):
         """Per sample, its (neighbour, position in adjacency) pairs."""
         table = [[] for _ in range(self.count)]
@@ -153,38 +147,91 @@ class EdgeSampleGraph:
 
 
 @dataclass(frozen=True)
-class TransitionData:
-    """Sampled transition functions of a principal SO(n) bundle on a cover.
+class SampleCover:
+    """The sampled cover that transition data, modules and bundles share.
 
-    `edges` maps each ordered 1-simplex (a, b) of the nerve to its sample
-    graph; `triples` maps each 2-simplex to index triples (i_ab, i_bc, i_ac)
-    of samples taken at a common point of the triple overlap. The first listed
-    triple is the basepoint where the lifted cocycle is read off; any others
-    are constancy spot checks. Keys must be 2-simplices, a < b < c, and every
-    index must lie in its edge's sample range. Both mappings are stored as
-    read-only views, so what is computed from them is remembered once it has
-    passed: validation per `tol`, and per `ambiguity_gap` the canonical lifts
-    and tree parities that every relift reuses (_tree_lifts; read-only
-    arrays). Neither memo is a field, so neither takes part in equality.
+    `edges` maps each ordered overlap (a, b), a < b, to its EdgeSampleGraph
+    (every nerve edge needs one); `triples` maps each 2-simplex (a, b, c),
+    a < b < c, to index triples (i_ab, i_bc, i_ac) of samples at a common
+    point. The first triple is where a lifted cocycle is read off; any others
+    are constancy spot checks. Both are checked here, once, and stored as
+    read-only views. The cover holds no arrays and compares by value; the
+    data on it compare by identity.
     """
 
     nerve: cech.Nerve
-    dimension: int
     edges: dict
     triples: dict
 
     def __post_init__(self):
-        edges = {_edge_key(k): v for k, v in self.edges.items()}
-        object.__setattr__(self, "edges", MappingProxyType(edges))
-        object.__setattr__(self, "_validated", set())
-        object.__setattr__(self, "_lifts", {})
+        edges = MappingProxyType({_edge_key(k): v for k, v in self.edges.items()})
+        object.__setattr__(self, "edges", edges)
         for simplex in self.nerve.simplices[1]:
             if simplex not in edges:
                 raise ValueError(f"missing sample graph for overlap {simplex}")
-            if edges[simplex].matrices.shape[1] != self.dimension:
-                raise ValueError(f"overlap {simplex} has wrong matrix size")
-        counts = {edge: graph.count for edge, graph in edges.items()}
-        object.__setattr__(self, "triples", _triple_table(self.nerve, self.triples, counts))
+        object.__setattr__(self, "triples", _triple_table(self.nerve, self.triples, edges))
+
+    @cached_property
+    def _layout(self):
+        """Sorted overlaps; overlap k owns offsets[k]:offsets[k + 1] of the lifts."""
+        edges = tuple(sorted(self.edges))
+        counts = [self.edges[edge].count for edge in edges]
+        return edges, _frozen(np.concatenate([[0], np.cumsum(counts, dtype=np.intp)]))
+
+
+class _OnCover:
+    """Sampled data on a SampleCover, whose nerve, graphs and triples it reads.
+
+    Field _STACKS = (field, size field, dtype) holds a read-only (count, size,
+    size) stack per overlap. A stack that is read-only and of that dtype is
+    kept as it is; any other is copied, so writes to the input do not reach it.
+    """
+
+    _STACKS = ("transitions", "rank", complex)
+    nerve = property(attrgetter("cover.nerve"))
+    edges = property(attrgetter("cover.edges"))
+    triples = property(attrgetter("cover.triples"))
+
+    def __post_init__(self):
+        name, size_field, dtype = self._STACKS
+        size = getattr(self, size_field)
+        given = {_edge_key(key): arr for key, arr in getattr(self, name).items()}
+        if given.keys() != self.edges.keys():
+            raise ValueError(f"{name} given on overlaps {sorted(given)}, "
+                             f"not on the cover's {sorted(self.edges)}")
+        stacks = {}
+        for edge, graph in self.edges.items():
+            arr = given[edge]
+            if not isinstance(arr, np.ndarray) or arr.dtype != dtype or arr.flags.writeable:
+                arr = _frozen(np.array(arr, dtype=dtype))
+            if arr.shape != (graph.count, size, size):
+                raise ValueError(f"{name} on overlap {edge} have shape {arr.shape}, not "
+                                 f"{(graph.count, size, size)}: wrong matrix size or "
+                                 "sample count")
+            stacks[edge] = arr
+        object.__setattr__(self, name, MappingProxyType(stacks))
+
+
+@dataclass(frozen=True, eq=False)
+class TransitionData(_OnCover):
+    """Sampled transition functions of a principal SO(n) bundle on a cover.
+
+    `matrices` maps each overlap of the cover to its (count, n, n) stack of
+    samples, stored read-only. What is computed from them is remembered once
+    it has passed: validation per `tol`, and per `ambiguity_gap` the
+    canonical lifts and tree parities that every relift reuses (_tree_lifts;
+    read-only arrays). Neither memo is a field.
+    """
+
+    _STACKS = ("matrices", "dimension", float)
+    cover: SampleCover
+    dimension: int
+    matrices: dict  # edge -> (count, n, n) float array, one sample per graph node
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "_validated", set())
+        object.__setattr__(self, "_lifts", {})
 
     def validate(self, tol=1e-10):
         """Check SO(n) membership and the unlifted cocycle at triple points.
@@ -198,31 +245,20 @@ class TransitionData:
 
     def _check(self, tol):
         eye = np.eye(self.dimension)
-        for edge, graph in self.edges.items():
-            mats = graph.matrices
+        for edge, mats in self.matrices.items():
             defect = np.abs(mats.transpose(0, 2, 1) @ mats - eye).max(axis=(1, 2))
             bad = np.flatnonzero(~(defect <= 1e-9) | (np.linalg.det(mats) < 0))
             if bad.size:
                 raise ValueError(f"sample {bad[0]} on overlap {edge} is not in SO(n)")
-        matrices = {edge: graph.matrices for edge, graph in self.edges.items()}
-        for simplex, prods in _triangle_products(self.nerve, matrices, self.triples):
+        for simplex, prods in _triangle_products(self.nerve, self.matrices, self.triples):
             defects = np.abs(prods - eye).max(axis=(1, 2))
             bad = np.flatnonzero(~(defects <= tol))
             if bad.size:
-                raise ValueError(
-                    f"triple overlap {simplex} violates the cocycle "
-                    f"condition by {defects[bad[0]]:.3e}"
-                )
-
-    @cached_property
-    def _layout(self):
-        """Sorted overlaps; overlap k owns offsets[k]:offsets[k + 1] of the lifts."""
-        edges = tuple(sorted(self.edges))
-        counts = [self.edges[edge].count for edge in edges]
-        return edges, _frozen(np.concatenate([[0], np.cumsum(counts, dtype=np.intp)]))
+                raise ValueError(f"triple overlap {simplex} violates the cocycle "
+                                 f"condition by {defects[bad[0]]:.3e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiftedTransitionData:
     """TransitionData plus the spinor unitary of a lift of every sample."""
 
@@ -274,16 +310,12 @@ def _triple_signs(data, unitaries):
         bad = np.flatnonzero((np.abs(np.abs(scalars) - 1.0) > 1e-6) | (defects > 1e-6))
         if bad.size:
             k = bad[0]
-            raise ValueError(
-                f"lifted triple product on {simplex} is not a sign "
-                f"(scalar {scalars[k]:.6f}, defect {defects[k]:.3e})"
-            )
+            raise ValueError(f"lifted triple product on {simplex} is not a sign "
+                             f"(scalar {scalars[k]:.6f}, defect {defects[k]:.3e})")
         signs = set(np.where(scalars > 0, 0, 1).tolist())
         if len(signs) != 1:
-            raise ValueError(
-                f"cocycle sign varies across the sampled triple overlap {simplex}; "
-                "good-cover constancy assumption violated"
-            )
+            raise ValueError(f"cocycle sign varies across the sampled triple overlap "
+                             f"{simplex}; good-cover constancy assumption violated")
         values.append(signs.pop())
     return tuple(values)
 
@@ -304,10 +336,10 @@ def _tree_lifts(data, ambiguity_gap):
     if lifts is not None:
         return lifts
     data.validate()
-    edges, _ = data._layout
+    edges, _ = data.cover._layout
     graphs = [data.edges[edge] for edge in edges]
     # every overlap's canonical lifts come first, so their errors precede any sign error
-    canons = [canonical_lifts(graph.matrices) for graph in graphs]
+    canons = [canonical_lifts(data.matrices[edge]) for edge in edges]
     parities = [np.zeros(0, dtype=bool)]
     for edge, graph, canon in zip(edges, graphs, canons):
         pairs = np.array(graph.adjacency, dtype=np.intp).reshape(-1, 2)
@@ -351,13 +383,12 @@ def lift_transitions(data, seed=None, sign_flips=None, basepoints=None, ambiguit
     basepoints ({edge: sample index}) overrides which sample keeps its
     canonical lift; both change the cocycle at most by a coboundary, which
     tests rely on, and either may name an edge in either order. seed is
-    still accepted but changes nothing: it used to shuffle the
-    spanning-tree walk, and once every loop closes up the signs do not
-    depend on the tree. The returned unitaries are read-only.
+    accepted and ignored: the signs do not depend on the tree. The returned
+    unitaries are read-only.
     """
     del seed
     canon, parity = _tree_lifts(data, ambiguity_gap)
-    edges, offsets = data._layout
+    edges, offsets = data.cover._layout
     sign_flips = frozenset(_ordered_edge(*e) for e in (sign_flips or ()))
     basepoints = {_ordered_edge(*k): v for k, v in (basepoints or {}).items()}
     counts = np.diff(offsets)
@@ -376,46 +407,29 @@ def lift_transitions(data, seed=None, sign_flips=None, basepoints=None, ambiguit
     return LiftedTransitionData(data=data, unitaries=MappingProxyType(unitaries)), cocycle
 
 
-@dataclass(frozen=True)
-class GerbeModuleData:
+@dataclass(frozen=True, eq=False)
+class GerbeModuleData(_OnCover):
     """Weight-d module over the lifting gerbe, as sampled transition data.
 
     Transitions on edge (a, b) act per sample; at each designated triple the
     product around the triangle equals zeta^(weight * e) times identity where
     zeta = exp(2 pi i / band_order). weight None marks a module that has not
     been split into weight-homogeneous summands yet. Transitions are unitary
-    (verify_module checks it), so a transition's inverse is its adjoint. The
-    transition arrays are stored read-only, and both mappings as read-only
-    views.
+    (verify_module checks it), so a transition's inverse is its adjoint.
     """
 
-    nerve: cech.Nerve
+    cover: SampleCover
     band_order: int
     weight: object
     rank: int
     transitions: dict  # edge -> (count, rank, rank) complex array
-    triples: dict
 
     def __post_init__(self):
         if self.band_order < 2:
             raise ValueError("band order must be at least 2")
-        transitions = {}
-        for key, arr in self.transitions.items():
-            arr = np.array(arr, dtype=complex)
-            if arr.ndim != 3 or arr.shape[1:] != (self.rank, self.rank):
-                raise ValueError(f"transitions on {key} must be (count, rank, rank)")
-            transitions[_edge_key(key)] = _frozen(arr)
-        object.__setattr__(self, "transitions", MappingProxyType(transitions))
+        super().__post_init__()
         if self.weight is not None:
             object.__setattr__(self, "weight", int(self.weight) % self.band_order)
-        for simplex in self.nerve.simplices[1]:
-            if simplex not in transitions:
-                raise ValueError(f"missing transitions for overlap {simplex}")
-        object.__setattr__(self, "triples",
-                           _triple_table(self.nerve, self.triples, self.counts()))
-
-    def counts(self):
-        return {edge: arr.shape[0] for edge, arr in self.transitions.items()}
 
 
 @dataclass(frozen=True)
@@ -453,14 +467,10 @@ def verify_module(module, cocycle, tol=1e-9):
 
 
 def _require_same_shape(m1, m2):
-    if m1.nerve != m2.nerve:
-        raise ValueError("modules live on different nerves")
+    if m1.cover != m2.cover:
+        raise ValueError("modules live on different covers")
     if m1.band_order != m2.band_order:
         raise ValueError("band order mismatch")
-    if m1.counts() != m2.counts():
-        raise ValueError("per-overlap sample counts differ")
-    if m1.triples != m2.triples:
-        raise ValueError("triple basepoint conventions differ")
 
 
 def tensor_modules(m1, m2):
@@ -485,8 +495,7 @@ def direct_sum(m1, m2):
     transitions = {}
     for edge, arr1 in m1.transitions.items():
         arr2 = m2.transitions[edge]
-        count = arr1.shape[0]
-        out = np.zeros((count, m1.rank + m2.rank, m1.rank + m2.rank), dtype=complex)
+        out = np.zeros((arr1.shape[0], m1.rank + m2.rank, m1.rank + m2.rank), dtype=complex)
         out[:, : m1.rank, : m1.rank] = arr1
         out[:, m1.rank :, m1.rank :] = arr2
         transitions[edge] = out
@@ -561,14 +570,13 @@ def weight_decompose(action, module, tol=1e-10):
     return summands
 
 
-@dataclass(frozen=True)
-class BundleData:
+@dataclass(frozen=True, eq=False)
+class BundleData(_OnCover):
     """Ordinary Cech bundle data: transitions satisfying the strict cocycle."""
 
-    nerve: cech.Nerve
+    cover: SampleCover
     rank: int
-    transitions: dict
-    triples: dict
+    transitions: dict  # edge -> (count, rank, rank) complex array
 
 
 def descend_weight_zero(module, tol=1e-9):
@@ -580,12 +588,7 @@ def descend_weight_zero(module, tol=1e-9):
         raise ValueError(
             f"untwisted cocycle residual {check.max_residual:.3e} exceeds {tol:.1e}"
         )
-    return BundleData(
-        nerve=module.nerve,
-        rank=module.rank,
-        transitions=dict(module.transitions),
-        triples=dict(module.triples),
-    )
+    return BundleData(cover=module.cover, rank=module.rank, transitions=module.transitions)
 
 
 def spin_module(lifted, band_order=2):
@@ -597,24 +600,13 @@ def spin_module(lifted, band_order=2):
     data = lifted.data
     if data.dimension % 2:
         raise ValueError("spinor matrices implemented for even fiber dimension only")
-    return GerbeModuleData(
-        nerve=data.nerve,
-        band_order=band_order,
-        weight=1,
-        rank=spinor_rep(data.dimension).dim,
-        transitions=lifted.unitaries,
-        triples=data.triples,
-    )
+    return GerbeModuleData(cover=data.cover, band_order=band_order, weight=1,
+                           rank=spinor_rep(data.dimension).dim, transitions=lifted.unitaries)
 
 
-def identity_module(template, rank=1, weight=0, band_order=2):
-    """Trivial-transition module shaped like a TransitionData or module."""
-    if isinstance(template, TransitionData):
-        counts = {edge: g.count for edge, g in template.edges.items()}
-    else:
-        counts, band_order = template.counts(), template.band_order
+def identity_module(cover, rank=1, weight=0, band_order=2):
+    """Trivial-transition module on a SampleCover."""
     eye = np.eye(rank, dtype=complex)
-    transitions = {edge: np.broadcast_to(eye, (count, rank, rank))
-                   for edge, count in counts.items()}
-    return GerbeModuleData(nerve=template.nerve, band_order=band_order, weight=weight,
-                           rank=rank, transitions=transitions, triples=template.triples)
+    transitions = {edge: np.broadcast_to(eye, (graph.count, rank, rank))
+                   for edge, graph in cover.edges.items()}
+    return GerbeModuleData(cover, band_order, weight, rank, transitions)

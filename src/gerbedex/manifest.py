@@ -3,9 +3,10 @@
 A manifest carries exactly what run_tasks reads: a nerve, the sampled SO(n)
 transitions over its overlaps, and a `tasks` list naming the checks to run,
 each from MANIFEST_TASKS.  It is one JSON document (UTF-8, sorted keys on
-write), so check suites run from diff-able artifacts.  Transition samples
-serialize as row-major nested lists of real numbers; nerve files are plain
-text with one simplex per line.
+write), so check suites run from diff-able artifacts; it decodes to one
+SampleCover and the TransitionData on it, and each integer field must hold
+a JSON integer.  Transition samples serialize as row-major nested lists of
+real numbers; nerve files are plain text with one simplex per line.
 """
 
 import json
@@ -17,6 +18,7 @@ import numpy as np
 from . import cech
 from .gerbe import (
     EdgeSampleGraph,
+    SampleCover,
     TransitionData,
     lift_transitions,
     spin_module,
@@ -111,10 +113,21 @@ def _checked_block(block, name, keys):
     return block
 
 
+def _checked_ints(value, where, depth=0):
+    """`value` once it is an integer, or at `depth` > 0 nested lists of them
+    (as tuples); a bool, float or string is refused, naming `where`."""
+    if depth:
+        return tuple(_checked_ints(v, where, depth - 1) for v in value)
+    if type(value) is not int:
+        raise ValueError(f"manifest {where} must be an integer, not {value!r}")
+    return value
+
+
 def nerve_from_block(block):
     _checked_block(block, "nerve block", ("vertex_count", "simplices"))
-    return cech.Nerve.from_simplices(block["simplices"],
-                                     vertex_count=block["vertex_count"])
+    return cech.Nerve.from_simplices(
+        _checked_ints(block["simplices"], "nerve block simplices", 2),
+        vertex_count=_checked_ints(block["vertex_count"], "nerve block vertex_count"))
 
 
 def transitions_to_block(data):
@@ -123,7 +136,7 @@ def transitions_to_block(data):
         edges[_encode_simplex(edge)] = {
             "basepoint": int(graph.basepoint),
             "adjacency": [list(pair) for pair in graph.adjacency],
-            "matrices": graph.matrices.tolist(),
+            "matrices": data.matrices[edge].tolist(),
         }
     triples = {_encode_simplex(s): [list(t) for t in entries]
                for s, entries in sorted(data.triples.items())}
@@ -131,23 +144,24 @@ def transitions_to_block(data):
 
 
 def transitions_from_block(block, nerve):
-    """Decode a transitions block; EdgeSampleGraph checks each sample stack."""
+    """Decode a transitions block onto a SampleCover of `nerve`."""
     _checked_block(block, "transitions block", ("dimension", "edges", "triples"))
-    edges = {}
-    for key, entry in _checked_block(block["edges"], "transitions edges",
-                                     ()).items():
-        _checked_block(entry, f"transitions edge {key!r}",
-                       ("basepoint", "adjacency", "matrices"))
-        edges[_decode_simplex(key)] = EdgeSampleGraph(
-            matrices=entry["matrices"],
-            adjacency=tuple(tuple(p) for p in entry["adjacency"]),
-            basepoint=entry["basepoint"],
-        )
-    triples = {_decode_simplex(key): tuple(tuple(t) for t in entries)
-               for key, entries in _checked_block(
-                   block["triples"], "transitions triples", ()).items()}
-    return TransitionData(nerve=nerve, dimension=int(block["dimension"]),
-                          edges=edges, triples=triples)
+    graphs, matrices = {}, {}
+    for key, entry in _checked_block(block["edges"], "transitions edges", ()).items():
+        where = f"transitions edge {key!r}"
+        _checked_block(entry, where, ("basepoint", "adjacency", "matrices"))
+        edge = _decode_simplex(key)
+        matrices[edge] = np.array(entry["matrices"], dtype=float)
+        if matrices[edge].ndim != 3:
+            raise ValueError(f"manifest {where} matrices must have shape (count, n, n)")
+        adjacency = _checked_ints(entry["adjacency"], f"{where} adjacency", 2)
+        basepoint = _checked_ints(entry["basepoint"], f"{where} basepoint")
+        graphs[edge] = EdgeSampleGraph(len(matrices[edge]), adjacency, basepoint)
+    triples = {_decode_simplex(key): _checked_ints(entries, f"transitions triple {key!r}", 2)
+               for key, entries in _checked_block(block["triples"], "transitions triples",
+                                                  ()).items()}
+    dimension = _checked_ints(block["dimension"], "transitions block dimension")
+    return TransitionData(SampleCover(nerve, graphs, triples), dimension, matrices)
 
 
 # ---------------------------------------------------------- whole manifests
@@ -155,10 +169,9 @@ def transitions_from_block(block, nerve):
 
 @dataclass(frozen=True)
 class ParsedManifest:
-    """Decoded manifest: live nerve and transition data plus the task list."""
+    """Decoded manifest: live transition data, on its cover, plus the task list."""
 
     name: str
-    nerve: cech.Nerve
     transitions: TransitionData
     tasks: tuple
 
@@ -186,18 +199,14 @@ def build_manifest(name, transitions, tasks):
 
 def parse_manifest(doc):
     """Validate a manifest document and decode it into live objects."""
-    if not isinstance(doc, dict):
-        raise ValueError("manifest must be a JSON object")
-    if doc.get("format") != MANIFEST_FORMAT:
+    if _checked_block(doc, "document", ()).get("format") != MANIFEST_FORMAT:
         raise ValueError(f"unsupported manifest format {doc.get('format')!r}")
-    missing = {"name", "nerve", "transitions", "tasks"} - set(doc)
-    if missing:
-        raise ValueError(f"manifest lacks blocks {sorted(missing)}")
-    nerve = nerve_from_block(doc["nerve"])
-    return ParsedManifest(
-        name=doc["name"], nerve=nerve,
-        transitions=transitions_from_block(doc["transitions"], nerve),
-        tasks=_checked_tasks(doc["tasks"]))
+    _checked_block(doc, "document", ("name", "nerve", "transitions", "tasks"))
+    transitions = transitions_from_block(doc["transitions"], nerve_from_block(doc["nerve"]))
+    if not isinstance(doc["tasks"], list):
+        raise ValueError(f"manifest tasks must be a JSON list, not {doc['tasks']!r}")
+    return ParsedManifest(name=doc["name"], transitions=transitions,
+                          tasks=_checked_tasks(doc["tasks"]))
 
 
 # ------------------------------------------------------------ manifest tasks

@@ -25,7 +25,7 @@ from . import cech
 from .clifford import CliffordModuleFiber
 from .geometry import (Chart, ChartAtlas, FormField, ModuleConnection,
                        OverlapMap, tensor_connection)
-from .gerbe import EdgeSampleGraph, TransitionData
+from .gerbe import EdgeSampleGraph, SampleCover, TransitionData
 from .symbolic import RingElement
 
 # samples per overlap of the sphere's frame cover, taken evenly around the equator
@@ -84,15 +84,12 @@ def sphere_frame_transitions():
     asserted on the odd-winding edges. No chart atlas is involved.
     """
     theta = 2.0 * np.pi * np.arange(FRAME_SAMPLES) / FRAME_SAMPLES
-    nerve = cech.Nerve.from_simplices([(0, 1, 2)])
-    edges = {
-        (0, 1): EdgeSampleGraph(_rotations(np.pi / 2.0 - theta)),
-        (1, 2): EdgeSampleGraph(_rotations(np.pi / 2.0 - theta)),
-        (0, 2): EdgeSampleGraph(_rotations(np.pi - 2.0 * theta)),
-    }
-    step = FRAME_SAMPLES // 4
-    triples = {(0, 1, 2): tuple((i, i, i) for i in range(0, FRAME_SAMPLES, step))}
-    return TransitionData(nerve=nerve, dimension=2, edges=edges, triples=triples)
+    band = _rotations(np.pi / 2.0 - theta)
+    matrices = {(0, 1): band, (1, 2): band, (0, 2): _rotations(np.pi - 2.0 * theta)}
+    triples = {(0, 1, 2): tuple((i,) * 3 for i in range(0, FRAME_SAMPLES, FRAME_SAMPLES // 4))}
+    cover = SampleCover(cech.Nerve.from_simplices([(0, 1, 2)]),
+                        dict.fromkeys(matrices, EdgeSampleGraph(FRAME_SAMPLES)), triples)
+    return TransitionData(cover=cover, dimension=2, matrices=matrices)
 
 
 class SphereBenchmark:

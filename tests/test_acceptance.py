@@ -202,7 +202,7 @@ def test_criterion_04_frame_lift_cocycle_and_module_weights():
     ok = ok and gerbe.verify_module(squared, cocycle).max_residual < 1e-9
     ok = ok and isinstance(gerbe.descend_weight_zero(squared),
                            gerbe.BundleData)
-    unit = gerbe.identity_module(sigma, rank=1)
+    unit = gerbe.identity_module(sigma.cover, rank=1)
     ok = ok and gerbe.tensor_modules(sigma, unit).weight == 1
     _verdict(4, "frame lift closes with trivial class, invariant over 10 "
                 "randomized lifts, spin module residual 1e-9, weights add "

@@ -16,6 +16,7 @@ from gerbedex.clifford import (
     spinor_rep,
 )
 from gerbedex.manifest import parse_manifest, run_tasks, sphere_frame_manifest
+from gerbedex.registry import sphere_frame_transitions
 
 
 def rot(theta):
@@ -23,8 +24,20 @@ def rot(theta):
     return np.array([[c, -s], [s, c]])
 
 
+def sampled(matrices, adjacency=None, basepoint=0):
+    """One overlap's sample stack and its sample graph."""
+    return matrices, gerbe.EdgeSampleGraph(len(matrices), adjacency=adjacency,
+                                           basepoint=basepoint)
+
+
 def chain_graph(thetas, basepoint=0):
-    return gerbe.EdgeSampleGraph(np.stack([rot(t) for t in thetas]), basepoint=basepoint)
+    return sampled(np.stack([rot(t) for t in thetas]), basepoint=basepoint)
+
+
+def transition_data(nerve, edges, triples, dimension=2):
+    """TransitionData on a cover of its own, from {edge: (samples, graph)}."""
+    cover = gerbe.SampleCover(nerve, {e: graph for e, (_, graph) in edges.items()}, triples)
+    return gerbe.TransitionData(cover, dimension, {e: mats for e, (mats, _) in edges.items()})
 
 
 def triangle_nerve():
@@ -35,7 +48,7 @@ def identity_triangle_data():
     nerve = triangle_nerve()
     edges = {e: chain_graph([0.0]) for e in nerve.simplices[1]}
     triples = {(0, 1, 2): [(0, 0, 0)]}
-    return gerbe.TransitionData(nerve=nerve, dimension=2, edges=edges, triples=triples)
+    return transition_data(nerve, edges, triples)
 
 
 def winding_triangle_data(steps=16):
@@ -48,7 +61,7 @@ def winding_triangle_data(steps=16):
         (1, 2): chain_graph([0.0]),
     }
     triples = {(0, 1, 2): [(steps, 0, 0)]}
-    return gerbe.TransitionData(nerve=nerve, dimension=2, edges=edges, triples=triples)
+    return transition_data(nerve, edges, triples)
 
 
 def chart_path_data(seed=0, samples=6):
@@ -67,72 +80,73 @@ def chart_path_data(seed=0, samples=6):
         for (a, b) in nerve.simplices[1]
     }
     triples = {s: [(0, 0, 0), (samples - 1,) * 3] for s in nerve.simplices[2]}
-    return gerbe.TransitionData(nerve=nerve, dimension=2, edges=edges, triples=triples)
+    return transition_data(nerve, edges, triples)
 
 
 # ---------------------------------------------------------------------------
 # sample graphs and raw data validation
 
 def test_graph_default_chain_and_connectivity():
-    g = chain_graph([0.0, 0.1, 0.2])
+    _, g = chain_graph([0.0, 0.1, 0.2])
     assert g.adjacency == ((0, 1), (1, 2))
     with pytest.raises(ValueError, match="connected"):
-        gerbe.EdgeSampleGraph(np.stack([rot(0.0)] * 3), adjacency=((0, 1),))
+        gerbe.EdgeSampleGraph(3, adjacency=((0, 1),))
     with pytest.raises(ValueError, match="adjacency"):
-        gerbe.EdgeSampleGraph(np.stack([rot(0.0)] * 2), adjacency=((0, 5),))
+        gerbe.EdgeSampleGraph(2, adjacency=((0, 5),))
 
 
 
-def test_graph_keeps_its_own_copy_of_the_samples():
+def test_transition_data_keeps_its_own_copy_of_the_samples():
     mats = np.stack([rot(0.0), rot(0.1)])
-    g = gerbe.EdgeSampleGraph(mats)
+    edges = {e: chain_graph([0.0, 0.0]) for e in triangle_nerve().simplices[1]}
+    edges[(0, 1)] = sampled(mats)
+    data = transition_data(triangle_nerve(), edges, {(0, 1, 2): [(0, 0, 0)]})
     mats[0] = rot(2.0)
-    assert np.array_equal(g.matrices[0], rot(0.0))
+    assert np.array_equal(data.matrices[(0, 1)][0], rot(0.0))
 
 
 def test_transition_data_rejects_a_reversed_edge_key():
     edges = {(1, 0): chain_graph([0.3]), (0, 2): chain_graph([0.0]),
              (1, 2): chain_graph([0.0])}
     with pytest.raises(ValueError, match=r"edge key \(1, 0\) is not in increasing order"):
-        gerbe.TransitionData(nerve=triangle_nerve(), dimension=2, edges=edges,
-                             triples={(0, 1, 2): [(0, 0, 0)]})
+        transition_data(triangle_nerve(), edges, {(0, 1, 2): [(0, 0, 0)]})
 
 
 def test_module_rejects_a_reversed_edge_key():
     phase = np.exp(0.3j) * np.ones((1, 1, 1))
+    cover = gerbe.SampleCover(cech.Nerve.from_simplices([(0, 1)]),
+                              {(0, 1): gerbe.EdgeSampleGraph(1)}, {})
     with pytest.raises(ValueError, match=r"edge key \(1, 0\) is not in increasing order"):
-        gerbe.GerbeModuleData(
-            cech.Nerve.from_simplices([(0, 1)]), band_order=2, weight=0, rank=1,
-            transitions={(1, 0): phase}, triples={})
+        gerbe.GerbeModuleData(cover, band_order=2, weight=0, rank=1,
+                              transitions={(1, 0): phase})
 
 
 def test_transition_data_rejects_an_unsorted_triple_key():
     # sorting the key would read (i_ab, i_bc, i_ac) against the wrong edges
     edges = {e: chain_graph([0.0, 0.1]) for e in triangle_nerve().simplices[1]}
     with pytest.raises(ValueError, match=r"triple key \(1, 0, 2\) is not in increasing order"):
-        gerbe.TransitionData(nerve=triangle_nerve(), dimension=2, edges=edges,
-                             triples={(1, 0, 2): [(1, 1, 0)]})
+        transition_data(triangle_nerve(), edges, {(1, 0, 2): [(1, 1, 0)]})
 
 
 def test_module_rejects_an_unsorted_triple_key():
-    flat = gerbe.identity_module(identity_triangle_data())
+    flat = gerbe.identity_module(identity_triangle_data().cover)
     with pytest.raises(ValueError, match=r"triple key \(1, 0, 2\) is not in increasing order"):
-        gerbe.GerbeModuleData(flat.nerve, band_order=2, weight=0, rank=1,
-                              transitions=flat.transitions, triples={(1, 0, 2): [(0, 0, 0)]})
+        gerbe.GerbeModuleData(gerbe.SampleCover(flat.nerve, flat.edges, {(1, 0, 2): [(0, 0, 0)]}),
+                              band_order=2, weight=0, rank=1, transitions=flat.transitions)
 
 
 def test_a_triple_key_that_is_not_a_2_simplex_is_refused():
     # the hollow triangle has all three edges but no 2-simplex
     hollow = cech.Nerve.from_simplices([(0, 1), (1, 2), (0, 2)])
     edges = {e: chain_graph([0.0]) for e in hollow.simplices[1]}
+    graphs = {e: graph for e, (_, graph) in edges.items()}
     ones = {e: np.ones((1, 1, 1)) for e in hollow.simplices[1]}
     message = r"triple key \(0, 1, 2\) is not a 2-simplex of the nerve"
     with pytest.raises(ValueError, match=message):
-        gerbe.TransitionData(nerve=hollow, dimension=2, edges=edges,
-                             triples={(0, 1, 2): [(0, 0, 0)]})
+        transition_data(hollow, edges, {(0, 1, 2): [(0, 0, 0)]})
     with pytest.raises(ValueError, match=message):
-        gerbe.GerbeModuleData(hollow, band_order=2, weight=0, rank=1,
-                              transitions=ones, triples={(0, 1, 2): [(0, 0, 0)]})
+        gerbe.GerbeModuleData(gerbe.SampleCover(hollow, graphs, {(0, 1, 2): [(0, 0, 0)]}),
+                              band_order=2, weight=0, rank=1, transitions=ones)
 
 
 def five_sample_triangle(triples):
@@ -140,11 +154,12 @@ def five_sample_triangle(triples):
     five samples per edge."""
     nerve = triangle_nerve()
     edges = {e: chain_graph([0.0] * 5) for e in nerve.simplices[1]}
+    graphs = {e: graph for e, (_, graph) in edges.items()}
     ones = {e: np.ones((5, 1, 1)) for e in nerve.simplices[1]}
     return (
-        lambda: gerbe.TransitionData(nerve=nerve, dimension=2, edges=edges, triples=triples),
-        lambda: gerbe.GerbeModuleData(nerve, band_order=2, weight=0, rank=1,
-                                      transitions=ones, triples=triples),
+        lambda: transition_data(nerve, edges, triples),
+        lambda: gerbe.GerbeModuleData(gerbe.SampleCover(nerve, graphs, triples), band_order=2,
+                                      weight=0, rank=1, transitions=ones),
     )
 
 
@@ -158,9 +173,10 @@ def test_out_of_range_triple_indices_are_refused_at_construction(entry):
 
 def test_module_keeps_its_own_copy_of_the_transitions():
     phases = np.ones((2, 1, 1), dtype=complex)
-    module = gerbe.GerbeModuleData(
-        cech.Nerve.from_simplices([(0, 1)]), band_order=2, weight=0, rank=1,
-        transitions={(0, 1): phases}, triples={})
+    cover = gerbe.SampleCover(cech.Nerve.from_simplices([(0, 1)]),
+                              {(0, 1): gerbe.EdgeSampleGraph(2)}, {})
+    module = gerbe.GerbeModuleData(cover, band_order=2, weight=0, rank=1,
+                                   transitions={(0, 1): phases})
     phases[0] = -1.0
     assert np.all(module.transitions[(0, 1)] == 1.0)
 
@@ -168,7 +184,7 @@ def test_frozen_samples_and_mappings_reject_writes():
     data = chart_path_data(seed=5)
     graph = data.edges[(0, 1)]
     with pytest.raises(ValueError, match="read-only"):
-        graph.matrices[0] = rot(1.0)
+        data.matrices[(0, 1)][0] = rot(1.0)
     with pytest.raises(TypeError):
         data.edges[(0, 1)] = chain_graph([1.0] * graph.count)
     with pytest.raises(TypeError):
@@ -208,8 +224,7 @@ def test_validate_remembers_a_pass_per_tolerance(monkeypatch):
 def test_validate_does_not_remember_a_failure():
     skew = {e: chain_graph([0.0]) for e in triangle_nerve().simplices[1]}
     skew[(0, 1)] = chain_graph([0.3])
-    data = gerbe.TransitionData(nerve=triangle_nerve(), dimension=2, edges=skew,
-                                triples={(0, 1, 2): [(0, 0, 0)]})
+    data = transition_data(triangle_nerve(), skew, {(0, 1, 2): [(0, 0, 0)]})
     for _ in range(2):
         with pytest.raises(ValueError, match="cocycle"):
             data.validate()
@@ -222,20 +237,16 @@ def test_transition_data_validation():
     nerve = triangle_nerve()
     edges = {e: chain_graph([0.0]) for e in nerve.simplices[1]}
     with pytest.raises(ValueError, match="missing triple"):
-        gerbe.TransitionData(nerve=nerve, dimension=2, edges=edges, triples={})
+        transition_data(nerve, edges, {})
     bad = dict(edges)
-    bad[(0, 1)] = gerbe.EdgeSampleGraph(np.stack([np.diag([2.0, 0.5])]))
-    data = gerbe.TransitionData(
-        nerve=nerve, dimension=2, edges=bad, triples={(0, 1, 2): [(0, 0, 0)]}
-    )
+    bad[(0, 1)] = sampled(np.stack([np.diag([2.0, 0.5])]))
+    data = transition_data(nerve, bad, {(0, 1, 2): [(0, 0, 0)]})
     with pytest.raises(ValueError, match="SO"):
         data.validate()
     # cocycle violation at the triple point
     skew = dict(edges)
     skew[(0, 1)] = chain_graph([0.3])
-    data = gerbe.TransitionData(
-        nerve=nerve, dimension=2, edges=skew, triples={(0, 1, 2): [(0, 0, 0)]}
-    )
+    data = transition_data(nerve, skew, {(0, 1, 2): [(0, 0, 0)]})
     with pytest.raises(ValueError, match="cocycle"):
         data.validate()
 
@@ -267,7 +278,7 @@ def test_lift_matches_samples_everywhere():
     for edge, graph in data.edges.items():
         for idx in range(graph.count):
             proj = SpinElement(2, lifted.unitaries[edge][idx]).adjoint_matrix()
-            assert np.abs(proj - graph.matrices[idx]).max() < 1e-9
+            assert np.abs(proj - data.matrices[edge][idx]).max() < 1e-9
 
 
 @pytest.mark.parametrize("trial", range(10))
@@ -309,14 +320,12 @@ def test_holonomy_error_on_winding_loop():
     steps = 16
     nerve = triangle_nerve()
     loop = [2.0 * math.pi * k / steps for k in range(steps)]
-    cyclic = gerbe.EdgeSampleGraph(
+    cyclic = sampled(
         np.stack([rot(t) for t in loop]),
         adjacency=tuple((k, (k + 1) % steps) for k in range(steps)),
     )
     edges = {(0, 1): cyclic, (0, 2): chain_graph([0.0]), (1, 2): chain_graph([0.0])}
-    data = gerbe.TransitionData(
-        nerve=nerve, dimension=2, edges=edges, triples={(0, 1, 2): [(0, 0, 0)]}
-    )
+    data = transition_data(nerve, edges, {(0, 1, 2): [(0, 0, 0)]})
     with pytest.raises(gerbe.HolonomyError):
         gerbe.lift_transitions(data)
 
@@ -328,11 +337,9 @@ def test_holonomy_error_on_winding_loop_for_any_spanning_tree(seed):
     # a winding cycle with chords, so each seed and basepoint walks its own tree
     adjacency = [(k, (k + 1) % steps) for k in range(steps)]
     adjacency += [(k, k + 2) for k in range(0, steps - 2, 3)]
-    cyclic = gerbe.EdgeSampleGraph(np.stack([rot(t) for t in loop]), adjacency=adjacency)
+    cyclic = sampled(np.stack([rot(t) for t in loop]), adjacency=adjacency)
     edges = {(0, 1): cyclic, (0, 2): chain_graph([0.0]), (1, 2): chain_graph([0.0])}
-    data = gerbe.TransitionData(
-        nerve=triangle_nerve(), dimension=2, edges=edges, triples={(0, 1, 2): [(0, 0, 0)]}
-    )
+    data = transition_data(triangle_nerve(), edges, {(0, 1, 2): [(0, 0, 0)]})
     # breadth-first transport from sample 0 runs both ways round the loop and
     # first fails to close where the two fronts meet, whatever the basepoint;
     # a failure is not remembered, so the second call raises again
@@ -355,10 +362,10 @@ def branching_path_data(samples=13):
     adjacency += [(k, k + 2) for k in range(0, samples - 2, 2)]
     adjacency += [(k + 3, k) for k in range(1, samples - 3, 3)]
     edges = {
-        edge: gerbe.EdgeSampleGraph(graph.matrices, adjacency=adjacency, basepoint=samples // 2)
-        for edge, graph in base.edges.items()
+        edge: sampled(base.matrices[edge], adjacency=adjacency, basepoint=samples // 2)
+        for edge in base.edges
     }
-    return gerbe.TransitionData(nerve=base.nerve, dimension=2, edges=edges, triples=base.triples)
+    return transition_data(base.nerve, edges, base.triples)
 
 
 def test_branching_sample_graphs_relift_to_one_class():
@@ -367,7 +374,7 @@ def test_branching_sample_graphs_relift_to_one_class():
     for edge, graph in data.edges.items():
         for idx in range(graph.count):
             proj = SpinElement(2, lifted.unitaries[edge][idx]).adjoint_matrix()
-            assert np.abs(proj - graph.matrices[idx]).max() < 1e-9
+            assert np.abs(proj - data.matrices[edge][idx]).max() < 1e-9
     rng = np.random.default_rng(900)
     edges = list(data.edges)
     for _ in range(10):
@@ -404,7 +411,7 @@ def test_lift_transitions_lifts_each_overlap_in_one_call_of_its_own(monkeypatch)
     assert len(calls) == len(edges)
     for matrices, edge in zip(calls, edges):
         assert len(matrices) == data.edges[edge].count
-        assert np.array_equal(matrices, data.edges[edge].matrices)
+        assert np.array_equal(matrices, data.matrices[edge])
     assert not hasattr(gerbe, "nearest_lift") and not hasattr(gerbe, "canonical_lift")
 
 
@@ -415,9 +422,7 @@ def test_sparse_sampling_raises_ambiguity():
         (0, 2): chain_graph([0.0]),
         (1, 2): chain_graph([0.0]),
     }
-    data = gerbe.TransitionData(
-        nerve=nerve, dimension=2, edges=edges, triples={(0, 1, 2): [(0, 0, 0)]}
-    )
+    data = transition_data(nerve, edges, {(0, 1, 2): [(0, 0, 0)]})
     with pytest.raises(LiftAmbiguityError, match="resample"):
         gerbe.lift_transitions(data)
 
@@ -429,9 +434,7 @@ def test_ambiguity_in_an_overlap_keeps_type_fields_and_names_the_overlap():
         (0, 2): chain_graph([0.0]),
         (1, 2): chain_graph([0.0]),
     }
-    data = gerbe.TransitionData(
-        nerve=nerve, dimension=2, edges=edges, triples={(0, 1, 2): [(0, 0, 0)]}
-    )
+    data = transition_data(nerve, edges, {(0, 1, 2): [(0, 0, 0)]})
     with pytest.raises(LiftAmbiguityError) as info:
         gerbe.lift_transitions(data)
     err = info.value
@@ -448,11 +451,9 @@ def test_validate_names_the_first_bad_sample(bad):
     mats = np.stack([rot(0.1 * k) for k in range(8)])
     for idx, mat in bad.items():
         mats[idx] = mat
-    edges = {(0, 1): gerbe.EdgeSampleGraph(mats), (0, 2): chain_graph([0.0]),
+    edges = {(0, 1): sampled(mats), (0, 2): chain_graph([0.0]),
              (1, 2): chain_graph([0.0])}
-    data = gerbe.TransitionData(
-        nerve=triangle_nerve(), dimension=2, edges=edges, triples={(0, 1, 2): [(0, 0, 0)]}
-    )
+    data = transition_data(triangle_nerve(), edges, {(0, 1, 2): [(0, 0, 0)]})
     with pytest.raises(ValueError, match=r"sample 5 on overlap \(0, 1\) is not in SO"):
         data.validate()
 
@@ -475,9 +476,9 @@ def test_lifting_the_frame_manifest_builds_no_clifford_elements(monkeypatch):
 # ---------------------------------------------------------------------------
 # the per-overlap spanning-tree walk, kept as the oracle of the stacked pass
 
-def oracle_edge_lifts(edge, graph, base, flip, rng, ambiguity_gap):
+def oracle_edge_lifts(edge, graph, matrices, base, flip, rng, ambiguity_gap):
     """Lifts of one overlap by a seeded depth-first walk from `base`."""
-    canon = canonical_lifts(graph.matrices)
+    canon = canonical_lifts(matrices)
     pairs = np.array(graph.adjacency, dtype=int).reshape(-1, 2)
     try:
         relative = lift_signs(canon[pairs[:, 1]], canon[pairs[:, 0]], ambiguity_gap)
@@ -540,8 +541,8 @@ def oracle_lift_transitions(data, seed=None, sign_flips=None, basepoints=None,
     for edge in sorted(data.edges):
         graph = data.edges[edge]
         base = basepoints.get(edge, graph.basepoint)
-        unitaries[edge] = oracle_edge_lifts(edge, graph, base, edge in sign_flips, rng,
-                                            ambiguity_gap)
+        unitaries[edge] = oracle_edge_lifts(edge, graph, data.matrices[edge], base,
+                                            edge in sign_flips, rng, ambiguity_gap)
     values = gerbe._triple_signs(data, unitaries)
     return unitaries, gerbe.GerbeCocycle(data.nerve, cech.Cochain(2, 2, values))
 
@@ -597,10 +598,10 @@ def test_stacked_lift_matches_the_oracle_on_the_torus_frames():
     # a parallelized torus: identity frame changes on a 2x2 block cover,
     # whose nerve is one filled tetrahedron
     nerve = cech.Nerve.from_simplices([(0, 1, 2, 3)])
-    edges = {edge: gerbe.EdgeSampleGraph(np.broadcast_to(np.eye(2), (8, 2, 2)).copy())
+    edges = {edge: sampled(np.broadcast_to(np.eye(2), (8, 2, 2)).copy())
              for edge in nerve.simplices[1]}
     triples = {tri: ((0, 0, 0),) for tri in nerve.simplices[2]}
-    data = gerbe.TransitionData(nerve=nerve, dimension=2, edges=edges, triples=triples)
+    data = transition_data(nerve, edges, triples)
     assert_lift_matches_oracle(data)
     rng = np.random.default_rng(1320)
     for _ in range(8):
@@ -612,8 +613,7 @@ def test_stacked_lift_matches_the_oracle_on_a_long_chain_based_at_its_far_end():
     # four full turns in small hops: the lift changes sign after each turn
     chain = chain_graph(np.linspace(0.0, 8.0 * math.pi, count), basepoint=count - 1)
     edges = {(0, 1): chain, (0, 2): chain_graph([0.0]), (1, 2): chain_graph([0.0])}
-    data = gerbe.TransitionData(nerve=triangle_nerve(), dimension=2, edges=edges,
-                                triples={(0, 1, 2): [(0, 0, 0), (count - 1, 0, 0)]})
+    data = transition_data(triangle_nerve(), edges, {(0, 1, 2): [(0, 0, 0), (count - 1, 0, 0)]})
     assert_lift_matches_oracle(data)
     assert_lift_matches_oracle(data, sign_flips=[(0, 1)], basepoints={(0, 1): count // 3})
     assert_lift_matches_oracle(data, basepoints={(1, 0): -1})
@@ -623,15 +623,15 @@ def test_stacked_lift_matches_the_oracle_on_a_star_graph():
     rng = np.random.default_rng(1330)
     count, centre = 40, 17
     angles = 2.5 + rng.uniform(-1.0, 1.0, count)
-    star = gerbe.EdgeSampleGraph(
+    star = sampled(
         np.stack([rot(t) for t in angles]),
         adjacency=[(centre, k) if k % 2 else (k, centre) for k in range(count) if k != centre],
     )
     identity = chain_graph([0.0])
-    data = gerbe.TransitionData(
-        nerve=triangle_nerve(), dimension=2,
-        edges={(0, 1): identity, (0, 2): star, (1, 2): chain_graph([angles[0]])},
-        triples={(0, 1, 2): [(0, 0, 0)]},
+    data = transition_data(
+        triangle_nerve(),
+        {(0, 1): identity, (0, 2): star, (1, 2): chain_graph([angles[0]])},
+        {(0, 1, 2): [(0, 0, 0)]},
     )
     assert_lift_matches_oracle(data)
     for _ in range(8):
@@ -640,7 +640,7 @@ def test_stacked_lift_matches_the_oracle_on_a_star_graph():
 
 def test_stacked_lift_of_a_nerve_without_overlaps():
     nerve = cech.Nerve.from_simplices([(0,), (1,)])
-    data = gerbe.TransitionData(nerve=nerve, dimension=2, edges={}, triples={})
+    data = transition_data(nerve, {}, {})
     lifted, cocycle = gerbe.lift_transitions(data, sign_flips=[(0, 1)])
     assert dict(lifted.unitaries) == {}
     assert cocycle.cochain.values == ()
@@ -651,7 +651,7 @@ def winding_cycle(steps=16, chords=False):
     adjacency = [(k, (k + 1) % steps) for k in range(steps)]
     if chords:
         adjacency += [(k, k + 2) for k in range(0, steps - 2, 3)]
-    return gerbe.EdgeSampleGraph(np.stack([rot(t) for t in loop]), adjacency=adjacency)
+    return sampled(np.stack([rot(t) for t in loop]), adjacency=adjacency)
 
 
 @pytest.mark.parametrize("edges", [
@@ -670,9 +670,8 @@ def winding_cycle(steps=16, chords=False):
 def test_stacked_lift_fails_as_the_oracle_does(edges):
     identity = chain_graph([0.0])
     edges = {e: edges.get(e, identity) for e in triangle_nerve().simplices[1]}
-    data = gerbe.TransitionData(nerve=triangle_nerve(), dimension=2, edges=edges,
-                                triples={(0, 1, 2): [(0, 0, 0)]})
-    moved = {e: 1 for e, graph in edges.items() if graph.count > 1}
+    data = transition_data(triangle_nerve(), edges, {(0, 1, 2): [(0, 0, 0)]})
+    moved = {e: 1 for e, (_, graph) in edges.items() if graph.count > 1}
     for seed in (None, 0, 1, 2):
         assert assert_lift_matches_oracle(data, seed=seed) is not None
         assert assert_lift_matches_oracle(data, seed=seed, basepoints=moved) is not None
@@ -728,11 +727,42 @@ def test_canonical_lifts_run_once_per_data_and_gap(monkeypatch):
     assert calls == per_overlap * 2
 
 
+def test_triple_table_runs_once_per_cover(monkeypatch):
+    doc = sphere_frame_manifest()
+    calls = []
+    original = gerbe._triple_table
+
+    def counting_table(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(gerbe, "_triple_table", counting_table)
+    parsed = parse_manifest(doc)
+    report, ok = run_tasks(parsed, seed=7)
+    assert ok and report["randomized_trials"] == 10
+    lifted, _ = gerbe.lift_transitions(parsed.transitions, sign_flips=[(0, 1)])
+    gerbe.spin_module(lifted)
+    assert calls == [parsed.transitions.nerve]
+
+
+def test_two_covers_built_alike_are_equal_and_data_compare_by_identity():
+    first, second = sphere_frame_transitions(), sphere_frame_transitions()
+    assert first.cover is not second.cover and first.cover == second.cover
+    assert first.edges[(0, 1)] == second.edges[(0, 1)]
+    assert first != second and first == first
+    lifted, _ = gerbe.lift_transitions(first)
+    other, _ = gerbe.lift_transitions(second)
+    assert lifted != other
+    sigma, tau = gerbe.spin_module(lifted), gerbe.spin_module(other)
+    assert sigma != tau and sigma == sigma
+    assert gerbe.descend_weight_zero(gerbe.endomorphism_descent(sigma)) != tau
+    assert gerbe.tensor_modules(sigma, tau).cover is first.cover
+
+
 def test_an_ambiguous_lift_raises_on_every_call_and_lifts_with_a_smaller_gap():
     edges = {e: chain_graph([0.0]) for e in triangle_nerve().simplices[1]}
     edges[(0, 1)] = chain_graph([0.0, 0.4, 0.4 + 0.95 * math.pi])
-    data = gerbe.TransitionData(nerve=triangle_nerve(), dimension=2, edges=edges,
-                                triples={(0, 1, 2): [(0, 0, 0)]})
+    data = transition_data(triangle_nerve(), edges, {(0, 1, 2): [(0, 0, 0)]})
     for _ in range(3):
         with pytest.raises(LiftAmbiguityError, match=r"overlap \(0, 1\), samples 1->2"):
             gerbe.lift_transitions(data)
@@ -744,7 +774,7 @@ def test_an_ambiguous_lift_raises_on_every_call_and_lifts_with_a_smaller_gap():
 
 def test_remembered_lifts_and_returned_unitaries_are_read_only_and_unshared():
     names = [f.name for f in dataclasses.fields(gerbe.TransitionData)]
-    assert names == ["nerve", "dimension", "edges", "triples"]
+    assert names == ["cover", "dimension", "matrices"]
     data = chart_path_data(seed=7)
     lifted, _ = gerbe.lift_transitions(data, sign_flips=[(0, 1)])
     relifted, _ = gerbe.lift_transitions(data, basepoints={(0, 2): 3})
@@ -762,8 +792,9 @@ def test_remembered_lifts_and_returned_unitaries_are_read_only_and_unshared():
 
 def test_spanning_tree_takes_no_part_in_equality():
     names = [f.name for f in dataclasses.fields(gerbe.EdgeSampleGraph)]
-    assert names == ["matrices", "adjacency", "basepoint"]
-    graph = chain_graph([0.0, 0.1, 0.2], basepoint=2)
+    assert names == ["count", "adjacency", "basepoint"]
+    _, graph = chain_graph([0.0, 0.1, 0.2], basepoint=2)
+    assert graph == gerbe.EdgeSampleGraph(3, basepoint=2)
     # (child, parent, adjacency position) in breadth-first order from sample 0
     assert graph._tree == ((1, 0, 0), (2, 1, 1))
 
@@ -784,10 +815,70 @@ def test_spin_module_verifies_with_its_cocycle():
     assert check.max_residual < 1e-9
 
 
+def test_spin_module_shares_the_cover_and_the_lift_stacks():
+    data = parse_manifest(sphere_frame_manifest()).transitions
+    lifted, _ = gerbe.lift_transitions(data, sign_flips=[(0, 2)])
+    sigma = gerbe.spin_module(lifted)
+    assert sigma.cover is data.cover
+    assert set(sigma.transitions) == set(lifted.unitaries)
+    for edge, stack in lifted.unitaries.items():
+        assert np.shares_memory(sigma.transitions[edge], stack)
+
+
+def test_identity_module_on_a_cover_keeps_its_weights_and_ranks():
+    cover = identity_triangle_data().cover
+    unit = gerbe.identity_module(cover)
+    assert (unit.cover, unit.band_order, unit.weight, unit.rank) == (cover, 2, 0, 1)
+    wide = gerbe.identity_module(cover, rank=3, weight=5, band_order=4)
+    assert (wide.band_order, wide.weight, wide.rank) == (4, 1, 3)
+    for edge, graph in cover.edges.items():
+        assert np.array_equal(wide.transitions[edge],
+                              np.broadcast_to(np.eye(3), (graph.count, 3, 3)))
+
+
+def two_sample_cover(nerve=None, samples=2, triples=((0, 0, 0),)):
+    nerve = nerve or triangle_nerve()
+    return gerbe.SampleCover(nerve, dict.fromkeys(nerve.simplices[1],
+                                                  gerbe.EdgeSampleGraph(samples)),
+                             {(0, 1, 2): triples})
+
+
+@pytest.mark.parametrize("other", [
+    two_sample_cover(samples=3),  # other sample counts
+    two_sample_cover(triples=((1, 1, 1),)),  # other triples
+    two_sample_cover(cech.Nerve.from_simplices([(0, 1, 2)], vertex_count=4)),  # other nerve
+], ids=["counts", "triples", "nerve"])
+def test_modules_on_different_covers_are_refused(other):
+    mod = gerbe.identity_module(two_sample_cover())
+    assert gerbe.direct_sum(mod, gerbe.identity_module(two_sample_cover())).rank == 2
+    for combine in (gerbe.tensor_modules, gerbe.direct_sum):
+        with pytest.raises(ValueError, match="modules live on different covers"):
+            combine(mod, gerbe.identity_module(other))
+
+
+@pytest.mark.parametrize("build", [
+    lambda cover, stacks: gerbe.TransitionData(cover, 1, stacks),
+    lambda cover, stacks: gerbe.GerbeModuleData(cover, 2, 0, 1, stacks),
+    lambda cover, stacks: gerbe.BundleData(cover, 1, stacks),
+], ids=["TransitionData", "GerbeModuleData", "BundleData"])
+def test_each_data_class_checks_its_stacks_against_the_cover(build):
+    cover = two_sample_cover()
+    ones = {edge: np.ones((2, 1, 1)) for edge in cover.edges}
+    assert build(cover, ones).cover is cover
+    with pytest.raises(ValueError, match=r"on overlap \(0, 2\) have shape \(3, 1, 1\), not "
+                                         r"\(2, 1, 1\): wrong matrix size or sample count"):
+        build(cover, {**ones, (0, 2): np.ones((3, 1, 1))})
+    with pytest.raises(ValueError, match=r"given on overlaps \[\(0, 1\), \(0, 2\)\], not on "
+                                         r"the cover's \[\(0, 1\), \(0, 2\), \(1, 2\)\]"):
+        build(cover, {edge: v for edge, v in ones.items() if edge != (1, 2)})
+    with pytest.raises(ValueError, match=r"given on overlaps \[\(0, 1\), \(0, 2\), \(0, 3\), "):
+        build(cover, {**ones, (0, 3): np.ones((2, 1, 1))})
+
+
 def test_identity_module_verifies_untwisted():
     data = identity_triangle_data()
     _, cocycle = gerbe.lift_transitions(data)
-    mod = gerbe.identity_module(data, rank=2)
+    mod = gerbe.identity_module(data.cover, rank=2)
     assert gerbe.verify_module(mod, cocycle).ok
 
 
@@ -800,17 +891,16 @@ def test_edge_negation_consistency():
     sigma = gerbe.spin_module(lifted)
     assert cocycle.cochain.values == (0,)  # winding sign got cancelled
     assert gerbe.verify_module(sigma, cocycle).ok
-    flat = gerbe.identity_module(data, rank=1)
+    flat = gerbe.identity_module(data.cover, rank=1)
     negated = {
         e: (-arr if e == (0, 1) else arr) for e, arr in flat.transitions.items()
     }
     broken = gerbe.GerbeModuleData(
-        nerve=flat.nerve,
+        cover=flat.cover,
         band_order=2,
         weight=0,
         rank=1,
         transitions=negated,
-        triples=flat.triples,
     )
     assert not gerbe.verify_module(broken, cocycle).ok
 
@@ -818,14 +908,13 @@ def test_edge_negation_consistency():
 def test_verify_requires_definite_weight_and_matching_band():
     data = identity_triangle_data()
     _, cocycle = gerbe.lift_transitions(data)
-    mod = gerbe.identity_module(data, rank=1)
+    mod = gerbe.identity_module(data.cover, rank=1)
     vague = gerbe.GerbeModuleData(
-        nerve=mod.nerve,
+        cover=mod.cover,
         band_order=2,
         weight=None,
         rank=1,
         transitions=mod.transitions,
-        triples=mod.triples,
     )
     with pytest.raises(ValueError, match="weight"):
         gerbe.verify_module(vague, cocycle)
@@ -838,7 +927,7 @@ def test_tensor_weights_add_mod_k():
     assert prod.rank == 4
     assert gerbe.verify_module(prod, cocycle).max_residual < 1e-9
     # tensoring with the trivial rank-1 module changes nothing
-    unit = gerbe.identity_module(sigma, rank=1)
+    unit = gerbe.identity_module(sigma.cover, rank=1)
     same = gerbe.tensor_modules(sigma, unit)
     assert same.weight == sigma.weight
     for edge in sigma.transitions:
@@ -847,7 +936,7 @@ def test_tensor_weights_add_mod_k():
 
 def test_tensor_is_associative_and_weight_commutative():
     _, _, cocycle, sigma = spin_setup()
-    unit2 = gerbe.identity_module(sigma, rank=2)
+    unit2 = gerbe.identity_module(sigma.cover, rank=2)
     left = gerbe.tensor_modules(gerbe.tensor_modules(sigma, unit2), sigma)
     right = gerbe.tensor_modules(sigma, gerbe.tensor_modules(unit2, sigma))
     assert left.weight == right.weight
@@ -868,12 +957,12 @@ def test_tensor_is_associative_and_weight_commutative():
 
 def test_direct_sum_blocks_and_weight_guard():
     data = identity_triangle_data()
-    mod = gerbe.identity_module(data, rank=1)
+    mod = gerbe.identity_module(data.cover, rank=1)
     two = gerbe.direct_sum(mod, mod)
     assert two.rank == 2
     for arr in two.transitions.values():
         assert np.abs(arr - np.eye(2)).max() < 1e-14
-    other = gerbe.identity_module(data, rank=1, weight=1)
+    other = gerbe.identity_module(data.cover, rank=1, weight=1)
     with pytest.raises(ValueError, match="weight"):
         gerbe.direct_sum(mod, other)
 
@@ -887,12 +976,11 @@ def test_chirality_blocks_reassemble_spin_module():
         trans = {e: arr[:, sl, sl] for e, arr in sigma.transitions.items()}
         blocks.append(
             gerbe.GerbeModuleData(
-                nerve=sigma.nerve,
+                cover=sigma.cover,
                 band_order=2,
                 weight=1,
                 rank=1,
                 transitions=trans,
-                triples=sigma.triples,
             )
         )
     for block in blocks:
@@ -916,12 +1004,11 @@ def test_endomorphism_descent_untwists():
         e: (-arr if e == (0, 1) else arr) for e, arr in sigma.transitions.items()
     }
     sigma2 = gerbe.GerbeModuleData(
-        nerve=sigma.nerve,
+        cover=sigma.cover,
         band_order=2,
         weight=1,
         rank=2,
         transitions=flipped,
-        triples=sigma.triples,
     )
     endo2 = gerbe.endomorphism_descent(sigma2)
     for edge in endo.transitions:
@@ -936,9 +1023,10 @@ def test_endomorphism_descent_equals_the_per_sample_kron(rank):
     for edge in nerve.simplices[1]:
         arr = rng.normal(size=(5, rank, rank)) + 1j * rng.normal(size=(5, rank, rank))
         transitions[edge] = np.linalg.qr(arr)[0]
+    cover = gerbe.SampleCover(nerve, dict.fromkeys(nerve.simplices[1], gerbe.EdgeSampleGraph(5)),
+                              {(0, 1, 2): [(0, 0, 0)]})
     module = gerbe.GerbeModuleData(
-        nerve=nerve, band_order=2, weight=1, rank=rank, transitions=transitions,
-        triples={(0, 1, 2): [(0, 0, 0)]},
+        cover=cover, band_order=2, weight=1, rank=rank, transitions=transitions,
     )
     endo = gerbe.endomorphism_descent(module)
     for edge, arr in transitions.items():
@@ -952,9 +1040,10 @@ def test_verify_module_rejects_non_unitary_transitions():
     transitions = {edge: np.broadcast_to(np.eye(2), (3, 2, 2)).copy()
                    for edge in nerve.simplices[1]}
     transitions[(0, 2)][1] *= 1.0 + 1e-6
+    cover = gerbe.SampleCover(nerve, dict.fromkeys(nerve.simplices[1], gerbe.EdgeSampleGraph(3)),
+                              {(0, 1, 2): [(0, 0, 0)]})
     module = gerbe.GerbeModuleData(
-        nerve=nerve, band_order=2, weight=0, rank=2, transitions=transitions,
-        triples={(0, 1, 2): [(0, 0, 0)]},
+        cover=cover, band_order=2, weight=0, rank=2, transitions=transitions,
     )
     with pytest.raises(ValueError,
                        match=r"transitions on \(0, 2\) flagged unitary but are not"):
@@ -965,13 +1054,12 @@ def test_verify_module_rejects_non_unitary_transitions():
 def test_nan_transitions_fail_the_gerbe_checks():
     nerve = triangle_nerve()
     nan = np.full((1, 1, 1), np.nan)
-    data = gerbe.TransitionData(
-        nerve=nerve, dimension=1, triples={(0, 1, 2): [(0, 0, 0)]},
-        edges={e: gerbe.EdgeSampleGraph(nan) for e in nerve.simplices[1]})
+    data = transition_data(nerve, {e: sampled(nan) for e in nerve.simplices[1]},
+                           {(0, 1, 2): [(0, 0, 0)]}, dimension=1)
     with pytest.raises(ValueError, match=r"sample 0 on overlap \(0, 1\) is not in SO\(n\)"):
         data.validate()
     module = gerbe.GerbeModuleData(
-        nerve=nerve, band_order=2, weight=0, rank=1, triples={(0, 1, 2): [(0, 0, 0)]},
+        cover=data.cover, band_order=2, weight=0, rank=1,
         transitions={e: nan for e in nerve.simplices[1]})
     with pytest.raises(ValueError, match=r"transitions on \(0, 1\) flagged unitary but are not"):
         gerbe.verify_module(module, gerbe.zero_gerbe_cocycle(nerve))
@@ -980,12 +1068,11 @@ def test_nan_transitions_fail_the_gerbe_checks():
 def test_rank_one_endomorphisms_trivialize():
     _, _, _, sigma = spin_setup()
     block = gerbe.GerbeModuleData(
-        nerve=sigma.nerve,
+        cover=sigma.cover,
         band_order=2,
         weight=1,
         rank=1,
         transitions={e: arr[:, :1, :1] for e, arr in sigma.transitions.items()},
-        triples=sigma.triples,
     )
     endo = gerbe.endomorphism_descent(block)
     for arr in endo.transitions.values():
@@ -1000,7 +1087,7 @@ def test_descend_rejects_nonzero_weight():
 
 def test_weight_decompose_trivial_actions():
     data = identity_triangle_data()
-    mod = gerbe.identity_module(data, rank=3)
+    mod = gerbe.identity_module(data.cover, rank=3)
     verts = {v for (v,) in data.nerve.simplices[0]}
     parts = gerbe.weight_decompose({v: np.eye(3) for v in verts}, mod)
     assert [(p.weight, p.rank) for p in parts] == [(0, 3)]
@@ -1020,12 +1107,11 @@ def test_weight_decompose_splits_mixed_module():
         block[:, 2, 2] = 1.0
         mixed_trans[edge] = block
     mixed = gerbe.GerbeModuleData(
-        nerve=sigma.nerve,
+        cover=sigma.cover,
         band_order=2,
         weight=None,
         rank=3,
         transitions=mixed_trans,
-        triples=sigma.triples,
     )
     verts = {v for (v,) in data.nerve.simplices[0]}
     action = {v: np.diag([-1.0, -1.0, 1.0]) for v in verts}

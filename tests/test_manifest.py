@@ -32,7 +32,7 @@ def test_decode_matrices_validation():
     entry = next(iter(block["edges"].values()))
     assert all(isinstance(x, float) for x in entry["matrices"][0][0])
     back = transitions_from_block(block, data.nerve)
-    assert all(g.matrices.dtype.kind == "f" for g in back.edges.values())
+    assert all(mats.dtype.kind == "f" for mats in back.matrices.values())
     entry["matrices"] = [1.0, 2.0, 3.0]
     with pytest.raises(ValueError, match=r"shape \(count, n, n\)"):
         transitions_from_block(block, data.nerve)
@@ -99,7 +99,7 @@ def test_transition_block_round_trip():
     assert back.dimension == data.dimension
     for edge, graph in data.edges.items():
         mate = back.edges[edge]
-        assert np.array_equal(graph.matrices, mate.matrices)
+        assert np.array_equal(data.matrices[edge], back.matrices[edge])
         assert graph.adjacency == mate.adjacency
         assert graph.basepoint == mate.basepoint
     assert back.triples == data.triples
@@ -232,6 +232,43 @@ def test_matrix_size_must_match_the_declared_dimension():
     doc["transitions"]["dimension"] += 1
     with pytest.raises(ValueError, match="wrong matrix size"):
         parse_manifest(doc)
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("transitions", "edges", "0-1", "basepoint"), 1.5,
+     r"transitions edge '0-1' basepoint must be an integer, not 1\.5"),
+    (("transitions", "edges", "0-1", "basepoint"), True,
+     "transitions edge '0-1' basepoint must be an integer, not True"),
+    (("transitions", "edges", "0-1", "adjacency", 0), [0, 1.9],
+     r"transitions edge '0-1' adjacency must be an integer, not 1\.9"),
+    (("nerve", "simplices", -1), [0, 1, 2.5],
+     r"nerve block simplices must be an integer, not 2\.5"),
+    (("nerve", "vertex_count"), 3.0, r"nerve block vertex_count must be an integer, not 3\.0"),
+    (("transitions", "dimension"), 2.5,
+     r"transitions block dimension must be an integer, not 2\.5"),
+    (("transitions", "dimension"), "2",
+     "transitions block dimension must be an integer, not '2'"),
+    (("transitions", "triples", "0-1-2", 0), [16.7, 16, 16],
+     r"transitions triple '0-1-2' must be an integer, not 16\.7"),
+    (("tasks",), "lift", "manifest tasks must be a JSON list, not 'lift'"),
+], ids=["basepoint-float", "basepoint-bool", "adjacency-float", "simplex-float",
+        "vertex_count-float", "dimension-float", "dimension-string", "triple-float",
+        "tasks-string"])
+def test_integer_fields_and_the_task_list_are_typed(path, value, message):
+    doc = _shipped_json()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ValueError, match=message):
+        parse_manifest(doc)
+
+
+def test_parsed_manifest_holds_its_nerve_only_on_the_cover():
+    parsed = parse_manifest(_shipped_json())
+    assert not hasattr(parsed, "nerve")
+    assert parsed.transitions.nerve is parsed.transitions.cover.nerve
+    assert parsed.transitions.cover == sphere_frame_transitions().cover
 
 
 def test_build_manifest_rejects_unknown_task():

@@ -146,9 +146,9 @@ def test_frame_data_validates_with_exact_cocycle():
     assert set(data.edges) == {(0, 1), (0, 2), (1, 2)}
     for edge in data.edges:
         assert data.edges[edge].count == 64
-    g_nb = data.edges[(0, 1)].matrices
-    g_bs = data.edges[(1, 2)].matrices
-    g_ns = data.edges[(0, 2)].matrices
+    g_nb = data.matrices[(0, 1)]
+    g_bs = data.matrices[(1, 2)]
+    g_ns = data.matrices[(0, 2)]
     defect = np.einsum("kab,kbc->kac", g_nb, g_bs) - g_ns
     assert np.max(np.abs(defect)) < 1e-12
 
@@ -156,7 +156,7 @@ def test_frame_data_validates_with_exact_cocycle():
 def test_frame_windings():
     data = sphere_frame_transitions()
     for edge, expected in (((0, 2), -2), ((0, 1), -1), ((1, 2), -1)):
-        w = loop_winding(data.edges[edge].matrices)
+        w = loop_winding(data.matrices[edge])
         assert abs(w - expected) < 1e-6
 
 
