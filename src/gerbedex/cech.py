@@ -206,8 +206,14 @@ def coboundary(c, nerve):
 
 
 def is_cocycle(c, nerve):
+    """True when delta c vanishes in c's ring. A q-cochain on a nerve with no
+    (q+1)-simplices is a cocycle, so no product is formed for it; below the
+    top degree its length is still checked against the nerve."""
     if c.degree == nerve.top_degree:
         return True  # no simplices above the top degree
+    if c.degree < nerve.top_degree and not nerve.simplices[c.degree + 1]:
+        _check_match(c, nerve)
+        return True  # delta c has no entries
     d = _delta(c, nerve)
     return not np.count_nonzero(d if c.ring == "Z" else smith.divmod_by(d, c.ring)[1])
 

@@ -101,6 +101,16 @@ def _spin_tables(n):
     return _SpinTables(rep, eye, gamma, _frozen(gamma[:, None] @ gamma[None, :]))
 
 
+@functools.lru_cache(maxsize=None)
+def _givens_tables(n):
+    """The planes (j, i), j < i, in Givens reduction order; (planes, 1, dim,
+    dim) gamma_j gamma_i of each, to broadcast over a stack; the real n x n
+    identity."""
+    planes = tuple((j, i) for j in range(n - 1) for i in range(j + 1, n))
+    js, is_ = np.array(planes, dtype=np.intp).reshape(-1, 2).T
+    return planes, _frozen(_spin_tables(n).pairs[js, is_][:, None]), _frozen(np.eye(n))
+
+
 def _adjoint_matrices(n, unitaries):
     """Rotations R[m] with u_m gamma_k u_m^dagger = sum_l R[m, l, k] gamma_l."""
     gamma = _spin_tables(n).gamma
@@ -176,20 +186,6 @@ def plane_rotation(n, i, j, theta):
     )
 
 
-def _check_special_orthogonal(matrices, tol):
-    mats = np.asarray(matrices, dtype=float)
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-        raise ValueError("rotation matrix must be square")
-    n = mats.shape[1]
-    gram = mats.transpose(0, 2, 1) @ mats - np.eye(n)
-    # written so that a NaN sample fails too
-    if not (np.linalg.norm(gram, axis=(1, 2)) <= tol).all():
-        raise ValueError("matrix is not orthogonal")
-    if (np.linalg.det(mats) < 0).any():
-        raise ValueError("matrix has determinant -1; it does not lift")
-    return mats, n
-
-
 def canonical_lifts(matrices, tol=1e-8):
     """Deterministic lifts of a stack of special orthogonal matrices.
 
@@ -197,36 +193,45 @@ def canonical_lifts(matrices, tol=1e-8):
     of their lifts. Each sample is Givens-reduced to the identity; the planes
     and angles rebuild it as a product of plane rotations, and its lift is the
     product of their lifts. One plane is reduced for all samples at once, with
-    angle 0 where a sample's entry is already clear. Every check raises on
-    the first failing sample: orthogonality and determinant, the
-    diagonalization, the flip parity, and the 1e-6 adjoint residual of the
-    normalized lift. The overall sign is a fixed function of the matrix (it
-    has the usual jump discontinuities, which lift_signs exists to smooth
-    over).
+    angle 0 where a sample's entry is already clear; the plane lifts are then
+    formed in one broadcast and multiplied in plane order. Every check raises
+    on the first failing sample, and a NaN sample fails them: orthogonality
+    and determinant, the diagonalization, the flip parity, and the 1e-6
+    adjoint residual of the normalized lift (the norms are compared squared).
+    The overall sign is a fixed function of the matrix (it has the usual jump
+    discontinuities, which lift_signs exists to smooth over).
     """
-    mats, n = _check_special_orthogonal(matrices, tol)
+    mats = np.asarray(matrices, dtype=float)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValueError("rotation matrix must be square")
+    n = mats.shape[1]
     tables = _spin_tables(n)
+    planes, plane_pairs, eye = _givens_tables(n)
+    gram = mats.transpose(0, 2, 1) @ mats - eye
+    # squared Frobenius norms, written so that a NaN sample fails too
+    if not (np.einsum("kab,kab->k", gram, gram) <= tol * tol).all():
+        raise ValueError("matrix is not orthogonal")
+    if (np.linalg.det(mats) < 0).any():
+        raise ValueError("matrix has determinant -1; it does not lift")
     count = mats.shape[0]
     rows = list(mats.transpose(1, 0, 2))  # rows[k] is row k of every sample
-    planes = [(j, i) for j in range(n - 1) for i in range(j + 1, n)]
-    angles = np.zeros((len(planes), count))
+    angles = np.empty((len(planes), count, 1))  # one column, to scale whole rows
     for phi, (j, i) in zip(angles, planes):
-        w_ij, w_jj = rows[i][:, j], rows[j][:, j]
+        w_ij, w_jj = rows[i][:, j:j + 1], rows[j][:, j:j + 1]
         np.arctan2(-w_ij, w_jj, out=phi)
-        phi[(np.abs(w_ij) < 1e-15) & (w_jj > 0)] = 0.0
-        c, s = np.cos(phi)[:, None], np.sin(phi)[:, None]
+        np.copyto(phi, 0.0, where=(np.abs(w_ij) < 1e-15) & (w_jj > 0))
+        c, s = np.cos(phi), np.sin(phi)
         rows[j], rows[i] = c * rows[j] - s * rows[i], s * rows[j] + c * rows[i]
-    work = np.stack(rows, axis=1)
-    # the lift of the rotation by -phi in plane (j, i), one plane at a time
-    half = (0.5 * -angles)[..., None, None]
-    cos_half, sin_half = np.cos(half), np.sin(half)
-    lifts = np.broadcast_to(tables.eye, (count,) + tables.eye.shape)
-    for p, (j, i) in enumerate(planes):
-        lifts = lifts @ (cos_half[p] * tables.eye + sin_half[p] * tables.pairs[j, i])
+    work = np.array(rows).transpose(1, 0, 2)
+    # the lifts of the rotations by -phi in plane (j, i), multiplied in plane order
+    half = (0.5 * -angles)[..., None]
+    factors = np.cos(half) * tables.eye + np.sin(half) * plane_pairs
+    lifts = tables.eye[None].repeat(count, axis=0)
+    for factor in factors:
+        lifts = lifts @ factor
     diag = np.diagonal(work, axis1=1, axis2=2)
-    off = work.copy()
-    off[:, np.arange(n), np.arange(n)] -= np.round(diag)
-    if (np.linalg.norm(off, axis=(1, 2)) > max(tol, 1e-7) * n).any():
+    off = work - np.round(diag)[:, :, None] * eye
+    if not (np.einsum("kab,kab->k", off, off) <= (max(tol, 1e-7) * n) ** 2).all():
         raise ValueError("Givens reduction failed to diagonalize; input too far from SO(n)")
     # Each reduction step leaves w_jj >= 0, so only the last diagonal entry
     # can be negative: a sign flip is always odd, and there are no flip pairs
@@ -235,10 +240,12 @@ def canonical_lifts(matrices, tol=1e-8):
         raise ValueError("odd number of sign flips; determinant is not +1")
     scale = np.einsum("kab,kab->k", lifts.conj(), lifts).real / tables.rep.dim
     lifts = lifts / np.sqrt(scale)[:, None, None]
-    residual = np.linalg.norm(_adjoint_matrices(n, lifts) - mats, axis=(1, 2))
-    bad = np.flatnonzero(residual > 1e-6)
-    if bad.size:
-        raise ValueError(f"lift verification failed (residual {residual[bad[0]]:.3e})")
+    residual = _adjoint_matrices(n, lifts) - mats
+    squares = np.einsum("kab,kab->k", residual, residual)
+    bad = ~(squares <= 1e-12)
+    if bad.any():
+        raise ValueError("lift verification failed "
+                         f"(residual {math.sqrt(squares[bad.argmax()]):.3e})")
     return lifts
 
 

@@ -16,6 +16,7 @@ weight-zero ones to plain bundle data.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import attrgetter
@@ -60,6 +61,14 @@ def _edge_key(key):
                          "transition by its ordered edge (the transition on (b, a) "
                          "is the inverse of the one on (a, b))")
     return (a, b)
+
+
+def _sample_index(value, where):
+    """`value` as an int; a bool or a non-integer (1.5, "2") is refused, not
+    truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{where} must be an integer, not {value!r}")
+    return int(value)
 
 
 def _triple_table(nerve, triples, edges):
@@ -123,7 +132,9 @@ class EdgeSampleGraph:
         for i, j in adj:
             if not (0 <= i < count and 0 <= j < count and i != j):
                 raise ValueError(f"bad adjacency pair ({i}, {j})")
-        if not 0 <= self.basepoint < count:
+        basepoint = _sample_index(self.basepoint, "sample graph basepoint")
+        object.__setattr__(self, "basepoint", basepoint)
+        if not 0 <= basepoint < count:
             raise ValueError("basepoint out of range")
         seen, order, tree = {0}, [0], []
         neighbours = self.neighbour_table()
@@ -179,12 +190,23 @@ class SampleCover:
         return edges, _frozen(np.concatenate([[0], np.cumsum(counts, dtype=np.intp)]))
 
 
+def _immutable(arr):
+    """True when `arr` is an array that, like every array it views, is
+    read-only, the last of them owning its memory."""
+    while arr is not None:
+        if not isinstance(arr, np.ndarray) or arr.flags.writeable:
+            return False
+        arr = arr.base
+    return True
+
+
 class _OnCover:
     """Sampled data on a SampleCover, whose nerve, graphs and triples it reads.
 
     Field _STACKS = (field, size field, dtype) holds a read-only (count, size,
-    size) stack per overlap. A stack that is read-only and of that dtype is
-    kept as it is; any other is copied, so writes to the input do not reach it.
+    size) stack per overlap. A stack of that dtype that is read-only, and
+    views only read-only arrays, is kept as it is; any other is copied, so
+    writes to the input do not reach it.
     """
 
     _STACKS = ("transitions", "rank", complex)
@@ -202,7 +224,7 @@ class _OnCover:
         stacks = {}
         for edge, graph in self.edges.items():
             arr = given[edge]
-            if not isinstance(arr, np.ndarray) or arr.dtype != dtype or arr.flags.writeable:
+            if not _immutable(arr) or arr.dtype != dtype:
                 arr = _frozen(np.array(arr, dtype=dtype))
             if arr.shape != (graph.count, size, size):
                 raise ValueError(f"{name} on overlap {edge} have shape {arr.shape}, not "
@@ -260,10 +282,19 @@ class TransitionData(_OnCover):
 
 @dataclass(frozen=True, eq=False)
 class LiftedTransitionData:
-    """TransitionData plus the spinor unitary of a lift of every sample."""
+    """TransitionData plus the spinor unitary of a lift of every sample.
+
+    A lift made by lift_transitions also keeps the read-only triple products
+    it read its cocycle from (_products: simplex -> stacked g_ab g_bc g_ac^-1,
+    not a field), so its spin module need not form them again; data built
+    any other way has none.
+    """
 
     data: TransitionData
     unitaries: dict  # edge -> (count, dim, dim) array, one lift per sample
+
+    def __post_init__(self):
+        object.__setattr__(self, "_products", None)
 
 
 @dataclass(frozen=True)
@@ -299,10 +330,14 @@ def zero_gerbe_cocycle(nerve, band_order=2):
     return GerbeCocycle(nerve, cech.zero_cochain(nerve, 2, ring=band_order))
 
 
-def _triple_signs(data, unitaries):
-    """Sign defect (0 or 1) of the lifted triple products on each 2-simplex."""
+def _triple_signs(data, unitaries, products=None):
+    """Sign defect (0 or 1) of the lifted triple products on each 2-simplex;
+    `products` ({simplex: stacked products} in nerve order), when given, are
+    those of `unitaries`, already formed."""
+    if products is None:
+        products = dict(_triangle_products(data.nerve, unitaries, data.triples))
     values = []
-    for simplex, prods in _triangle_products(data.nerve, unitaries, data.triples):
+    for simplex, prods in products.items():
         dim = prods.shape[-1]
         scalars = np.trace(prods, axis1=1, axis2=2).real / dim
         defects = np.linalg.norm(prods - np.round(scalars)[:, None, None] * np.eye(dim),
@@ -321,6 +356,7 @@ def _triple_signs(data, unitaries):
 
 
 def _base_index(edge, base, count):
+    base = _sample_index(base, f"basepoint of overlap {edge}")
     if not -count <= base < count:
         raise IndexError(f"basepoint {base} out of range for overlap {edge} "
                          f"with {count} samples")
@@ -384,7 +420,7 @@ def lift_transitions(data, seed=None, sign_flips=None, basepoints=None, ambiguit
     canonical lift; both change the cocycle at most by a coboundary, which
     tests rely on, and either may name an edge in either order. seed is
     accepted and ignored: the signs do not depend on the tree. The returned
-    unitaries are read-only.
+    unitaries, and the triple products kept for spin_module, are read-only.
     """
     del seed
     canon, parity = _tree_lifts(data, ambiguity_gap)
@@ -403,8 +439,13 @@ def lift_transitions(data, seed=None, sign_flips=None, basepoints=None, ambiguit
     signs = np.where(parity ^ np.repeat(edge_negative, counts), -1.0, 1.0)
     lifts = _frozen(signs[:, None, None] * canon)
     unitaries = {edge: lifts[offsets[k]:offsets[k + 1]] for k, edge in enumerate(edges)}
-    cocycle = GerbeCocycle(data.nerve, cech.Cochain(2, 2, _triple_signs(data, unitaries)))
-    return LiftedTransitionData(data=data, unitaries=MappingProxyType(unitaries)), cocycle
+    products = MappingProxyType({simplex: _frozen(prods) for simplex, prods
+                                 in _triangle_products(data.nerve, unitaries, data.triples)})
+    cocycle = GerbeCocycle(data.nerve,
+                           cech.Cochain(2, 2, _triple_signs(data, unitaries, products)))
+    lifted = LiftedTransitionData(data=data, unitaries=MappingProxyType(unitaries))
+    object.__setattr__(lifted, "_products", products)
+    return lifted, cocycle
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,6 +457,8 @@ class GerbeModuleData(_OnCover):
     zeta = exp(2 pi i / band_order). weight None marks a module that has not
     been split into weight-homogeneous summands yet. Transitions are unitary
     (verify_module checks it), so a transition's inverse is its adjoint.
+    A spin module also keeps its lift's triple products (_products, not a
+    field, so dataclasses.replace drops them); any other module has none.
     """
 
     cover: SampleCover
@@ -430,6 +473,7 @@ class GerbeModuleData(_OnCover):
         super().__post_init__()
         if self.weight is not None:
             object.__setattr__(self, "weight", int(self.weight) % self.band_order)
+        object.__setattr__(self, "_products", None)
 
 
 @dataclass(frozen=True)
@@ -443,7 +487,15 @@ class ModuleCheck:
 
 
 def verify_module(module, cocycle, tol=1e-9):
-    """Twisted cocycle check at every designated triple; returns the report."""
+    """Twisted cocycle check at every designated triple; returns the report.
+
+    Transitions are checked unitary first, and the triple products formed
+    from them, except on a spin module: its transitions are the read-only
+    spinor lifts of a lift_transitions call, unitary by construction, and
+    its products are the ones that call read the cocycle from. A module
+    built directly, by tensor_modules or direct_sum, or by
+    dataclasses.replace gets both.
+    """
     if module.weight is None:
         raise ValueError("module has no definite weight; decompose it first")
     if module.nerve is not cocycle.nerve and module.nerve != cocycle.nerve:
@@ -453,11 +505,14 @@ def verify_module(module, cocycle, tol=1e-9):
     zeta = np.exp(2j * np.pi / module.band_order)
     eye = np.eye(module.rank)
     worst, worst_simplex = 0.0, None
-    for edge, arr in module.transitions.items():
-        defect = np.abs(arr @ arr.conj().transpose(0, 2, 1) - eye).max()
-        if not defect <= max(tol, 1e-8):
-            raise ValueError(f"transitions on {edge} flagged unitary but are not")
-    for simplex, prods in _triangle_products(module.nerve, module.transitions, module.triples):
+    products = module._products
+    if products is None:
+        for edge, arr in module.transitions.items():
+            defect = np.abs(arr @ arr.conj().transpose(0, 2, 1) - eye).max()
+            if not defect <= max(tol, 1e-8):
+                raise ValueError(f"transitions on {edge} flagged unitary but are not")
+        products = dict(_triangle_products(module.nerve, module.transitions, module.triples))
+    for simplex, prods in products.items():
         phase = zeta ** (module.weight * cocycle.value_on(simplex))
         resid = np.abs(prods - phase * eye).max()
         if resid > worst:
@@ -595,13 +650,17 @@ def spin_module(lifted, band_order=2):
     """The modules of the lift itself: spinor matrices of every edge lift.
 
     Weight 1: negating an edge lift negates its matrices, so the triple
-    products reproduce exactly the sign cocycle of the lift.
+    products reproduce exactly the sign cocycle of the lift. The module's
+    transitions are the lift's read-only stacks, and it keeps the lift's
+    triple products, so verify_module forms none of them again.
     """
     data = lifted.data
     if data.dimension % 2:
         raise ValueError("spinor matrices implemented for even fiber dimension only")
-    return GerbeModuleData(cover=data.cover, band_order=band_order, weight=1,
-                           rank=spinor_rep(data.dimension).dim, transitions=lifted.unitaries)
+    module = GerbeModuleData(cover=data.cover, band_order=band_order, weight=1,
+                             rank=spinor_rep(data.dimension).dim, transitions=lifted.unitaries)
+    object.__setattr__(module, "_products", lifted._products)
+    return module
 
 
 def identity_module(cover, rank=1, weight=0, band_order=2):

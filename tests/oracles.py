@@ -11,6 +11,8 @@ The Clifford algebra in blade coefficients (`CliffordElement`, with
 oracle for `gerbedex.clifford`, which stores spin elements only as spinor
 unitaries: `spin_element` is the checked constructor of a `SpinElement` from
 blade coefficients, and `element_of` projects one back onto the even blades.
+`stacked_canonical_lifts` is the stacked Givens lift that multiplies its
+plane lifts one at a time, kept as the byte-level oracle of the broadcast one.
 
 `descent_residual` is the whole-grid descent check: it evaluates and
 differentiates each transition on all of chart a's grid on every call, where
@@ -29,7 +31,7 @@ import math
 import numpy as np
 
 from gerbedex import cech, smith
-from gerbedex.clifford import SpinElement, _spin_tables, spinor_rep
+from gerbedex.clifford import SpinElement, _adjoint_matrices, _spin_tables, spinor_rep
 from gerbedex.geometry import FormField, composite_gauss_legendre
 
 
@@ -348,6 +350,76 @@ def element_of(g):
             mat = functools.reduce(np.matmul, (rep.gamma[i] for i in blade), eye)
             coeffs[blade] = np.vdot(mat, u).real / rep.dim
     return CliffordElement(n, coeffs)
+
+
+def _stacked_check_special_orthogonal(matrices, tol):
+    mats = np.asarray(matrices, dtype=float)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValueError("rotation matrix must be square")
+    n = mats.shape[1]
+    gram = mats.transpose(0, 2, 1) @ mats - np.eye(n)
+    # written so that a NaN sample fails too
+    if not (np.linalg.norm(gram, axis=(1, 2)) <= tol).all():
+        raise ValueError("matrix is not orthogonal")
+    if (np.linalg.det(mats) < 0).any():
+        raise ValueError("matrix has determinant -1; it does not lift")
+    return mats, n
+
+
+def stacked_canonical_lifts(matrices, tol=1e-8):
+    """Deterministic lifts of a stack of special orthogonal matrices, one
+    plane lift at a time: `gerbedex.clifford.canonical_lifts` as it was
+    before it formed every plane lift in one broadcast; the lifts must agree
+    byte for byte.
+
+    Takes (m, n, n) rotations and returns the (m, dim, dim) spinor unitaries
+    of their lifts. Each sample is Givens-reduced to the identity; the planes
+    and angles rebuild it as a product of plane rotations, and its lift is the
+    product of their lifts. One plane is reduced for all samples at once, with
+    angle 0 where a sample's entry is already clear. Every check raises on
+    the first failing sample: orthogonality and determinant, the
+    diagonalization, the flip parity, and the 1e-6 adjoint residual of the
+    normalized lift. The overall sign is a fixed function of the matrix (it
+    has the usual jump discontinuities, which lift_signs exists to smooth
+    over).
+    """
+    mats, n = _stacked_check_special_orthogonal(matrices, tol)
+    tables = _spin_tables(n)
+    count = mats.shape[0]
+    rows = list(mats.transpose(1, 0, 2))  # rows[k] is row k of every sample
+    planes = [(j, i) for j in range(n - 1) for i in range(j + 1, n)]
+    angles = np.zeros((len(planes), count))
+    for phi, (j, i) in zip(angles, planes):
+        w_ij, w_jj = rows[i][:, j], rows[j][:, j]
+        np.arctan2(-w_ij, w_jj, out=phi)
+        phi[(np.abs(w_ij) < 1e-15) & (w_jj > 0)] = 0.0
+        c, s = np.cos(phi)[:, None], np.sin(phi)[:, None]
+        rows[j], rows[i] = c * rows[j] - s * rows[i], s * rows[j] + c * rows[i]
+    work = np.stack(rows, axis=1)
+    # the lift of the rotation by -phi in plane (j, i), one plane at a time
+    half = (0.5 * -angles)[..., None, None]
+    cos_half, sin_half = np.cos(half), np.sin(half)
+    lifts = np.broadcast_to(tables.eye, (count,) + tables.eye.shape)
+    for p, (j, i) in enumerate(planes):
+        lifts = lifts @ (cos_half[p] * tables.eye + sin_half[p] * tables.pairs[j, i])
+    diag = np.diagonal(work, axis1=1, axis2=2)
+    off = work.copy()
+    off[:, np.arange(n), np.arange(n)] -= np.round(diag)
+    if (np.linalg.norm(off, axis=(1, 2)) > max(tol, 1e-7) * n).any():
+        raise ValueError("Givens reduction failed to diagonalize; input too far from SO(n)")
+    # Each reduction step leaves w_jj >= 0, so only the last diagonal entry
+    # can be negative: a sign flip is always odd, and there are no flip pairs
+    # to lift as rotations by pi.
+    if ((diag < 0).sum(axis=1) % 2).any():
+        raise ValueError("odd number of sign flips; determinant is not +1")
+    scale = np.einsum("kab,kab->k", lifts.conj(), lifts).real / tables.rep.dim
+    lifts = lifts / np.sqrt(scale)[:, None, None]
+    residual = np.linalg.norm(_adjoint_matrices(n, lifts) - mats, axis=(1, 2))
+    bad = np.flatnonzero(residual > 1e-6)
+    if bad.size:
+        raise ValueError(f"lift verification failed (residual {residual[bad[0]]:.3e})")
+    return lifts
+
 
 
 # ------------------------------------------------------------------ geometry

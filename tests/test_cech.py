@@ -227,6 +227,23 @@ def test_cochain_mismatch_rejected():
         cech.coboundary(bad, nerve)
 
 
+def test_is_cocycle_forms_no_product_without_simplices_above(monkeypatch):
+    # one filled triangle: its top degree is 3, but it has no 3-simplices
+    nerve = cech.Nerve.from_simplices([(0, 1, 2)])
+    assert nerve.top_degree == 3 and not nerve.simplices[3]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("smith.dot called")
+
+    monkeypatch.setattr(smith, "dot", forbidden)
+    for ring in ("Z", 2, 5):
+        assert cech.is_cocycle(cech.Cochain(2, ring, (1,)), nerve)
+    with pytest.raises(ValueError, match="mismatch"):
+        cech.is_cocycle(cech.Cochain(2, 2, (1, 0)), nerve)
+    with pytest.raises(AssertionError, match="smith.dot called"):
+        cech.is_cocycle(cech.Cochain(1, 2, (1, 0, 0)), nerve)
+
+
 @pytest.mark.parametrize("trial", range(15))
 def test_delta_squared_is_zero(trial):
     rng = np.random.default_rng(3000 + trial)

@@ -10,6 +10,7 @@ from oracles import (
     element_of,
     represent,
     spin_element,
+    stacked_canonical_lifts,
 )
 from gerbedex.clifford import (
     CliffordModuleFiber,
@@ -367,6 +368,30 @@ def test_canonical_lifts_match_the_per_matrix_oracle(n):
         g = SpinElement(n, u)
         assert np.abs(g.adjoint_matrix() - m).max() < 1e-12
     assert np.array_equal(canonical_lift(mats[0]).matrix(), canonical_lifts(mats[:1])[0])
+
+
+def assert_lifts_match_the_stacked_oracle(mats):
+    lifts = canonical_lifts(mats)
+    oracle = stacked_canonical_lifts(mats)
+    assert lifts.shape == oracle.shape
+    assert lifts.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_canonical_lifts_are_byte_equal_to_the_stacked_oracle(n):
+    rng = np.random.default_rng(8600 + n)
+    assert_lifts_match_the_stacked_oracle(lift_samples(rng, n))
+    for count in (1, 5, 64):
+        assert_lifts_match_the_stacked_oracle(
+            np.stack([random_rotation(rng, n) for _ in range(count)]))
+
+
+def test_canonical_lifts_of_the_sphere_frames_are_byte_equal_to_the_stacked_oracle():
+    from gerbedex.manifest import parse_manifest, sphere_frame_manifest
+
+    data = parse_manifest(sphere_frame_manifest()).transitions
+    for stack in data.matrices.values():
+        assert_lifts_match_the_stacked_oracle(stack)
 
 
 def good_rotation_stack(n=3, count=5):

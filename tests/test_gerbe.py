@@ -825,6 +825,87 @@ def test_spin_module_shares_the_cover_and_the_lift_stacks():
         assert np.shares_memory(sigma.transitions[edge], stack)
 
 
+def test_triple_products_are_formed_once_per_lift_spin_module_and_check(monkeypatch):
+    data = parse_manifest(sphere_frame_manifest()).transitions
+    gerbe.lift_transitions(data)  # validation and tree lifts are remembered
+    calls = []
+    formed = gerbe._triangle_products
+
+    def counting_products(*args):
+        calls.append(args)
+        return formed(*args)
+
+    monkeypatch.setattr(gerbe, "_triangle_products", counting_products)
+    lifted, cocycle = gerbe.lift_transitions(data, sign_flips=[(0, 2)])
+    assert gerbe.verify_module(gerbe.spin_module(lifted), cocycle).ok
+    assert len(calls) == 1
+
+
+def test_spin_module_check_equals_the_full_check_of_copied_stacks():
+    data = parse_manifest(sphere_frame_manifest()).transitions
+    rng = np.random.default_rng(3100)
+    for _ in range(5):
+        lifted, cocycle = gerbe.lift_transitions(data, **random_relift_options(rng, data))
+        sigma = gerbe.spin_module(lifted)
+        copied = gerbe.GerbeModuleData(
+            cover=data.cover, band_order=2, weight=1, rank=sigma.rank,
+            transitions={e: arr.copy() for e, arr in lifted.unitaries.items()})
+        assert sigma._products is lifted._products and copied._products is None
+        flipped = gerbe.GerbeCocycle(data.nerve, cech.Cochain(
+            2, 2, tuple(1 - v for v in cocycle.cochain.values)))
+        for against in (cocycle, flipped):
+            check = gerbe.verify_module(sigma, against)
+            assert check == gerbe.verify_module(copied, against)
+        assert check.max_residual > 1.0 and not check.ok
+
+
+def test_modules_made_from_a_spin_module_are_checked_in_full():
+    _, _, cocycle, sigma = spin_setup()
+    bent = {e: arr * (1.0 + 1e-6) for e, arr in sigma.transitions.items()}
+    with pytest.raises(ValueError, match="flagged unitary but are not"):
+        gerbe.verify_module(dataclasses.replace(sigma, transitions=bent), cocycle)
+    assert gerbe.tensor_modules(sigma, sigma)._products is None
+    assert gerbe.direct_sum(sigma, sigma)._products is None
+
+
+def test_a_read_only_view_of_a_writable_stack_is_copied():
+    source = parse_manifest(sphere_frame_manifest()).transitions
+    bases, views = {}, {}
+    for edge, stack in source.matrices.items():
+        bases[edge] = stack.copy()
+        views[edge] = bases[edge].view()
+        views[edge].flags.writeable = False
+    data = gerbe.TransitionData(source.cover, source.dimension, views).validate()
+    bases[(0, 1)][5] = np.diag([1.0, -1.0])
+    assert np.array_equal(data.matrices[(0, 1)], source.matrices[(0, 1)])
+    data._check(1e-10)
+
+
+@pytest.mark.parametrize("entry,value,message", [
+    ("graph", 1.5, r"sample graph basepoint must be an integer, not 1\.5"),
+    ("graph", True, "sample graph basepoint must be an integer, not True"),
+    ("lift", 1.7, r"basepoint of overlap \(0, 1\) must be an integer, not 1\.7"),
+    ("lift", True, r"basepoint of overlap \(0, 1\) must be an integer, not True"),
+])
+def test_a_non_integer_basepoint_is_refused(entry, value, message):
+    data = parse_manifest(sphere_frame_manifest()).transitions
+    with pytest.raises(ValueError, match=message):
+        if entry == "graph":
+            gerbe.EdgeSampleGraph(64, basepoint=value)
+        else:
+            gerbe.lift_transitions(data, basepoints={(1, 0): value})
+
+
+def test_a_numpy_integer_basepoint_is_accepted():
+    graph = gerbe.EdgeSampleGraph(64, basepoint=np.int64(3))
+    assert graph.basepoint == 3 and type(graph.basepoint) is int
+    data = parse_manifest(sphere_frame_manifest()).transitions
+    plain, _ = gerbe.lift_transitions(data, basepoints={(0, 1): 1})
+    numpy, _ = gerbe.lift_transitions(data, basepoints={(0, 1): np.int32(1)})
+    for edge, stack in plain.unitaries.items():
+        assert np.array_equal(numpy.unitaries[edge], stack)
+
+
 def test_identity_module_on_a_cover_keeps_its_weights_and_ranks():
     cover = identity_triangle_data().cover
     unit = gerbe.identity_module(cover)
