@@ -1,17 +1,18 @@
 """Spectral side of the index pairing: lattice torus and closed-form sphere.
 
 The torus side holds a Wilson-regularized lattice Dirac operator on a
-uniform-flux U(1) background as a band stencil of per-site couplings,
-and reads the index off the spectral asymmetry of its Hermitian form as
-an inertia count over lattice-column blocks built from that stencil one
-at a time, in O(N^2) memory; the dense operator is built only as a test
-oracle.  The sphere side enumerates the exact
-spectrum of the charged Dirac operator on the round sphere, whose kernel
-is chiral and carries the index directly.
+U(1) background as a band stencil of per-site couplings, and reads the
+index off the spectral asymmetry of its Hermitian form as an inertia
+count over a periodic chain of blocks built from that stencil one at a
+time, in O(N^2) memory: half columns of N sites at Wilson parameter 1,
+where the x-hop splits each column into its sigma1 = -1 and +1 halves,
+and whole columns otherwise.  The dense operator is built only as a
+test oracle.  The sphere side enumerates the exact spectrum of the
+charged Dirac operator on the round sphere, whose kernel is chiral and
+carries the index directly.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -27,7 +28,7 @@ _SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 # asymmetry reports -flux, so the linking sign is -1.
 CHIRALITY_SIGN = -1
 
-# Eigen-directions of a column front with |lambda| at most this fraction of
+# Eigen-directions of a chain front with |lambda| at most this fraction of
 # the operator scale are delayed into the next front rather than pivoted
 # on, which bounds the growth of each Schur update by 1 / PIVOT_TOL.
 PIVOT_TOL = 1e-2
@@ -54,11 +55,12 @@ class NearZeroModeError(ValueError):
 
 @dataclass(frozen=True)
 class LatticeGauge:
-    """U(1) link variables on a periodic square lattice with uniform flux.
+    """U(1) link variables on a periodic square lattice with a declared flux.
 
     `links_x[nx, ny]` sits on the bond from (nx, ny) to (nx+1, ny), and
     `links_y` likewise in the second direction.  The plaquette phases must
-    accumulate to 2 pi flux over the whole torus.
+    accumulate to 2 pi flux over the whole torus.  The links are stored as
+    read-only complex copies, so a validated gauge cannot change later.
     """
 
     size: int
@@ -68,9 +70,10 @@ class LatticeGauge:
 
     def __post_init__(self):
         n = int(self.size)
-        for name, links in (("links_x", self.links_x),
-                            ("links_y", self.links_y)):
-            arr = np.asarray(links)
+        for name in ("links_x", "links_y"):
+            arr = np.array(getattr(self, name), dtype=complex)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
             if arr.shape != (n, n):
                 raise ValueError(f"{name} must have shape ({n}, {n})")
             if not np.abs(np.abs(arr) - 1.0).max() <= 1e-12:
@@ -82,7 +85,7 @@ class LatticeGauge:
 
     def plaquette_phases(self):
         """Oriented product U_x(n) U_y(n+x) U_x(n+y)* U_y(n)* per site."""
-        ux, uy = np.asarray(self.links_x), np.asarray(self.links_y)
+        ux, uy = self.links_x, self.links_y
         return (ux * np.roll(uy, -1, axis=0)
                 * np.conj(np.roll(ux, -1, axis=1)) * np.conj(uy))
 
@@ -168,37 +171,6 @@ class _Stencil:
         return len(self.up)
 
 
-@lru_cache(maxsize=None)
-def _site_blocks(n, row_step=0, col_step=0):
-    """Index arrays of the 2 x 2 blocks (y + row_step, y + col_step), y =
-    0..n-1, of a 2N x 2N column block, whose entries are ordered
-    site-major in y with the two spin components innermost."""
-    y = np.arange(n)[:, None, None]
-    spin = np.arange(2)
-    rows = 2 * ((y + row_step) % n) + spin[:, None]
-    cols = 2 * ((y + col_step) % n) + spin
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
-
-
-def _site_diagonal(couplings):
-    """The 2N x 2N block holding per-site 2 x 2 couplings on its diagonal."""
-    block = np.zeros((2 * len(couplings),) * 2, dtype=complex)
-    block[_site_blocks(len(couplings))] = couplings
-    return block
-
-
-def _column_block(stencil, x, shift=0.0):
-    """The diagonal block H[x, x] - shift of lattice column x."""
-    n = stencil.size
-    block = _site_diagonal(np.broadcast_to(stencil.mass - shift * np.eye(2),
-                                           (n, 2, 2)))
-    block[_site_blocks(n, 0, 1)] = stencil.up[x]
-    block[_site_blocks(n, 1, 0)] = stencil.down[x]
-    return block
-
-
 def _hermitian_blocks(gauge, wilson_r, bare_mass):
     """The stencil of chirality times the Wilson operator, and its scale.
 
@@ -235,59 +207,125 @@ def wilson_dirac(gauge, wilson_r=1.0, bare_mass=1.0):
     """Assemble the dense Wilson operator on the given background.
 
     Scatters the couplings of the stencil (see `_Stencil`) into one
-    2N^2 x 2N^2 matrix.  The index never builds it; it is kept as the
-    reference the column-block inertia count is tested against.
+    2N^2 x 2N^2 matrix, ordered site-major.  The index never builds it; it
+    is kept as the reference the chain inertia count is tested against.
     """
     stencil = _hermitian_blocks(gauge, wilson_r, bare_mass)
     n = gauge.size
-    width = 2 * n
-    form = np.zeros((n * width, n * width), dtype=complex)
-    grid = form.reshape(n, width, n, width)
-    for x in range(n):
-        nxt = (x + 1) % n
-        grid[x, :, x, :] = _column_block(stencil, x)
-        grid[x, :, nxt, :] = _site_diagonal(stencil.forward[x])
-        grid[nxt, :, x, :] = _site_diagonal(stencil.backward[x])
+    form = np.zeros((n, n, 2, n, n, 2), dtype=complex)
+    x, y = np.indices((n, n))
+    right, above = (x + 1) % n, (y + 1) % n
+    form[x, y, :, x, y, :] = stencil.mass
+    form[x, y, :, x, above, :] = stencil.up
+    form[x, above, :, x, y, :] = stencil.down
+    form[x, y, :, right, y, :] = stencil.forward
+    form[right, y, :, x, y, :] = stencil.backward
     chirality = np.tile([1.0, -1.0], n * n)
-    return LatticeDiracOperator(chirality[:, None] * form, chirality,
-                                float(wilson_r), float(bare_mass), n)
+    return LatticeDiracOperator(
+        chirality[:, None] * form.reshape(2 * n * n, 2 * n * n), chirality,
+        float(wilson_r), float(bare_mass), n)
+
+
+def _rotated(stencil):
+    """The stencil in each site's sigma1 eigenbasis, with the same scale.
+
+    Every coupling c becomes h c h, h = (sigma1 + sigma3) / sqrt(2): h is
+    Hermitian and squares to 1, and takes sigma1 to sigma3, sigma2 to
+    -sigma2 and sigma3 to sigma1, so spin 0 is a site's sigma1 = +1 half
+    P+ and spin 1 its sigma1 = -1 half P-.  h c h is written as halved
+    sums of the four entries of c: at r = 1 every x-hop entry is +-U/2, so
+    the sums that vanish there are an exact 0.0, not rounding.
+    """
+    rotated = []
+    for c in (stencil.mass, stencil.up, stencil.down, stencil.forward,
+              stencil.backward):
+        a, b, e, d = c[..., 0, 0], c[..., 0, 1], c[..., 1, 0], c[..., 1, 1]
+        rotated.append(0.5 * np.stack(
+            [np.stack([a + b + e + d, a - b + e - d], axis=-1),
+             np.stack([a + b - e - d, a - b - e + d], axis=-1)], axis=-2))
+    return _Stencil(*rotated, stencil.scale)
+
+
+def _chain_block(rot, k, l, halves, shift=0.0):
+    """Block (k, l) of the rotated form minus `shift`, blocks of `halves`
+    half columns each.
+
+    Half column j holds the N sites of lattice column j // 2 in rotated
+    spin 1 - j % 2, so the chain runs P-(0), P+(0), P-(1), ... and block k
+    spans half columns halves * k .. halves * k + halves - 1 (mod 2N).  Each
+    N x N part comes from the rotated stencil `rot`: within a column its
+    on-site, `up` and `down` couplings, between neighbouring columns its
+    site-diagonal `forward` or `backward` ones, and zero otherwise.
+    """
+    n = rot.size
+    y = np.arange(n)
+    above = (y + 1) % n
+    block = np.zeros((halves * n, halves * n), dtype=complex)
+    rows, cols = ([(j // 2 % n, 1 - j % 2)
+                   for j in range(halves * i, halves * (i + 1))] for i in (k, l))
+    for a, (x, s) in enumerate(rows):
+        for b, (z, t) in enumerate(cols):
+            part = block[a * n:(a + 1) * n, b * n:(b + 1) * n]
+            if z == x:
+                part[y, y] = rot.mass[s, t] - (shift if s == t else 0.0)
+                part[y, above] = rot.up[x, :, s, t]
+                part[above, y] = rot.down[x, :, s, t]
+            elif z == (x + 1) % n:
+                part[y, y] = rot.forward[x, :, s, t]
+            elif x == (z + 1) % n:
+                part[y, y] = rot.backward[z, :, s, t]
+    return block
 
 
 def _negative_count(stencil, shift):
     """Number of eigenvalues below `shift` of the Hermitian form.
 
-    Sylvester inertia of H - shift, counted by block elimination over the
-    x-columns (Haynsworth inertia additivity: the inertia of a Hermitian
-    matrix is that of a pivot block plus that of its Schur complement).
-    The periodic lattice couples column 0 to column N-1, so column N-1
-    is carried as a border while columns 0..N-2 are eliminated in turn.
-    Each front (column x plus directions delayed from earlier fronts) is
-    diagonalised; eigen-directions with |lambda| above PIVOT_TOL * scale
-    are pivots and leave a Schur update on the next column and the
-    border, the others are delayed into the next front (Duff & Reid
-    delayed pivots).  A plain block LDL^T would fail: at m0 = r the 1-D
-    Wilson block of a column with zero holonomy is exactly singular.  The
-    last front and the border are counted by one dense eigvalsh.  Each
-    column block is built from the stencil when its front needs it, so
-    the count holds O(N^2) numbers at a time.
+    Sylvester inertia of H - shift, counted after the per-site rotation h
+    of `_rotated` (a unitary change of basis, so the inertia is the same)
+    by block elimination over a periodic block-tridiagonal chain
+    (Haynsworth inertia additivity: the inertia of a Hermitian matrix is
+    that of a pivot block plus that of its Schur complement).  In the
+    rotated basis column x reaches column x+1 through P+(x) -> P-(x+1),
+    with coupling -(1 + r)/2 U, and P-(x) -> P+(x+1), with (1 - r)/2 U.
+    When the second is identically zero (r = 1) the chain's blocks are
+    the 2N half columns P-(0), P+(0), P-(1), ... of N rows each;
+    otherwise they are the N whole columns of 2N rows.  The last block
+    is carried as a border, since the periodic lattice couples it to
+    block 0, while the others are eliminated in turn.  Each front (a
+    block plus directions delayed from earlier fronts) is diagonalised;
+    eigen-directions with |lambda| above PIVOT_TOL * scale (the scale of
+    the unrotated stencil) are pivots and leave a Schur update on the
+    next block and the border, the others are delayed into the next
+    front (Duff & Reid delayed pivots).  A plain block LDL^T would fail:
+    at m0 = r the 1-D Wilson block of a column with zero holonomy is
+    exactly singular.  The last front and the border are counted by one
+    dense eigvalsh.  Each block is built from the rotated stencil when
+    its front needs it, so the count holds O(N^2) numbers at a time.
     """
     n = stencil.size
-    width = 2 * n
-    rows, cols = _site_blocks(n)
+    rot = _rotated(stencil)
+    # Largest coupling between spin s of a column and spin t of the next,
+    # but for P+(x) -> P-(x+1): if none is left, half columns separate.
+    reach = (np.abs(rot.forward).max(axis=(0, 1))
+             + np.abs(rot.backward).max(axis=(0, 1)).T)
+    reach[0, 1] = 0.0
+    halves = 2 if reach.any() else 1
+    blocks = 2 * n // halves
+    width = halves * n
     tiny = PIVOT_TOL * stencil.scale
-    border = _column_block(stencil, n - 1, shift)
-    front = _column_block(stencil, 0, shift)
-    to_border = _site_diagonal(stencil.backward[-1])
+    border = _chain_block(rot, -1, -1, halves, shift)
+    front = _chain_block(rot, 0, 0, halves, shift)
+    to_border = _chain_block(rot, 0, -1, halves)
     negative = 0
-    for x in range(n - 1):
-        last = x == n - 2
+    for k in range(blocks - 1):
+        last = k == blocks - 2
         size = len(front)
-        # Couplings of the front to [column x+1, border]; for the last
-        # front, column x+1 is the border itself.
+        # Couplings of the front to [block k+1, border]; for the last
+        # front, block k+1 is the border itself.
         coupling = np.zeros((size, width if last else 2 * width),
                             dtype=complex)
         coupling[:, -width:] = to_border
-        coupling[size - width + rows, cols] += stencil.forward[x]
+        coupling[size - width:, :width] += _chain_block(rot, k, k + 1, halves)
         lam, vec = np.linalg.eigh(front)
         pivot = np.abs(lam) > tiny
         negative += int(np.count_nonzero(lam[pivot] < 0.0))
@@ -298,10 +336,13 @@ def _negative_count(stencil, shift):
         border = border + update[-width:, -width:]
         if last:
             break
-        front = np.block([[kept, delayed[:, :width]],
-                          [delayed[:, :width].conj().T,
-                           _column_block(stencil, x + 1, shift)
-                           + update[:width, :width]]])
+        d = len(kept)
+        front = np.empty((d + width, d + width), dtype=complex)
+        front[:d, :d] = kept
+        front[:d, d:] = delayed[:, :width]
+        front[d:, :d] = delayed[:, :width].conj().T
+        front[d:, d:] = _chain_block(rot, k + 1, k + 1, halves, shift)
+        front[d:, d:] += update[:width, :width]
         to_border = np.vstack([delayed[:, width:], update[:width, width:]])
     final = np.block([[kept, delayed], [delayed.conj().T, border]])
     return negative + int(np.count_nonzero(np.linalg.eigvalsh(final) < 0.0))
@@ -313,9 +354,11 @@ def overlap_index(gauge, wilson_r=1.0, bare_mass=1.0):
     Half the signed eigenvalue count of chirality times the Wilson
     operator; in the single-species mass branch this counts the graded
     zero modes of the continuum operator the background descends from.
-    The count is an inertia count over the 2N x 2N column blocks of the
-    lattice (see `_negative_count`), in O(N^4) time and O(N^2) memory;
-    the dense operator of `wilson_dirac` is kept only as the test oracle.
+    The count is an inertia count over a periodic chain of lattice blocks
+    (see `_negative_count`): N x N half columns at r = 1 and 2N x 2N
+    columns otherwise, in O(N^4) time and O(N^2) memory, with a constant
+    about four times smaller at r = 1; the dense operator of
+    `wilson_dirac` is kept only as the test oracle.
     Counting below -ZERO_MODE_EPS and below +ZERO_MODE_EPS brackets the
     window that must hold no eigenvalue; `NearZeroModeError` reports
     both counts when it does not.  The overall sign is pinned by

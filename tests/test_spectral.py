@@ -12,10 +12,10 @@ from gerbedex.spectral import (
     ZERO_MODE_EPS,
     LatticeDiracOperator,
     LatticeGauge,
-    _column_block,
+    _chain_block,
     _hermitian_blocks,
     _negative_count,
-    _site_diagonal,
+    _rotated,
     build_flux_background,
     monopole_kernel,
     overlap_index,
@@ -73,6 +73,21 @@ def test_lattice_gauge_validates_inputs():
         LatticeGauge(8, 0, 2.0 * ones, ones)
     with pytest.raises(ValueError):
         LatticeGauge(8, 1, ones, ones)  # trivial links, declared flux 1
+
+
+def test_lattice_gauge_keeps_read_only_copies_of_its_links():
+    source = build_flux_background(8, 1)
+    links_x, links_y = source.links_x.copy(), source.links_y.copy()
+    gauge = LatticeGauge(8, 1, links_x, links_y)
+    links_x[:] = 2.0
+    links_y[:] = 1.0
+    assert overlap_index(gauge) == 1
+    for links in (gauge.links_x, gauge.links_y):
+        assert not links.flags.writeable
+        with pytest.raises(ValueError):
+            links[0, 0] = 1.0
+    real = LatticeGauge(8, 0, np.ones((8, 8)), np.ones((8, 8)))
+    assert real.links_x.dtype == real.links_y.dtype == complex
 
 
 def test_nan_fails_the_lattice_gates():
@@ -214,23 +229,119 @@ def _translation_form(gauge, wilson_r, bare_mass):
     return np.tile([1.0, -1.0], n * n)[:, None] * dirac
 
 
+_H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+
+def _rough_gauge(size, amplitude, seed):
+    """Link angles uniform in [-amplitude, amplitude]; the declared flux is
+    the geometric charge, the plaquette-angle sum over 2 pi."""
+    rng = np.random.default_rng(seed)
+    links_x, links_y = np.exp(1j * rng.uniform(-amplitude, amplitude,
+                                               (2, size, size)))
+    plaquettes = (links_x * np.roll(links_y, -1, axis=0)
+                  * np.conj(np.roll(links_x, -1, axis=1)) * np.conj(links_y))
+    charge = round(float(np.sum(np.angle(plaquettes))) / TWO_PI)
+    return LatticeGauge(size, charge, links_x, links_y)
+
+
+def _chain_order(n):
+    """Site-major indices of the rotated form in half-column order: half
+    column j holds column j // 2 in rotated spin 1 - j % 2."""
+    j, y = np.divmod(np.arange(2 * n * n), n)
+    return 2 * (j // 2 * n + y) + 1 - j % 2
+
+
 @pytest.mark.parametrize("wilson_r", [0.8, 1.0, 1.2])
 def test_stencil_blocks_match_dense_oracle(wilson_r):
     gauge = _gauge_transform(build_flux_background(8, 2), seed=5)
     stencil = _hermitian_blocks(gauge, wilson_r, 1.0)
     form = wilson_dirac(gauge, wilson_r=wilson_r).hermitian_form()
     n = gauge.size
-    grid = form.reshape(n, 2 * n, n, 2 * n)
-    for x in range(n):
-        nxt = (x + 1) % n
-        assert np.array_equal(_column_block(stencil, x), grid[x, :, x, :])
-        assert np.array_equal(_site_diagonal(stencil.forward[x]),
-                              grid[x, :, nxt, :])
-        assert np.array_equal(_site_diagonal(stencil.backward[x]),
-                              grid[nxt, :, x, :])
+    rotation = np.kron(np.eye(n * n), _H)
+    order = _chain_order(n)
+    chain = (rotation @ form @ rotation)[np.ix_(order, order)]
+    rot = _rotated(stencil)
+    for halves in (1, 2):
+        width = halves * n
+        blocks = 2 * n // halves
+        for k in range(blocks):
+            for l in range(blocks):
+                block = _chain_block(rot, k, l, halves)
+                expected = chain[k * width:(k + 1) * width,
+                                 l * width:(l + 1) * width]
+                assert np.max(np.abs(block - expected)) < 1e-14
+                # the chain is block tridiagonal, in half columns at r = 1 only
+                tridiagonal = halves == 2 or wilson_r == 1.0
+                if tridiagonal and min((k - l) % blocks, (l - k) % blocks) > 1:
+                    assert not block.any()
+            shifted = _chain_block(rot, k, k, halves, 0.25)
+            assert np.array_equal(
+                shifted, _chain_block(rot, k, k, halves) - 0.25 * np.eye(width))
     assert stencil.scale == max(1.0, float(np.abs(form).max()))
     assert np.max(np.abs(form - _translation_form(gauge, wilson_r, 1.0))) \
         < 1e-14
+
+
+@pytest.mark.parametrize("wilson_r", [0.8, 1.0, 1.2])
+def test_rotated_couplings_are_h_c_h_in_closed_form(wilson_r):
+    gauge = _rough_gauge(8, 2.0, seed=3)
+    stencil = _hermitian_blocks(gauge, wilson_r, 0.7)
+    rot = _rotated(stencil)
+    assert rot.scale == stencil.scale
+    for name in ("mass", "up", "down", "forward", "backward"):
+        couplings = getattr(stencil, name)
+        assert np.max(np.abs(getattr(rot, name) - _H @ couplings @ _H)) < 1e-15
+    cross = rot.forward[..., 1, 0]  # P-(x) -> P+(x+1)
+    partner = rot.backward[..., 0, 1]  # P+(x+1) -> P-(x)
+    if wilson_r == 1.0:
+        assert not cross.any() and not partner.any()
+    else:
+        expected = 0.5 * (1.0 - wilson_r) * gauge.links_x
+        assert np.max(np.abs(cross - expected)) < 1e-15
+        assert np.max(np.abs(partner - expected.conj())) < 1e-15
+
+
+@pytest.mark.parametrize("wilson_r, halves", [(1.0, 1), (1.2, 2)])
+def test_fronts_are_half_columns_at_unit_wilson_parameter(monkeypatch, wilson_r,
+                                                          halves):
+    eigh = np.linalg.eigh
+    fronts = []
+
+    def spy(matrix):
+        fronts.append(len(matrix))
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    gauge = _gauge_transform(build_flux_background(16, 2), seed=9)
+    assert overlap_index(gauge, wilson_r=wilson_r) == 2
+    # two counts, each eliminating every chain block but the border
+    assert len(fronts) == 2 * (32 // halves - 1)
+    width = 16 * halves
+    assert width <= min(fronts) and max(fronts) <= width + 2
+
+
+@pytest.mark.parametrize("wilson_r", [0.8, 1.0, 1.2])
+def test_negative_count_matches_the_dense_spectrum_between_eigenvalues(wilson_r):
+    gauge = _rough_gauge(8, 1.0, seed=4)
+    eigenvalues = np.linalg.eigvalsh(
+        wilson_dirac(gauge, wilson_r=wilson_r).hermitian_form())
+    stencil = _hermitian_blocks(gauge, wilson_r, 1.0)
+    gaps = np.flatnonzero(np.diff(eigenvalues) > 1e-6)
+    for gap in gaps[::8]:
+        shift = 0.5 * (eigenvalues[gap] + eigenvalues[gap + 1])
+        assert _negative_count(stencil, shift) == gap + 1
+
+
+def test_overlap_index_on_rough_fields_equals_the_dense_oracle():
+    differs = 0
+    for amplitude in (1.0, 2.0, 3.0):
+        for seed in range(20):
+            gauge = _rough_gauge(8, amplitude, seed)
+            index = overlap_index(gauge)
+            assert index == _dense_index(gauge, 1.0)
+            differs += index != gauge.flux
+    # on these fields the index is not the geometric charge
+    assert differs > 0
 
 
 def test_near_zero_mode_raises_typed_error_with_window_counts():
